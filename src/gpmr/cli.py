@@ -157,6 +157,9 @@ def _load_rhs(cfg, m, n, blocks):
     if values.size != m + n:
         raise ExperimentInputError(
             f"rhs file has {values.size} values, system order is {m + n}")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ExperimentInputError(f"rhs file value {bad[0]} is not finite: {values[bad[0]]}")
     return values[:m], values[m:]
 
 
@@ -216,7 +219,8 @@ def _run_method(method, system, prec, blocks, b_star, c_star, cfg):
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute the configured experiment and return a result dictionary.
 
-    The dictionary carries matrix metadata, the partition sizes and one
+    The dictionary carries matrix metadata, the partition sizes, the
+    entries stored in the LU factors of each diagonal block and one
     entry per method with iterations, status, true residual in the
     original system, operator application count, wall time, residual
     history and the recovered solution.
@@ -249,6 +253,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "mu": cfg.mu,
         "atol": cfg.atol,
         "rtol": cfg.rtol,
+        "lu_fill": {"M": prec.Mfac.fill, "N": prec.Nfac.fill},
         "methods": {r["method"]: r for r in results},
     }
     report["all_converged"] = all(r["converged"] for r in results)

@@ -253,7 +253,11 @@ class PartitionedSystem:
             raise ValueError("right-hand side lengths do not match the blocks")
         if not np.any(self.b) or not np.any(self.c):
             raise ValueError("b and c must both be nonzero")
-        if not np.any(self.A.apply(np.ones(n))) or not np.any(self.B.apply(np.ones(m))):
+        # a fixed random probe: a ones vector lies in the null space of
+        # nonzero operators whose rows sum to zero
+        rng = np.random.default_rng(0)
+        if (not np.any(self.A.apply(rng.standard_normal(n)))
+                or not np.any(self.B.apply(rng.standard_normal(m)))):
             raise ValueError("A and B must be nonzero operators")
 
     @property

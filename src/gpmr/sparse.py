@@ -2,19 +2,23 @@
 
 This module is deliberately small: CSR storage, matrix-vector products,
 Matrix Market I/O and an LU factorization with partial pivoting used to
-apply block-Jacobi preconditioners. Everything targets desk-scale
-problems (orders up to a few thousand); clarity wins over throughput.
+apply block-Jacobi preconditioners. The factorization is SuperLU's, in
+natural column order, with this package's relative zero-pivot test on
+top; it never builds a dense copy of a block that factors.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+from scipy.sparse.linalg import SuperLU, splu
 
 
 class MatrixMarketError(ValueError):
@@ -218,7 +222,8 @@ def parse_matrix_market(source) -> SparseMatrix:
     Supports real, integer and pattern fields with general or symmetric
     qualifiers. Symmetric input is expanded to full storage, pattern
     entries are assigned the value 1.0, duplicate coordinates are summed
-    and indices become 0-based.
+    and indices become 0-based. A ``nan`` or ``inf`` value is a
+    :class:`MalformedEntryError` naming its line.
     """
     lines = _text_lines(source)
     it = iter(enumerate(lines, start=1))
@@ -289,6 +294,8 @@ def parse_matrix_market(source) -> SparseMatrix:
             v = 1.0 if is_pattern else float(parts[2])
         except ValueError as exc:
             raise MalformedEntryError(f"line {lineno}: unparsable entry {stripped!r}") from exc
+        if not math.isfinite(v):
+            raise MalformedEntryError(f"line {lineno}: non-finite value {parts[2]!r}")
         if not (1 <= i <= nrows and 1 <= j <= ncols):
             raise IndexOutOfRangeError(
                 f"line {lineno}: entry ({i}, {j}) outside {nrows} x {ncols}"
@@ -336,179 +343,98 @@ def load_matrix_market(path) -> SparseMatrix:
 
 
 # ---------------------------------------------------------------------------
-# LU factorization with partial pivoting
+# LU factorization with partial pivoting (SuperLU)
 # ---------------------------------------------------------------------------
 
 # Relative magnitude below which a pivot counts as zero.
 PIVOT_RTOL = 1e-13
 
-# Above this order the factorization switches from the sparse left-looking
-# kernel to LAPACK on a densified copy; pivot choice (first maximum in the
-# working column) and the zero-pivot test are the same on both paths.
-_DENSE_LU_THRESHOLD = 512
-
 
 @dataclass(frozen=True)
 class LUFactors:
-    """Factors of ``P @ M = L @ U`` with row permutation ``perm_rows``.
+    """SuperLU factors of ``P @ M = L @ U`` in natural column order.
 
     ``perm_rows[i]`` is the original row placed at position ``i``. ``L``
     is unit lower triangular with its diagonal stored explicitly and
-    ``U`` is upper triangular with nonzero diagonal.
+    ``U`` is upper triangular with nonzero diagonal; both are scipy CSC
+    matrices extracted from ``superlu`` on each access. ``fill`` is the
+    number of entries stored in ``L`` and ``U`` together.
     """
 
-    perm_rows: np.ndarray
-    L: SparseMatrix
-    U: SparseMatrix
+    superlu: SuperLU
+    fill: int
 
     @property
     def order(self) -> int:
-        return self.L.nrows
+        return self.superlu.shape[0]
+
+    @property
+    def perm_rows(self) -> np.ndarray:
+        # SuperLU's perm_r maps an original row to its position
+        return np.argsort(self.superlu.perm_r)
+
+    @property
+    def L(self):
+        return self.superlu.L
+
+    @property
+    def U(self):
+        return self.superlu.U
 
 
-def _columns_of(M: SparseMatrix):
-    """Per-column (row indices, values) of ``M``."""
-    counts = np.diff(M.row_offsets)
-    row_ids = np.repeat(np.arange(M.nrows, dtype=np.int64), counts)
-    order = np.lexsort((row_ids, M.col_indices))
-    rows = row_ids[order]
-    cols = M.col_indices[order]
-    vals = M.values[order]
-    out = []
-    col_counts = np.bincount(cols, minlength=M.ncols)
-    pos = 0
-    for j in range(M.ncols):
-        nxt = pos + col_counts[j]
-        out.append((rows[pos:nxt], vals[pos:nxt]))
-        pos = nxt
-    return out
+def _weak_pivots(absdiag, u_colmax, l_colmax, pivot_rtol) -> np.ndarray:
+    """Columns whose pivot is at most ``pivot_rtol`` times the largest
+    magnitude in the working column at pivot time, which the factors give
+    back as max(|U[:, j]|, |L[:, j]| |u_jj|)."""
+    colmax = np.maximum(u_colmax, l_colmax * absdiag)
+    return np.flatnonzero((colmax == 0.0) | (absdiag <= pivot_rtol * colmax))
 
 
-def _left_looking_lu(M: SparseMatrix, pivot_rtol: float) -> LUFactors:
-    n = M.nrows
-    col_entries = _columns_of(M)
-    pivrow = np.full(n, -1, dtype=np.int64)
-    unpivoted = np.ones(n, dtype=bool)
-    l_cols: list[tuple[np.ndarray, np.ndarray]] = []
-    u_cols: list[tuple[np.ndarray, np.ndarray]] = []
-    u_diag = np.empty(n)
-    w = np.zeros(n)
-
-    for j in range(n):
-        w[:] = 0.0
-        rows_j, vals_j = col_entries[j]
-        w[rows_j] = vals_j
-        for i in range(j):
-            alpha = w[pivrow[i]]
-            if alpha != 0.0:
-                lr, lv = l_cols[i]
-                if lr.size:
-                    w[lr] -= alpha * lv
-
-        absw = np.abs(w)
-        colmax = absw.max() if n else 0.0
-        masked = np.where(unpivoted, absw, -1.0)
-        r = int(np.argmax(masked))
-        pivot = absw[r]
-        if colmax == 0.0 or pivot <= pivot_rtol * colmax:
-            raise SingularMatrixError(j)
-
-        upos = pivrow[:j]
-        uvals = w[upos]
-        keep = uvals != 0.0
-        u_cols.append((np.flatnonzero(keep).astype(np.int64), uvals[keep]))
-        u_diag[j] = w[r]
-
-        pivrow[j] = r
-        unpivoted[r] = False
-        sub = unpivoted & (w != 0.0)
-        sub_rows = np.flatnonzero(sub)
-        l_cols.append((sub_rows, w[sub_rows] / w[r]))
-
-    pinv = np.empty(n, dtype=np.int64)
-    pinv[pivrow] = np.arange(n, dtype=np.int64)
-
-    li, lj, lv = [np.arange(n, dtype=np.int64)], [np.arange(n, dtype=np.int64)], [np.ones(n)]
-    for j in range(n):
-        rows, mult = l_cols[j]
-        if rows.size:
-            li.append(pinv[rows])
-            lj.append(np.full(rows.size, j, np.int64))
-            lv.append(mult)
-    ui, uj, uv = [np.arange(n, dtype=np.int64)], [np.arange(n, dtype=np.int64)], [u_diag]
-    for j in range(n):
-        pos, vals = u_cols[j]
-        if pos.size:
-            ui.append(pos)
-            uj.append(np.full(pos.size, j, np.int64))
-            uv.append(vals)
-
-    L = csr_from_coo(n, n, np.concatenate(li), np.concatenate(lj), np.concatenate(lv))
-    U = csr_from_coo(n, n, np.concatenate(ui), np.concatenate(uj), np.concatenate(uv))
-    return LUFactors(pivrow, L, U)
-
-
-def _dense_lu(M: SparseMatrix, pivot_rtol: float) -> LUFactors:
-    n = M.nrows
-    dense = M.to_dense()
+def _dense_singular_column(M: SparseMatrix, pivot_rtol: float) -> int:
+    """Failing column of an exactly singular ``M``, from LAPACK's LU of a
+    densified copy; SuperLU rejects such a matrix without naming it."""
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(dense, check_finite=False)
-    perm = np.arange(n, dtype=np.int64)
-    for i, p in enumerate(piv):
-        perm[i], perm[p] = perm[p], perm[i]
-
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, _ = scipy.linalg.lu_factor(M.to_dense(), check_finite=False)
     absdiag = np.abs(np.diag(lu))
-    abs_u = np.abs(np.triu(lu))
-    abs_l = np.abs(np.tril(lu, -1))
-    # working-column magnitude at pivot time, reconstructed from the factors
-    colmax = np.maximum(abs_u.max(axis=0), abs_l.max(axis=0) * absdiag)
-    bad = (colmax == 0.0) | (absdiag <= pivot_rtol * colmax)
-    if bad.any():
-        raise SingularMatrixError(int(np.flatnonzero(bad)[0]))
-
-    L = csr_from_dense(np.tril(lu, -1) + np.eye(n))
-    U = csr_from_dense(np.triu(lu))
-    return LUFactors(perm, L, U)
+    bad = _weak_pivots(absdiag, np.abs(np.triu(lu)).max(axis=0),
+                       np.abs(np.tril(lu, -1)).max(axis=0), pivot_rtol)
+    return int(bad[0])
 
 
 def sparse_lu(M: SparseMatrix, pivot_rtol: float = PIVOT_RTOL) -> LUFactors:
-    """Factor a square matrix as ``P @ M = L @ U``.
+    """Factor a square matrix as ``P @ M = L @ U`` with SuperLU.
 
-    Partial pivoting picks the first entry of maximum magnitude in the
-    working column; a pivot no larger than ``pivot_rtol`` times the
-    column maximum raises :class:`SingularMatrixError` with the failing
-    column index.
+    Column ``j`` is eliminated at step ``j`` (natural column order) with
+    partial pivoting on the working column. A pivot no larger than
+    ``pivot_rtol`` times the column maximum raises
+    :class:`SingularMatrixError` with the failing column index.
     """
     if M.nrows != M.ncols:
         raise ValueError("LU factorization requires a square matrix")
-    if M.nrows == 0:
-        empty = csr_from_dense(np.zeros((0, 0)))
-        return LUFactors(np.zeros(0, np.int64), empty, empty)
-    if M.nrows <= _DENSE_LU_THRESHOLD:
-        return _left_looking_lu(M, pivot_rtol)
-    return _dense_lu(M, pivot_rtol)
+    csc = scipy.sparse.csr_array((M.values, M.col_indices, M.row_offsets),
+                                 shape=M.shape).tocsc()
+    try:
+        lu = splu(csc, permc_spec="NATURAL")
+    except RuntimeError as exc:
+        if "exactly singular" not in str(exc):
+            raise
+        raise SingularMatrixError(_dense_singular_column(M, pivot_rtol)) from exc
+    L, U = lu.L, lu.U
+    # every column of either factor stores its diagonal entry, so each
+    # reduceat segment is a whole, nonempty column
+    bad = _weak_pivots(np.abs(U.diagonal()),
+                       np.maximum.reduceat(np.abs(U.data), U.indptr[:-1]),
+                       np.maximum.reduceat(np.abs(L.data), L.indptr[:-1]), pivot_rtol)
+    if bad.size:
+        raise SingularMatrixError(int(bad[0]))
+    return LUFactors(lu, L.nnz + U.nnz)
 
 
 def lu_solve(F: LUFactors, rhs) -> np.ndarray:
-    """Solve ``M @ x = rhs`` via forward then backward substitution."""
+    """Solve ``M @ x = rhs`` with the factors of ``M``."""
     rhs = np.asarray(rhs, dtype=np.float64)
     n = F.order
     if rhs.shape != (n,):
         raise ValueError(f"rhs length {rhs.shape} does not match order {n}")
-    y = rhs[F.perm_rows].copy()
-    L, U = F.L, F.U
-    for i in range(n):
-        s, e = L.row_offsets[i], L.row_offsets[i + 1]
-        if e - s > 1:
-            # diagonal 1.0 is the last entry of the row
-            cols = L.col_indices[s:e - 1]
-            y[i] -= L.values[s:e - 1] @ y[cols]
-    x = y
-    for i in range(n - 1, -1, -1):
-        s, e = U.row_offsets[i], U.row_offsets[i + 1]
-        if e - s > 1:
-            cols = U.col_indices[s + 1:e]
-            x[i] -= U.values[s + 1:e] @ x[cols]
-        x[i] /= U.values[s]
-    return x
+    return F.superlu.solve(rhs)

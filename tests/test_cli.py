@@ -208,6 +208,26 @@ def test_main_success_writes_reports(matrix_file, tmp_path, capsys):
     assert set(payload["methods"]) == {"gpmr", "gmres"}
 
 
+def test_json_report_carries_lu_fill(matrix_file, tmp_path, capsys):
+    import scipy.linalg
+
+    from gpmr import bisect_graph, extract_blocks, load_matrix_market
+
+    jsonpath = tmp_path / "r.json"
+    code = main(["--matrix", str(matrix_file), "--method", "gpmr",
+                 "--maxiter", "40", "--json", str(jsonpath)])
+    assert code == EXIT_OK
+    capsys.readouterr()
+    fill = json.loads(jsonpath.read_text())["lu_fill"]
+    # oracle: the nonzeros of LAPACK's dense factors of the same blocks,
+    # L's unit diagonal included
+    C = load_matrix_market(matrix_file)
+    M, _, _, N = extract_blocks(C, bisect_graph(C))
+    for name, block in (("M", M), ("N", N)):
+        _, L, U = scipy.linalg.lu(block.to_dense())
+        assert fill[name] == np.count_nonzero(L) + np.count_nonzero(U)
+
+
 def test_parallel_flag_matches_sequential(matrix_file, tmp_path):
     seq = tmp_path / "seq.csv"
     par = tmp_path / "par.csv"
@@ -228,6 +248,17 @@ def test_rhs_override(matrix_file, tmp_path):
     assert report["methods"]["gpmr"]["converged"]
     # recovered solution now solves against the custom right-hand side
     assert report["methods"]["gpmr"]["true_residual"] <= 1e-8
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_rhs_file_with_non_finite_value_is_input_error(matrix_file, tmp_path, capsys, bad):
+    values = [f"{v:.17g}" for v in np.ones(18)]
+    values[5] = bad
+    rhs_path = tmp_path / "rhs.txt"
+    rhs_path.write_text("\n".join(values))
+    code = main(["--matrix", str(matrix_file), "--rhs", str(rhs_path)])
+    assert code == EXIT_INPUT_ERROR
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_custom_regularization_reports_solved_system_residual(matrix_file):

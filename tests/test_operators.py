@@ -303,6 +303,18 @@ def test_partitioned_system_rejects_zero_inputs():
         PartitionedSystem(1.0, 1.0, zero_op, A, np.ones(2), np.ones(2))
 
 
+def test_partitioned_system_accepts_rows_summing_to_zero():
+    A = np.array([[1.0, -1.0], [2.0, -2.0]])
+    B = np.array([[1.0, 0.5], [0.0, 1.0]])
+    b, c = np.array([1.0, 2.0]), np.array([-1.0, 3.0])
+    system = PartitionedSystem(1.0, 1.0, dense_operator(A), dense_operator(B), b, c)
+    report = gpmr_solve(system, 1e-12, 1e-10, k_max=10)
+    assert report.status == "converged"
+    C = np.block([[np.eye(2), A], [B, np.eye(2)]])
+    want = np.linalg.solve(C, np.concatenate([b, c]))
+    assert np.allclose(np.concatenate([report.x, report.y]), want, rtol=0, atol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # permutation files
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import io
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +22,6 @@ from gpmr import (
     spmv_transpose,
     write_matrix_market,
 )
-from gpmr.sparse import _DENSE_LU_THRESHOLD
-
 BANNER = "%%MatrixMarket matrix coordinate real general\n"
 
 
@@ -121,6 +121,12 @@ def test_parse_entry_errors():
         parse_matrix_market(BANNER + "2 2 1\n1 1 1.0\n2 2 2.0\n")
     with pytest.raises(MalformedEntryError):
         parse_matrix_market(BANNER + "2 2 1\n1 x 1.0\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "1e999"])
+def test_parse_rejects_non_finite_values(value):
+    with pytest.raises(MalformedEntryError, match="line 4"):
+        parse_matrix_market(BANNER + f"2 2 2\n1 1 1.0\n2 2 {value}\n")
 
 
 def test_parse_sherman5_dimensions(sherman5_path):
@@ -238,15 +244,16 @@ def test_spmv_transpose_matches_explicit_transpose():
 def test_lu_identity():
     F = sparse_lu(csr_identity(4))
     assert np.array_equal(F.perm_rows, np.arange(4))
-    assert np.array_equal(F.L.to_dense(), np.eye(4))
-    assert np.array_equal(F.U.to_dense(), np.eye(4))
+    assert np.array_equal(F.L.toarray(), np.eye(4))
+    assert np.array_equal(F.U.toarray(), np.eye(4))
+    assert F.fill == 8
 
 
 def test_lu_forced_pivot():
     F = sparse_lu(csr_from_dense([[0.0, 1.0], [1.0, 0.0]]))
     assert np.array_equal(F.perm_rows, [1, 0])
-    assert np.array_equal(F.L.to_dense(), np.eye(2))
-    assert np.array_equal(F.U.to_dense(), np.eye(2))
+    assert np.array_equal(F.L.toarray(), np.eye(2))
+    assert np.array_equal(F.U.toarray(), np.eye(2))
 
 
 def test_lu_reconstruction():
@@ -254,18 +261,18 @@ def test_lu_reconstruction():
     M, dense = diag_dominant(rng, 30)
     F = sparse_lu(M)
     lhs = dense[F.perm_rows]
-    rhs = F.L.to_dense() @ F.U.to_dense()
+    rhs = F.L.toarray() @ F.U.toarray()
     err = np.linalg.norm(lhs - rhs)
     assert err <= 1e-12 * np.linalg.norm(dense)
 
 
 def test_lu_dense_path_reconstruction():
     rng = np.random.default_rng(19)
-    n = _DENSE_LU_THRESHOLD + 24
+    n = 536
     M, dense = diag_dominant(rng, n, density=0.01)
     F = sparse_lu(M)
     lhs = dense[F.perm_rows]
-    rhs = F.L.to_dense() @ F.U.to_dense()
+    rhs = F.L.toarray() @ F.U.toarray()
     assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(dense)
 
 
@@ -282,6 +289,35 @@ def test_lu_reports_singular_column():
     with pytest.raises(SingularMatrixError) as info:
         sparse_lu(csr_from_dense(dup))
     assert info.value.column == 3
+
+
+def test_lu_names_exactly_zero_column_of_large_block():
+    rng = np.random.default_rng(31)
+    _, dense = diag_dominant(rng, 600, density=0.01)
+    dense[:, 417] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError) as info:
+            sparse_lu(csr_from_dense(dense))
+    assert info.value.column == 417
+
+
+def test_lu_factors_large_banded_block_without_dense_copy():
+    n = 20000
+    offsets = np.arange(-3, 4)
+    rows = np.concatenate([np.arange(max(0, -k), min(n, n - k)) for k in offsets])
+    cols = np.concatenate([np.arange(max(0, k), min(n, n + k)) for k in offsets])
+    vals = np.where(rows == cols, 8.0, -1.0 + 0.01 * (rows % 7))
+    M = csr_from_coo(n, n, rows, cols, vals)
+    rhs = np.random.default_rng(37).standard_normal(n)
+    tracemalloc.start()
+    try:
+        x = lu_solve(sparse_lu(M), rhs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+    assert np.linalg.norm(spmv(M, x) - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
 def test_lu_requires_square():
