@@ -9,16 +9,20 @@ sparsity appearing in its output is evidence rather than construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .hessenberg import orthogonalize
 from .operators import LinearOperator
 from .solver import (
     STATUS_CONVERGED,
     STATUS_EXHAUSTED,
     STATUS_MAX_ITERATIONS,
+    STATUS_NONFINITE,
     SolveReport,
+    check_tolerances,
     dense_back_substitution,
     reflection_coefficients,
 )
@@ -28,7 +32,11 @@ _LUCKY_BREAKDOWN_RTOL = 1e-14
 
 @dataclass
 class ArnoldiState:
-    """Orthonormal Krylov basis and Hessenberg coefficients for one operator."""
+    """Orthonormal Krylov basis and Hessenberg coefficients for one operator.
+
+    ``basis`` has shape (dim, capacity + 1) and is the transpose of a
+    C-ordered array, so each basis column is contiguous.
+    """
 
     basis: np.ndarray
     H: np.ndarray
@@ -49,13 +57,15 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
                 *, reorth: bool = False, split=None) -> SolveReport:
     """Minimum-residual solve of K x = d over growing Krylov subspaces.
 
-    Arnoldi with modified Gram-Schmidt plus one Givens reflection per
-    column; stopping rule |r_k| <= atol + rtol * |d|. ``split=(m, n)``
-    places the two solution blocks in the report's x and y fields;
-    without it the full vector lands in x.
+    Arnoldi with :func:`~gpmr.hessenberg.orthogonalize` (modified
+    Gram-Schmidt, or CGS2 with ``reorth``) plus one Givens reflection
+    per column; stopping rule |r_k| <= atol + rtol * |d|. A residual
+    norm that is not finite ends the solve with ``nonfinite`` and the
+    last iterate whose residual norm was finite (zeros if the initial
+    one is not). ``split=(m, n)`` places the two solution blocks in the
+    report's x and y fields; without it the full vector lands in x.
     """
-    if atol < 0 or rtol < 0 or (atol == 0 and rtol == 0):
-        raise ValueError("tolerances must be nonnegative and not both zero")
+    check_tolerances(atol, rtol)
     d = np.asarray(d, dtype=np.float64)
     dim = K.nrows
     if d.shape != (dim,):
@@ -67,7 +77,7 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
         raise ValueError("k_max must be at least 1")
     cap = min(k_max, dim)
 
-    state = ArnoldiState(basis=np.zeros((dim, cap + 1)),
+    state = ArnoldiState(basis=np.zeros((cap + 1, dim)).T,
                          H=np.zeros((cap + 1, cap)), beta0=norm_d)
     V, H = state.basis, state.H
     V[:, 0] = d / norm_d
@@ -83,18 +93,12 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
     k = 0
     matvecs = 0
     saturated = False
-    while rnorm > threshold and k < cap and not saturated:
+    nonfinite = not math.isfinite(norm_d)
+    while not nonfinite and rnorm > threshold and k < cap and not saturated:
         w = np.array(K.apply(V[:, k]), dtype=np.float64)
         matvecs += 1
         scale = float(np.linalg.norm(w))
-        for i in range(k + 1):
-            H[i, k] = V[:, i] @ w
-            w -= H[i, k] * V[:, i]
-        if reorth:
-            for i in range(k + 1):
-                corr = V[:, i] @ w
-                w -= corr * V[:, i]
-                H[i, k] += corr
+        H[: k + 1, k] = orthogonalize(V[:, : k + 1].T, w, reorth)
         hnext = float(np.linalg.norm(w))
         if hnext <= _LUCKY_BREAKDOWN_RTOL * scale:
             saturated = True
@@ -113,12 +117,18 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
         tb = tbar[k]
         tbar[k] = c * tb
         tbar[k + 1] = s * tb
+        if not math.isfinite(tbar[k + 1]):
+            # the first k columns of R and tbar[:k] are as they were
+            nonfinite = True
+            break
         k += 1
         state.k = k
         rnorm = abs(tbar[k])
         history.append(rnorm)
 
-    if rnorm <= threshold:
+    if nonfinite:
+        status = STATUS_NONFINITE
+    elif rnorm <= threshold:
         status = STATUS_CONVERGED
     elif saturated or k >= dim:
         status = STATUS_EXHAUSTED
@@ -239,14 +249,16 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
     """Solve K X = D for a two-column D by block minimum residual.
 
     Both reduced subproblems (targets beta e_1 and gamma e_2) are solved
-    against the shared block-Hessenberg matrix at every iteration; the
-    stopping rule of :func:`gpmr_solve` is applied to the residual of
-    the summed solution, so both columns stop together. Returns one
+    against the shared block-Hessenberg matrix at every iteration, in one
+    least-squares call; the stopping rule of :func:`gpmr_solve` is
+    applied to the residual of the summed solution, so both columns stop
+    together. A non-finite starting block or block-Hessenberg column ends
+    the solve with ``nonfinite`` and the last iterates computed from
+    finite data (zeros if the starting block is not finite). Returns one
     report per column; the summed residual history rides along in each
     report's diagnostics.
     """
-    if atol < 0 or rtol < 0 or (atol == 0 and rtol == 0):
-        raise ValueError("tolerances must be nonnegative and not both zero")
+    check_tolerances(atol, rtol)
     D = np.asarray(D, dtype=np.float64)
     dim = K.nrows
     if D.shape != (dim, 2):
@@ -272,27 +284,34 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
     zc = np.zeros(0)
     k = 0
     matvecs = 0
-    while res_sum > threshold and k < cap:
+    nonfinite = not math.isfinite(norm_d)
+    while not nonfinite and res_sum > threshold and k < cap:
         block_arnoldi_step(state, K, reorth=reorth)
         matvecs += 2
+        Sk = state.S[: 2 * k + 4, : 2 * k + 2]
+        if not np.isfinite(Sk[:, 2 * k:]).all():
+            # the least-squares solve would fail or return NaN; the
+            # iterates of step k came from finite columns
+            nonfinite = True
+            break
         k = state.k
-        Sk = state.S[: 2 * k + 2, : 2 * k]
-        rhs_b = np.zeros(2 * k + 2)
-        rhs_b[0] = beta
-        rhs_c = np.zeros(2 * k + 2)
-        rhs_c[1] = gamma
-        zb, *_ = np.linalg.lstsq(Sk, rhs_b, rcond=None)
-        zc, *_ = np.linalg.lstsq(Sk, rhs_c, rcond=None)
-        hist_b.append(float(np.linalg.norm(Sk @ zb - rhs_b)))
-        hist_c.append(float(np.linalg.norm(Sk @ zc - rhs_c)))
-        res_sum = float(np.linalg.norm(Sk @ (zb + zc) - (rhs_b + rhs_c)))
+        rhs = np.zeros((2 * k + 2, 2))
+        rhs[0, 0] = beta
+        rhs[1, 1] = gamma
+        Z, *_ = np.linalg.lstsq(Sk, rhs, rcond=None)
+        zb, zc = Z[:, 0], Z[:, 1]
+        hist_b.append(float(np.linalg.norm(Sk @ zb - rhs[:, 0])))
+        hist_c.append(float(np.linalg.norm(Sk @ zc - rhs[:, 1])))
+        res_sum = float(np.linalg.norm(Sk @ (zb + zc) - (rhs[:, 0] + rhs[:, 1])))
         hist_sum.append(res_sum)
         if track_iterates:
             Wmat = np.hstack(state.W[:k])
             iter_b.append(Wmat @ zb)
             iter_c.append(Wmat @ zc)
 
-    if res_sum <= threshold:
+    if nonfinite:
+        status = STATUS_NONFINITE
+    elif res_sum <= threshold:
         status = STATUS_CONVERGED
     elif 2 * k >= dim:
         status = STATUS_EXHAUSTED

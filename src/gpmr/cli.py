@@ -8,7 +8,10 @@ the selected solvers with an absolute/relative residual stopping rule
 and report iteration counts, true residuals and timings.
 
 Exit codes: 0 all selected methods converged, 1 unreadable input,
-2 singular diagonal block, 3 at least one method did not converge.
+2 singular diagonal block, 3 at least one method did not converge,
+4 at least one method met a non-finite residual norm (status
+``nonfinite``, for example after an overflow); 4 takes precedence
+over 3.
 """
 
 from __future__ import annotations
@@ -32,13 +35,14 @@ from .operators import (
     read_permutation,
     recover_solution,
 )
-from .solver import gpmr_solve
+from .solver import STATUS_NONFINITE, check_tolerances, gpmr_solve
 from .sparse import MatrixMarketError, SparseMatrix, load_matrix_market, spmv
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_SINGULAR_BLOCK = 2
 EXIT_NO_CONVERGENCE = 3
+EXIT_NONFINITE = 4
 
 KNOWN_METHODS = ("gpmr", "gmres", "block-gmres")
 
@@ -69,8 +73,7 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
         if unknown:
             raise ValueError(f"unknown methods: {unknown}")
-        if self.atol < 0 or self.rtol < 0 or (self.atol == 0 and self.rtol == 0):
-            raise ValueError("tolerances must be nonnegative and not both zero")
+        check_tolerances(self.atol, self.rtol)
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
 
@@ -352,6 +355,8 @@ def main(argv=None) -> int:
     print(format_table(report))
     if args.json is not None:
         Path(args.json).write_text(json.dumps(_json_safe(report), indent=2) + "\n")
+    if any(r["status"] == STATUS_NONFINITE for r in report["methods"].values()):
+        return EXIT_NONFINITE
     return EXIT_OK if report["all_converged"] else EXIT_NO_CONVERGENCE
 
 

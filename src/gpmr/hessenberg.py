@@ -8,8 +8,19 @@ coefficient columns h and f so that after k steps
     A U_k = V_{k+1} H_{k+1,k}      B V_k = U_{k+1} F_{k+1,k}
 
 hold to machine precision, with nonnegative subdiagonals. One step
-orthogonalizes A u_k against V and B v_k against U by modified
-Gram-Schmidt and normalizes the remainders into v_{k+1}, u_{k+1}.
+orthogonalizes A u_k against V and B v_k against U and normalizes the
+remainders into v_{k+1}, u_{k+1}. By default the orthogonalization is
+modified Gram-Schmidt (MGS); with ``reorth`` it is classical
+Gram-Schmidt run twice (CGS2), which keeps the bases orthonormal to
+working precision ("twice is enough": Giraud, Langou and Rozložník,
+Comput. Math. Appl. 2005). :func:`orthogonalize` is the one kernel for
+both, shared with GMRES.
+
+The bases are stored row-major: basis vector j is one contiguous row of
+a (capacity + 1, dim) array, exposed through its transpose so that
+``V[:, j]`` keeps the usual column indexing. The orthogonalization then
+streams over contiguous memory, and rows not yet reached are never
+touched.
 
 A vanishing remainder is a breakdown: the subdiagonal coefficient is set
 to zero and the new basis vector is replaced by an arbitrary unit vector
@@ -22,6 +33,7 @@ min(m, n) when m != n.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.blas import daxpy, ddot
 
 from .operators import LinearOperator
 
@@ -43,7 +55,8 @@ class HessenbergState:
 
     Attributes:
         V, U: basis arrays of shape (m, capacity + 1), (n, capacity + 1);
-            after k steps columns 0..k are populated.
+            after k steps columns 0..k are populated. Each is the
+            transpose of a C-ordered array, so a column is contiguous.
         Hcols, Fcols: per-step coefficient columns; step k appends arrays
             of length k + 1 whose last entry is the subdiagonal.
         beta, gamma: norms of the starting vectors.
@@ -68,8 +81,8 @@ class HessenbergState:
         self.A = A
         self.B = B
         self.capacity = int(capacity)
-        self.V = np.zeros((m, capacity + 1))
-        self.U = np.zeros((n, capacity + 1))
+        self.V = np.zeros((capacity + 1, m)).T
+        self.U = np.zeros((capacity + 1, n)).T
         self.V[:, 0] = b / beta
         self.U[:, 0] = c / gamma
         self.beta = beta
@@ -154,29 +167,42 @@ def _replacement_vector(basis: np.ndarray) -> np.ndarray | None:
     return best / norm
 
 
-def _orthogonalize(product: np.ndarray, basis: np.ndarray, reorth: bool):
-    """Modified Gram-Schmidt of ``product`` against the basis columns."""
-    count = basis.shape[1]
-    coeffs = np.empty(count)
-    q = product
-    for i in range(count):
-        coeffs[i] = basis[:, i] @ q
-        q -= coeffs[i] * basis[:, i]
+def orthogonalize(rows: np.ndarray, w: np.ndarray, reorth: bool) -> np.ndarray:
+    """Orthogonalize ``w`` in place against the orthonormal ``rows``.
+
+    ``rows`` holds one basis vector per row, each contiguous; ``w`` is a
+    contiguous float64 vector. Returns the coefficients c with
+    w_in = c @ rows + w_out. Without ``reorth`` this is modified
+    Gram-Schmidt, one dot product and one axpy per row in row order;
+    with it, classical Gram-Schmidt run twice (two matrix-vector passes
+    each way) with the coefficients of both passes summed.
+    """
+    if w.dtype != np.float64 or not w.flags.c_contiguous:
+        # the BLAS axpy would update a copy and leave w as it was
+        raise ValueError("w must be a contiguous float64 vector")
     if reorth:
-        for i in range(count):
-            corr = basis[:, i] @ q
-            q -= corr * basis[:, i]
-            coeffs[i] += corr
-    return q, coeffs
+        coeffs = rows @ w
+        w -= coeffs @ rows
+        corr = rows @ w
+        w -= corr @ rows
+        return coeffs + corr
+    coeffs = np.empty(rows.shape[0])
+    for i, row in enumerate(rows):
+        c = ddot(row, w)
+        coeffs[i] = c
+        w = daxpy(row, w, a=-c)
+    return coeffs
 
 
 def hessenberg_step(state: HessenbergState, reorth: bool = False,
                     allow_padding: bool = False) -> HessenbergState:
     """Advance the reduction by one step, appending one h and one f column.
 
-    With ``reorth`` a second Gram-Schmidt pass is folded into the stored
-    coefficients, which keeps the bases orthonormal to working precision
-    at the cost of doubling the dot products.
+    The products are orthogonalized by :func:`orthogonalize`: modified
+    Gram-Schmidt by default, CGS2 (classical Gram-Schmidt run twice, the
+    coefficients of both passes summed) with ``reorth``. CGS2 keeps the
+    bases orthonormal to working precision at twice the flops, done as
+    matrix-vector products.
 
     Raises :class:`ReductionExhaustedError` once the basis is complete:
     at min(m, n) steps normally, or at max(m, n) steps when
@@ -199,13 +225,10 @@ def hessenberg_step(state: HessenbergState, reorth: bool = False,
     scale_q = float(np.linalg.norm(q))
     scale_p = float(np.linalg.norm(p))
 
-    q, hcoeffs = _orthogonalize(q, state.V[:, : j + 1], reorth)
-    p, fcoeffs = _orthogonalize(p, state.U[:, : j + 1], reorth)
-
     h = np.empty(j + 2)
     f = np.empty(j + 2)
-    h[:-1] = hcoeffs
-    f[:-1] = fcoeffs
+    h[:-1] = orthogonalize(state.V[:, : j + 1].T, q, reorth)
+    f[:-1] = orthogonalize(state.U[:, : j + 1].T, p, reorth)
 
     hq = float(np.linalg.norm(q))
     breakdown_v = j + 1 >= m or hq <= BREAKDOWN_RTOL * scale_q

@@ -30,6 +30,13 @@ from .operators import PartitionedSystem
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max_iterations"
 STATUS_EXHAUSTED = "exhausted"
+STATUS_NONFINITE = "nonfinite"
+
+
+def check_tolerances(atol: float, rtol: float) -> None:
+    """Reject the stopping-rule tolerances no solve can honour."""
+    if atol < 0 or rtol < 0 or (atol == 0 and rtol == 0):
+        raise ValueError("tolerances must be nonnegative and not both zero")
 
 
 class SingularSubproblemError(RuntimeError):
@@ -196,18 +203,20 @@ def backward_substitution(ws: GpmrWorkspace, k: int) -> np.ndarray:
 
     The substitution runs in place over the first 2k entries of the
     workspace RHS storage and returns that slice; a zero diagonal raises
-    :class:`SingularSubproblemError` with the 1-based entry index.
+    :class:`SingularSubproblemError` with the 1-based entry index. It
+    goes column by column from the last: once z_j is known, the j - 1
+    entries above the diagonal in column j, one contiguous slice of the
+    packed triangle, are folded into z_1, ..., z_{j-1}.
     """
     R = ws.R
     z = ws.tbar[: 2 * k]
-    for i in range(2 * k, 0, -1):
-        rii = R[_packed_index(i, i)]
-        if rii == 0.0:
-            raise SingularSubproblemError(i)
-        acc = z[i - 1]
-        for j in range(i + 1, 2 * k + 1):
-            acc -= R[_packed_index(i, j)] * z[j - 1]
-        z[i - 1] = acc / rii
+    for j in range(2 * k, 0, -1):
+        top = _packed_index(1, j)
+        rjj = R[top + j - 1]
+        if rjj == 0.0:
+            raise SingularSubproblemError(j)
+        z[j - 1] /= rjj
+        z[: j - 1] -= z[j - 1] * R[top: top + j - 1]
     return z
 
 
@@ -234,14 +243,16 @@ def gpmr_solve(system: PartitionedSystem, atol: float, rtol: float,
     continue with zero-padded basis columns up to max(m, n), after which
     the subspace cannot grow. Termination without convergence reports
     ``exhausted`` once at least min(m, n) steps ran, ``max_iterations``
-    otherwise.
+    otherwise. A residual norm that is not finite (from a NaN or Inf in
+    b, c or an operator's output) ends the solve at once with
+    ``nonfinite``, keeping the last iterate whose residual norm was
+    finite (zeros if the initial one is not).
 
     With ``track_iterates`` the report carries per-iteration iterates
     and true residual norms under ``diagnostics``; the solve itself only
     assembles the final iterate.
     """
-    if atol < 0 or rtol < 0 or (atol == 0 and rtol == 0):
-        raise ValueError("tolerances must be nonnegative and not both zero")
+    check_tolerances(atol, rtol)
     m, n = system.m, system.n
     p_min, p_max = min(m, n), max(m, n)
     if k_max is None:
@@ -262,8 +273,9 @@ def gpmr_solve(system: PartitionedSystem, atol: float, rtol: float,
     residual_gaps = [] if track_iterates else None
     matvecs = 0
     stalled = False
+    nonfinite = not math.isfinite(rnorm)
     k = 0
-    while rnorm > threshold and k < cap:
+    while not nonfinite and rnorm > threshold and k < cap:
         k += 1
         hessenberg_step(hess, reorth=reorth, allow_padding=True)
         matvecs += 2
@@ -281,8 +293,13 @@ def gpmr_solve(system: PartitionedSystem, atol: float, rtol: float,
         ws.tbar[2 * k - 1] = t2
         ws.tbar[2 * k] = t3
         ws.tbar[2 * k + 1] = t4
-        ws.k = k
         rnorm = math.hypot(t3, t4)
+        if not math.isfinite(rnorm):
+            # steps before k left the triangle and tbar[: 2k - 2] as they were
+            k -= 1
+            nonfinite = True
+            break
+        ws.k = k
         history.append(rnorm)
         if track_iterates:
             # cross-check the recurrence against the true residual; the
@@ -291,7 +308,9 @@ def gpmr_solve(system: PartitionedSystem, atol: float, rtol: float,
             iterates.append((x_k, y_k))
             residual_gaps.append(abs(rnorm - system.residual_norm(x_k, y_k)))
 
-    if rnorm <= threshold:
+    if nonfinite:
+        status = STATUS_NONFINITE
+    elif rnorm <= threshold:
         status = STATUS_CONVERGED
     elif stalled or k >= p_min:
         status = STATUS_EXHAUSTED

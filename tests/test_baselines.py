@@ -95,6 +95,29 @@ def test_gmres_arnoldi_state_invariants():
     assert state.beta0 == np.linalg.norm(d)
 
 
+def test_gmres_basis_columns_are_contiguous():
+    rng = np.random.default_rng(171)
+    K = 0.5 * rng.standard_normal((22, 22)) + 5.0 * np.eye(22)
+    report = gmres_solve(dense_operator(K), rng.standard_normal(22), 1e-12, 1e-6, 22)
+    state = report.diagnostics["arnoldi"]
+    assert state.basis.shape == (22, 23)
+    for j in range(state.k + 1):
+        assert state.basis[:, j].flags.c_contiguous
+
+
+def test_gmres_cgs2_history_matches_mgs_history():
+    rng = np.random.default_rng(173)
+    system, A, B = random_block_system(rng, 60, 48)
+    K = dense_operator(dense_full_matrix(system, A, B))
+    d = system.rhs_full()
+    mgs = gmres_solve(K, d, 1e-12, 1e-10, 108)
+    cgs2 = gmres_solve(K, d, 1e-12, 1e-10, 108, reorth=True)
+    assert mgs.converged and cgs2.converged
+    assert mgs.iterations == cgs2.iterations < 108
+    gap = np.abs(cgs2.residual_history - mgs.residual_history)
+    assert np.max(gap) <= 1e-10 * np.linalg.norm(d)
+
+
 # ---------------------------------------------------------------------------
 # block-Arnoldi
 # ---------------------------------------------------------------------------

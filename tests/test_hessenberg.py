@@ -6,6 +6,7 @@ from gpmr import (
     ReductionExhaustedError,
     hessenberg_init,
     hessenberg_step,
+    orthogonalize,
 )
 from conftest import dense_operator
 
@@ -191,6 +192,88 @@ def test_subdiagonals_are_nonnegative_and_columns_unit():
     for j in range(state.k + 1):
         assert abs(np.linalg.norm(state.V[:, j]) - 1.0) <= 1e-12
         assert abs(np.linalg.norm(state.U[:, j]) - 1.0) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# basis layout and the orthogonalization kernel
+# ---------------------------------------------------------------------------
+
+def test_basis_columns_are_contiguous():
+    rng = np.random.default_rng(83)
+    A, B, b, c = random_pair(rng, 14, 9)
+    state = run_steps(A, B, b, c, k=6)
+    assert state.V.shape == (14, 7) and state.U.shape == (9, 7)
+    for j in range(state.k + 1):
+        assert state.V[:, j].flags.c_contiguous
+        assert state.U[:, j].flags.c_contiguous
+    assert state.V[:, : state.k + 1].T.flags.c_contiguous
+    assert state.U[:, : state.k + 1].T.flags.c_contiguous
+
+
+def _reference_mgs(basis, w):
+    """Column-by-column modified Gram-Schmidt, one vector at a time."""
+    coeffs = np.empty(basis.shape[1])
+    for i in range(basis.shape[1]):
+        coeffs[i] = basis[:, i] @ w
+        w = w - coeffs[i] * basis[:, i]
+    return coeffs, w
+
+
+def test_orthogonalize_mgs_matches_reference_loop():
+    rng = np.random.default_rng(89)
+    for dim, count in ((40, 1), (300, 25), (1000, 60)):
+        Q, _ = np.linalg.qr(rng.standard_normal((dim, count)))
+        w = rng.standard_normal(dim) + Q @ rng.standard_normal(count)
+        ref_coeffs, ref_w = _reference_mgs(Q, w.copy())
+        rows = np.ascontiguousarray(Q.T)
+        got_w = w.copy()
+        coeffs = orthogonalize(rows, got_w, reorth=False)
+        assert np.linalg.norm(coeffs - ref_coeffs) <= 1e-14 * np.linalg.norm(ref_coeffs)
+        assert np.linalg.norm(got_w - ref_w) <= 1e-14 * np.linalg.norm(w)
+
+
+def test_orthogonalize_cgs2_reconstructs_input():
+    rng = np.random.default_rng(97)
+    Q, _ = np.linalg.qr(rng.standard_normal((200, 30)))
+    rows = np.ascontiguousarray(Q.T)
+    w = rng.standard_normal(200) + Q @ rng.standard_normal(30)
+    out = w.copy()
+    coeffs = orthogonalize(rows, out, reorth=True)
+    assert np.linalg.norm(coeffs @ rows + out - w) <= 1e-14 * np.linalg.norm(w)
+    assert np.linalg.norm(rows @ out) <= 1e-14 * np.linalg.norm(w)
+
+
+def test_orthogonalize_rejects_a_vector_it_cannot_update_in_place():
+    rows = np.eye(3)[:2]
+    with pytest.raises(ValueError):
+        orthogonalize(rows, np.ones(6)[::2], reorth=False)
+    with pytest.raises(ValueError):
+        orthogonalize(rows, np.ones(3, dtype=np.float32), reorth=False)
+
+
+def test_cgs2_keeps_orthogonality_where_mgs_loses_it():
+    # a pair with widely spread singular values drives MGS bases away
+    # from orthogonality; CGS2 must stay within the bound of the
+    # orthogonality tests above
+    rng = np.random.default_rng(101)
+    m = n = 80
+    k = 60
+    Qa, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    Qb, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = Qa @ np.diag(np.logspace(0, -12, m)) @ Qb.T
+    B = Qb @ np.diag(np.logspace(0, -12, n)) @ Qa.T
+    b = rng.standard_normal(m)
+    c = rng.standard_normal(n)
+    mgs = run_steps(A, B, b, c, k=k)
+    cgs2 = run_steps(A, B, b, c, k=k, reorth=True)
+    eye = np.eye(k)
+    loss_mgs = max(np.linalg.norm(mgs.basis_v().T @ mgs.basis_v() - eye),
+                   np.linalg.norm(mgs.basis_u().T @ mgs.basis_u() - eye))
+    assert loss_mgs > 1e-10
+    V = cgs2.basis_v()
+    U = cgs2.basis_u()
+    assert np.linalg.norm(V.T @ V - eye) <= 1e-10
+    assert np.linalg.norm(U.T @ U - eye) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

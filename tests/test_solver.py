@@ -208,6 +208,39 @@ def test_backward_substitution_singular_diagonal():
     assert info.value.index == 2
 
 
+def test_backward_substitution_names_lowest_zero_diagonal():
+    # the scan runs from the bottom, so of two zero diagonals the later
+    # one is reported
+    ws = make_workspace()
+    R = np.triu(np.ones((6, 6)))
+    R[2, 2] = R[4, 4] = 0.0
+    set_triangle(ws, R)
+    ws.tbar[:6] = 1.0
+    with pytest.raises(SingularSubproblemError) as info:
+        backward_substitution(ws, 3)
+    assert info.value.index == 5
+
+
+def test_backward_substitution_matches_row_oriented_loop():
+    # the reference is the entry-by-entry row loop over the same packed
+    # triangle; sums run in another order, hence the rounding tolerance
+    rng = np.random.default_rng(99)
+    k = 12
+    ws = make_workspace(k_max=k)
+    R = np.triu(rng.standard_normal((2 * k, 2 * k))) + 4.0 * np.eye(2 * k)
+    t = rng.standard_normal(2 * k)
+    set_triangle(ws, R)
+    expected = t.copy()
+    for i in range(2 * k, 0, -1):
+        acc = expected[i - 1]
+        for j in range(i + 1, 2 * k + 1):
+            acc -= ws.R[_packed_index(i, j)] * expected[j - 1]
+        expected[i - 1] = acc / ws.R[_packed_index(i, i)]
+    ws.tbar[: 2 * k] = t
+    z = backward_substitution(ws, k)
+    assert np.linalg.norm(z - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
 # ---------------------------------------------------------------------------
 # gpmr_solve
 # ---------------------------------------------------------------------------
@@ -332,6 +365,42 @@ def test_invalid_arguments():
         gpmr_solve(system, -1.0, 1e-10)
     with pytest.raises(ValueError):
         gpmr_solve(system, 1e-12, 1e-10, k_max=0)
+
+
+def test_every_solver_rejects_bad_tolerances_with_one_message():
+    from gpmr import block_gmres_solve, gmres_solve
+    from gpmr.cli import ExperimentConfig
+
+    rng = np.random.default_rng(138)
+    system, _, _ = random_block_system(rng, 4, 4)
+    K = system.full_operator()
+    D = np.zeros((8, 2))
+    D[:4, 0] = system.b
+    D[4:, 1] = system.c
+    message = "tolerances must be nonnegative and not both zero"
+    for atol, rtol in ((0.0, 0.0), (-1.0, 1e-10), (1e-12, -1.0)):
+        with pytest.raises(ValueError, match=message):
+            gpmr_solve(system, atol, rtol)
+        with pytest.raises(ValueError, match=message):
+            gmres_solve(K, system.rhs_full(), atol, rtol, 8)
+        with pytest.raises(ValueError, match=message):
+            block_gmres_solve(K, D, atol, rtol, 8)
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(matrix_path="x", atol=atol, rtol=rtol)
+
+
+def test_cgs2_history_matches_mgs_history():
+    # on a well-conditioned pair both paths keep their bases orthonormal
+    # to rounding, so the histories agree relative to |(b, c)|
+    rng = np.random.default_rng(140)
+    for m, n in ((60, 60), (80, 50)):
+        system, _, _ = random_block_system(rng, m, n)
+        mgs = gpmr_solve(system, 1e-12, 1e-10)
+        cgs2 = gpmr_solve(system, 1e-12, 1e-10, reorth=True)
+        assert mgs.converged and cgs2.converged
+        assert mgs.iterations == cgs2.iterations < min(m, n)
+        gap = np.abs(cgs2.residual_history - mgs.residual_history)
+        assert np.max(gap) <= 1e-10 * mgs.residual_history[0]
 
 
 def test_matvec_count_is_two_per_iteration():
