@@ -24,6 +24,7 @@ from .solver import (
     SolveReport,
     check_tolerances,
     dense_back_substitution,
+    quiet_nonfinite,
     reflection_coefficients,
 )
 
@@ -53,6 +54,7 @@ def _split_solution(sol: np.ndarray, split):
     return sol[:m], sol[m:]
 
 
+@quiet_nonfinite
 def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
                 *, reorth: bool = False, split=None) -> SolveReport:
     """Minimum-residual solve of K x = d over growing Krylov subspaces.
@@ -243,6 +245,7 @@ def block_arnoldi_step(state: BlockArnoldiState, K: LinearOperator,
     return state
 
 
+@quiet_nonfinite
 def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
                       k_max: int, *, reorth: bool = False, split=None,
                       track_iterates: bool = False):

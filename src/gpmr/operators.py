@@ -6,22 +6,25 @@ Turns a monolithic square matrix into the partitioned form
     [ B* N  ] [y*] = [c*]
 
 and, with the right preconditioner blkdiag(M, N), into the equivalent
-system with identity diagonal blocks that the solvers consume.
+system with identity diagonal blocks that the solvers consume. The
+bisection is scipy's breadth-first search (``breadth_first_order`` with
+``directed=True``) over the symmetrized pattern; the permutation and the
+cut into blocks are scipy sparse indexing.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse.csgraph import breadth_first_order, shortest_path
 
 from .sparse import (
     LUFactors,
     SingularMatrixError,
     SparseMatrix,
-    csr_from_coo,
     lu_solve,
     sparse_lu,
     spmv,
@@ -110,56 +113,6 @@ class BlockSplit:
         return self.m + self.n
 
 
-def _adjacency(C: SparseMatrix) -> list[np.ndarray]:
-    """Sorted neighbor lists of the symmetrized pattern, no self loops."""
-    n = C.nrows
-    counts = np.diff(C.row_offsets)
-    rows = np.repeat(np.arange(n, dtype=np.int64), counts)
-    cols = C.col_indices
-    src = np.concatenate([rows, cols])
-    dst = np.concatenate([cols, rows])
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    adj: list[np.ndarray] = []
-    offsets = np.searchsorted(src, np.arange(n + 1))
-    for v in range(n):
-        nbrs = dst[offsets[v]:offsets[v + 1]]
-        adj.append(np.unique(nbrs))
-    return adj
-
-
-def _bfs_levels(adj, start, allowed):
-    level = {start: 0}
-    queue = deque([start])
-    order = [start]
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            w = int(w)
-            if allowed[w] and w not in level:
-                level[w] = level[v] + 1
-                queue.append(w)
-                order.append(w)
-    return order, level
-
-
-def _pseudo_peripheral(adj, start, allowed):
-    degrees = [len(a) for a in adj]
-    u = start
-    ecc = -1
-    for _ in range(64):
-        order, level = _bfs_levels(adj, u, allowed)
-        new_ecc = max(level.values())
-        if new_ecc <= ecc:
-            return u
-        ecc = new_ecc
-        last = [v for v in order if level[v] == new_ecc]
-        u = min(last, key=lambda v: (degrees[v], v))
-    return u
-
-
 def bisect_graph(C: SparseMatrix) -> BlockSplit:
     """Split the symmetrized adjacency graph of ``C`` into two halves.
 
@@ -168,68 +121,65 @@ def bisect_graph(C: SparseMatrix) -> BlockSplit:
     other, restarting from a minimum-degree unvisited vertex). The
     boundary level is split in discovery order so the parts are balanced
     to within one vertex, and part-1 vertices come first in ``perm``.
+
+    The graph holds every stored entry of ``C``, explicit zeros included,
+    and no self loops. ``scipy.sparse.csgraph.breadth_first_order`` walks
+    its sorted neighbor lists with ``directed=True``, in index order;
+    ``directed=False`` on C's own pattern would walk C's and C^T's
+    neighbors in turn, which changes the order. BFS levels are unweighted
+    distances from ``scipy.sparse.csgraph.shortest_path``.
     """
     if C.nrows != C.ncols:
         raise GraphPartitionError("matrix must be square")
     order_n = C.nrows
     if order_n < 2:
         raise GraphPartitionError("need at least two vertices to bisect")
-    adj = _adjacency(C)
-    degrees = [len(a) for a in adj]
+    P = scipy.sparse.csr_array((np.ones(C.nnz_stored), C.col_indices, C.row_offsets),
+                               shape=C.shape)
+    upper = scipy.sparse.triu(P + P.T, k=1, format="csr")
+    G = (upper + upper.T).tocsr()
+    G.sum_duplicates()
+    degrees = np.diff(G.indptr)
+    by_degree = np.lexsort((np.arange(order_n), degrees))
     visited = np.zeros(order_n, dtype=bool)
-    ordering: list[int] = []
-    while len(ordering) < order_n:
-        remaining = np.flatnonzero(~visited)
-        start = int(min(remaining, key=lambda v: (degrees[v], v)))
-        allowed = ~visited
-        root = _pseudo_peripheral(adj, start, allowed)
-        comp_order, _ = _bfs_levels(adj, root, allowed)
-        ordering.extend(comp_order)
-        visited[comp_order] = True
+    pieces = []
+    while not visited.all():
+        # each component starts from its first vertex in (degree, index)
+        # order; the root moves to the far end (least degree, then least
+        # index, in the last BFS level) until the eccentricity stops growing
+        root = int(by_degree[np.argmin(visited[by_degree])])
+        ecc = -1
+        for _ in range(64):
+            level = shortest_path(G, directed=True, unweighted=True, indices=root)
+            new_ecc = level[np.isfinite(level)].max()
+            if new_ecc <= ecc:
+                break
+            ecc = new_ecc
+            last = np.flatnonzero(level == new_ecc)
+            root = int(last[np.lexsort((last, degrees[last]))[0]])
+        pieces.append(breadth_first_order(G, root, directed=True,
+                                          return_predecessors=False))
+        visited[pieces[-1]] = True
     m = (order_n + 1) // 2
-    return BlockSplit(perm=np.asarray(ordering, dtype=np.int64), m=m, n=order_n - m)
+    return BlockSplit(perm=np.concatenate(pieces), m=m, n=order_n - m)
 
 
 def extract_blocks(C: SparseMatrix, split: BlockSplit):
-    """Permute ``C`` by ``split.perm`` and cut it into (M, A, B, N)."""
+    """Permute ``C`` by ``split.perm`` and cut it into (M, A, B, N).
+
+    Every stored entry, explicit zeros included, lands in one block.
+    """
     if C.nrows != C.ncols:
         raise ValueError("matrix must be square")
     if C.nrows != split.order:
         raise ValueError("split order does not match matrix order")
-    m, n = split.m, split.n
-    pinv = np.empty(split.order, dtype=np.int64)
-    pinv[split.perm] = np.arange(split.order, dtype=np.int64)
-
-    blocks = {key: ([], [], []) for key in ("M", "A", "B", "N")}
-
-    def push(key, row, col_arr, val_arr):
-        if col_arr.size:
-            ri, ci, vi = blocks[key]
-            ri.append(np.full(col_arr.size, row, np.int64))
-            ci.append(col_arr)
-            vi.append(val_arr)
-
-    for new_i, old_i in enumerate(split.perm):
-        cols, vals = C.row(int(old_i))
-        if cols.size == 0:
-            continue
-        new_cols = pinv[cols]
-        left = new_cols < m
-        if new_i < m:
-            push("M", new_i, new_cols[left], vals[left])
-            push("A", new_i, new_cols[~left] - m, vals[~left])
-        else:
-            push("B", new_i - m, new_cols[left], vals[left])
-            push("N", new_i - m, new_cols[~left] - m, vals[~left])
-
-    def build(key, rows_, cols_):
-        ri, ci, vi = blocks[key]
-        if ri:
-            return csr_from_coo(rows_, cols_,
-                                np.concatenate(ri), np.concatenate(ci), np.concatenate(vi))
-        return csr_from_coo(rows_, cols_, [], [], [])
-
-    return build("M", m, m), build("A", m, n), build("B", n, m), build("N", n, n)
+    m, perm = split.m, split.perm
+    P = scipy.sparse.csr_array((C.values, C.col_indices, C.row_offsets),
+                               shape=C.shape)[perm][:, perm]
+    blocks = (P[:m, :m], P[:m, m:], P[m:, :m], P[m:, m:])
+    for X in blocks:
+        X.sort_indices()
+    return tuple(SparseMatrix(*X.shape, X.indptr, X.indices, X.data) for X in blocks)
 
 
 @dataclass
@@ -253,11 +203,13 @@ class PartitionedSystem:
             raise ValueError("right-hand side lengths do not match the blocks")
         if not np.any(self.b) or not np.any(self.c):
             raise ValueError("b and c must both be nonzero")
-        # a fixed random probe: a ones vector lies in the null space of
-        # nonzero operators whose rows sum to zero
+        # a fixed random probe: a ones vector lies in the null space of nonzero
+        # operators whose rows sum to zero; an overflow counts as nonzero
         rng = np.random.default_rng(0)
-        if (not np.any(self.A.apply(rng.standard_normal(n)))
-                or not np.any(self.B.apply(rng.standard_normal(m)))):
+        with np.errstate(over="ignore", invalid="ignore"):
+            nonzero = (np.any(self.A.apply(rng.standard_normal(n)))
+                       and np.any(self.B.apply(rng.standard_normal(m))))
+        if not nonzero:
             raise ValueError("A and B must be nonzero operators")
 
     @property

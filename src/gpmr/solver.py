@@ -32,6 +32,11 @@ STATUS_MAX_ITERATIONS = "max_iterations"
 STATUS_EXHAUSTED = "exhausted"
 STATUS_NONFINITE = "nonfinite"
 
+# Decorates the solvers: they report a non-finite residual norm as
+# STATUS_NONFINITE, so numpy's overflow and invalid-value warnings on the
+# way there would only repeat it.
+quiet_nonfinite = np.errstate(over="ignore", invalid="ignore")
+
 
 def check_tolerances(atol: float, rtol: float) -> None:
     """Reject the stopping-rule tolerances no solve can honour."""
@@ -102,10 +107,6 @@ class GpmrWorkspace:
         self.givens_s = np.zeros((4, k_max))
         self.tbar = np.zeros(2 * k_max + 2)
         self.k = 0
-
-    def r_entry(self, i: int, j: int) -> float:
-        """Triangle entry at 1-based (row i, column j), i <= j."""
-        return self.R[_packed_index(i, j)]
 
     def storage_report(self) -> dict:
         """Live storage counts at the current iteration."""
@@ -233,6 +234,7 @@ def _solve_iterate(ws: GpmrWorkspace, k: int):
     return x, y
 
 
+@quiet_nonfinite
 def gpmr_solve(system: PartitionedSystem, atol: float, rtol: float,
                k_max: int | None = None, *, reorth: bool = False,
                track_iterates: bool = False) -> SolveReport:

@@ -228,13 +228,21 @@ def test_json_report_carries_lu_fill(matrix_file, tmp_path, capsys):
         assert fill[name] == np.count_nonzero(L) + np.count_nonzero(U)
 
 
-def test_parallel_flag_matches_sequential(matrix_file, tmp_path):
-    seq = tmp_path / "seq.csv"
-    par = tmp_path / "par.csv"
-    base = dict(matrix_path=str(matrix_file), methods=("gpmr", "gmres"), k_max=40)
-    run_experiment(ExperimentConfig(history_out=str(seq), **base))
-    run_experiment(ExperimentConfig(history_out=str(par), parallel=True, **base))
-    assert seq.read_bytes() == par.read_bytes()
+def test_matvec_count_is_a_plus_b_applies(matrix_file, tmp_path, capsys):
+    # one unit for every method: applies of A plus applies of B, so a
+    # converged run costs 2, 2 and 4 per iteration
+    jsonpath = tmp_path / "r.json"
+    code = main(["--matrix", str(matrix_file), "--method", "gpmr,gmres,block-gmres",
+                 "--maxiter", "40", "--json", str(jsonpath)])
+    assert code == EXIT_OK
+    table = capsys.readouterr().out
+    methods = json.loads(jsonpath.read_text())["methods"]
+    for name, per_iteration in (("gpmr", 2), ("gmres", 2), ("block-gmres", 4)):
+        res = methods[name]
+        assert res["converged"] and res["iterations"] > 0
+        assert res["matvec_count"] == per_iteration * res["iterations"]
+        row = next(ln.split() for ln in table.splitlines() if ln.startswith(name + " "))
+        assert int(row[4]) == res["matvec_count"]
 
 
 def test_rhs_override(matrix_file, tmp_path):

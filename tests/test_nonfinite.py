@@ -18,8 +18,8 @@ from conftest import dense_full_matrix, dense_operator, random_block_system
 
 METHODS = ("gpmr", "gmres", "block-gmres")
 
-# arithmetic on NaN and Inf warns on its way to the status under test
-pytestmark = pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+# the solvers report NaN and Inf as a status, never as a numpy warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def solve(method, system, k_max=30):
