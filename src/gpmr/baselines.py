@@ -5,12 +5,16 @@ and independent oracles for the structure produced by the Hessenberg
 reduction pair. Block-Arnoldi is kept fully generic (dense 2x2
 coefficient blocks, plain QR normalization) on purpose, so that any
 sparsity appearing in its output is evidence rather than construction.
+Block-GMRES updates a QR factorization of the block-Hessenberg matrix
+one column pair per iteration with 4x4 orthogonal factors, reads its
+residual norms off the transformed right-hand side and solves for its
+iterates once, at the end.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,13 +162,16 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
 class BlockArnoldiState:
     """Pairs w_1, w_2, ... with block-Hessenberg coefficients.
 
+    ``W`` is one preallocated C-ordered array of shape (k_max + 1, dim, 2):
+    ``W[i]`` is pair i+1 as a contiguous (dim, 2) array, and pairs past
+    ``k + 1`` are never touched, so they cost no resident memory.
     ``S[2i:2i+2, 2j:2j+2]`` holds the 2x2 coefficient block coupling
     pair i+1 to column pair j+1 (0-based storage of 1-based math).
     """
 
-    W: list = field(default_factory=list)
-    S: np.ndarray = None
-    Gamma: np.ndarray = None
+    W: np.ndarray
+    S: np.ndarray
+    Gamma: np.ndarray
     k: int = 0
 
 
@@ -212,11 +219,10 @@ def block_arnoldi_init(D: np.ndarray, k_max: int) -> BlockArnoldiState:
     if not np.any(D[:, 0]) or not np.any(D[:, 1]):
         raise ValueError("starting block columns must be nonzero")
     Q, Gamma = _qr_two_columns(D)
-    state = BlockArnoldiState()
-    state.W = [Q]
-    state.S = np.zeros((2 * (k_max + 1), 2 * k_max))
-    state.Gamma = Gamma
-    return state
+    W = np.zeros((k_max + 1, D.shape[0], 2))
+    W[0] = Q
+    return BlockArnoldiState(W=W, S=np.zeros((2 * (k_max + 1), 2 * k_max)),
+                             Gamma=Gamma)
 
 
 def block_arnoldi_step(state: BlockArnoldiState, K: LinearOperator,
@@ -224,7 +230,7 @@ def block_arnoldi_step(state: BlockArnoldiState, K: LinearOperator,
     """Orthogonalize K w_k against all stored pairs and normalize the
     remainder by a 2x2 QR with nonnegative diagonal."""
     k = state.k
-    if 2 * (k + 1) > state.S.shape[0]:
+    if k + 1 >= len(state.W):
         raise ValueError("block-Arnoldi storage exhausted")
     wk = state.W[k]
     G = np.column_stack([K.apply(wk[:, 0]), K.apply(wk[:, 1])])
@@ -239,10 +245,29 @@ def block_arnoldi_step(state: BlockArnoldiState, K: LinearOperator,
             G -= state.W[i] @ corr
             state.S[2 * i:2 * i + 2, 2 * k:2 * k + 2] += corr
     Q, Psi_next = _normalize_remainder(G, rank_tol=_LUCKY_BREAKDOWN_RTOL * scale)
-    state.W.append(Q)
+    state.W[k + 1] = Q
     state.S[2 * k + 2:2 * k + 4, 2 * k:2 * k + 2] = Psi_next
     state.k = k + 1
     return state
+
+
+def _block_iterates(W: np.ndarray, cols: list, g: np.ndarray):
+    """Both columns' minimum-norm iterates, as rows of a (2, dim) array.
+
+    ``cols[j]`` is column pair j of the triangle, rows 0..2j+1. The
+    solutions of the triangle R Z = g[:2k] in the least-squares sense are
+    those of the block-Hessenberg problem, so one ``lstsq`` on the
+    triangle keeps the minimum-norm rule on a rank-deficient one.
+    """
+    k = len(cols)
+    R = np.zeros((2 * k, 2 * k))
+    for j, col in enumerate(cols):
+        R[: 2 * j + 2, 2 * j:2 * j + 2] = col
+    Z, *_ = np.linalg.lstsq(R, g[:2 * k], rcond=None)
+    sol = W[0] @ Z[:2]
+    for i in range(1, k):
+        sol += W[i] @ Z[2 * i:2 * i + 2]
+    return np.ascontiguousarray(sol.T)
 
 
 @quiet_nonfinite
@@ -251,15 +276,24 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
                       track_iterates: bool = False):
     """Solve K X = D for a two-column D by block minimum residual.
 
-    Both reduced subproblems (targets beta e_1 and gamma e_2) are solved
-    against the shared block-Hessenberg matrix at every iteration, in one
-    least-squares call; the stopping rule of :func:`gpmr_solve` is
-    applied to the residual of the summed solution, so both columns stop
-    together. A non-finite starting block or block-Hessenberg column ends
-    the solve with ``nonfinite`` and the last iterates computed from
-    finite data (zeros if the starting block is not finite). Returns one
-    report per column; the summed residual history rides along in each
-    report's diagnostics.
+    Both reduced subproblems (targets beta e_1 and gamma e_2) share one
+    block-Hessenberg matrix, whose QR factorization is updated one column
+    pair per iteration: the stored 4x4 orthogonal factors of the earlier
+    steps are applied to the new pair, a new one reduces its 4x2
+    diagonal-plus-subdiagonal stack to a triangle, and that factor is
+    also applied to the two-column transformed right-hand side g. Each
+    residual norm (per column, and of the summed solution, which drives
+    the stopping rule of :func:`gpmr_solve` so both columns stop
+    together) is the norm of g's last two rows, because the
+    least-squares solution is linear in the right-hand side; on a
+    rank-deficient block-Hessenberg matrix it leaves out what the
+    singular triangle cannot fit, a rounding-level amount. The iterates
+    come from one least-squares solve on the triangle at the end (one
+    per iteration with ``track_iterates``). A non-finite starting block
+    or block-Hessenberg column ends the solve with ``nonfinite`` and the
+    last iterates computed from finite data (zeros if the starting block
+    is not finite). Returns one report per column; the summed residual
+    history rides along in each report's diagnostics.
     """
     check_tolerances(atol, rtol)
     D = np.asarray(D, dtype=np.float64)
@@ -276,41 +310,44 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
     norm_d = float(np.hypot(beta, gamma))
     threshold = atol + rtol * norm_d
 
+    factors = np.zeros((cap, 4, 4))
+    cols = []  # column pairs of S after the accumulated factors
+    g = np.zeros((2 * cap + 2, 2))
+    g[0, 0] = beta
+    g[1, 1] = gamma
+
     hist_b = [abs(beta)]
     hist_c = [abs(gamma)]
     hist_sum = [norm_d]
-    iter_b = [] if track_iterates else None
-    iter_c = [] if track_iterates else None
+    iterates = [] if track_iterates else None
 
     res_sum = norm_d
-    zb = np.zeros(0)
-    zc = np.zeros(0)
     k = 0
     matvecs = 0
     nonfinite = not math.isfinite(norm_d)
     while not nonfinite and res_sum > threshold and k < cap:
         block_arnoldi_step(state, K, reorth=reorth)
         matvecs += 2
-        Sk = state.S[: 2 * k + 4, : 2 * k + 2]
-        if not np.isfinite(Sk[:, 2 * k:]).all():
-            # the least-squares solve would fail or return NaN; the
-            # iterates of step k came from finite columns
+        col = state.S[: 2 * k + 4, 2 * k:2 * k + 2].copy()
+        if not np.isfinite(col).all():
+            # the QR of step k came from finite columns
             nonfinite = True
             break
+        for i in range(k):
+            col[2 * i:2 * i + 4] = factors[i].T @ col[2 * i:2 * i + 4]
+        Q, top = np.linalg.qr(col[2 * k:2 * k + 4], mode="complete")
+        col[2 * k:2 * k + 4] = top
+        factors[k] = Q
+        cols.append(col[: 2 * k + 2])
+        g[2 * k:2 * k + 4] = Q.T @ g[2 * k:2 * k + 4]
         k = state.k
-        rhs = np.zeros((2 * k + 2, 2))
-        rhs[0, 0] = beta
-        rhs[1, 1] = gamma
-        Z, *_ = np.linalg.lstsq(Sk, rhs, rcond=None)
-        zb, zc = Z[:, 0], Z[:, 1]
-        hist_b.append(float(np.linalg.norm(Sk @ zb - rhs[:, 0])))
-        hist_c.append(float(np.linalg.norm(Sk @ zc - rhs[:, 1])))
-        res_sum = float(np.linalg.norm(Sk @ (zb + zc) - (rhs[:, 0] + rhs[:, 1])))
+        (tb, tc), (ub, uc) = g[2 * k:2 * k + 2].tolist()
+        hist_b.append(math.hypot(tb, ub))
+        hist_c.append(math.hypot(tc, uc))
+        res_sum = math.hypot(tb + tc, ub + uc)
         hist_sum.append(res_sum)
         if track_iterates:
-            Wmat = np.hstack(state.W[:k])
-            iter_b.append(Wmat @ zb)
-            iter_c.append(Wmat @ zc)
+            iterates.append(_block_iterates(state.W, cols, g))
 
     if nonfinite:
         status = STATUS_NONFINITE
@@ -322,22 +359,19 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
         status = STATUS_MAX_ITERATIONS
 
     if k == 0:
-        sol_b = np.zeros(dim)
-        sol_c = np.zeros(dim)
+        sol = np.zeros((2, dim))
     else:
-        Wmat = np.hstack(state.W[:k])
-        sol_b = Wmat @ zb
-        sol_c = Wmat @ zc
+        sol = _block_iterates(state.W, cols, g)
 
     shared = {"summed_history": np.asarray(hist_sum), "block_arnoldi": state}
     diag_b = dict(shared)
     diag_c = dict(shared)
     if track_iterates:
-        diag_b["iterates"] = iter_b
-        diag_c["iterates"] = iter_c
+        diag_b["iterates"] = [it[0] for it in iterates]
+        diag_c["iterates"] = [it[1] for it in iterates]
 
-    xb, yb = _split_solution(sol_b, split)
-    xc, yc = _split_solution(sol_c, split)
+    xb, yb = _split_solution(sol[0], split)
+    xc, yc = _split_solution(sol[1], split)
     report_b = SolveReport(x=xb, y=yb, status=status,
                            residual_history=np.asarray(hist_b),
                            iterations=k, matvec_count=matvecs,

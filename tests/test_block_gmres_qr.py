@@ -1,0 +1,181 @@
+"""Block-GMRES on its incremental block QR against the arithmetic it replaced.
+
+The reference is ``np.linalg.lstsq`` on the whole block-Hessenberg
+matrix ``S[:2k+2, :2k]`` at every iteration, which is what
+``block_gmres_solve`` ran before it updated a QR factorization column
+pair by column pair. ``reference_block_arnoldi`` is the list-based
+pairwise modified Gram-Schmidt that block-Arnoldi ran before its pairs
+moved into one preallocated array; the two must agree bit for bit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gpmr.baselines as baselines
+from gpmr import block_arnoldi_init, block_arnoldi_step, block_gmres_solve
+from conftest import dense_full_matrix, dense_operator, random_block_system
+
+EPS = np.finfo(np.float64).eps
+
+
+def starting_block(system):
+    m = system.m
+    D = np.zeros((m + system.n, 2))
+    D[:m, 0] = system.b
+    D[m:, 1] = system.c
+    return D
+
+
+def full_dimension_case(rng):
+    m = int(rng.integers(3, 30))
+    n = int(rng.integers(3, 30))
+    coupling = float(rng.uniform(0.3, 1.2))
+    system, A, B = random_block_system(rng, m, n, coupling=coupling)
+    return system, dense_full_matrix(system, A, B)
+
+
+def test_block_gmres_histories_never_rise():
+    # unreachable tolerances drive each solve to the dimension cap, where
+    # the block-Hessenberg matrix turns rank-deficient
+    rng = np.random.default_rng(611)
+    for _ in range(200):
+        system, K = full_dimension_case(rng)
+        D = starting_block(system)
+        dim = system.order
+        rep_b, rep_c = block_gmres_solve(dense_operator(K), D, 1e-300, 1e-300,
+                                         dim, split=(system.m, system.n))
+        bound = 4.0 * EPS * np.linalg.norm(D)
+        for hist in (rep_b.residual_history, rep_c.residual_history,
+                     rep_b.diagnostics["summed_history"]):
+            assert np.all(np.diff(hist) <= bound)
+
+
+def reference_solve(S, gamma, k):
+    """lstsq on S[:2k+2, :2k]: the minimizer Z and its residual columns."""
+    Sk = S[: 2 * k + 2, : 2 * k]
+    rhs = np.zeros((2 * k + 2, 2))
+    rhs[0, 0] = gamma[0, 0]
+    rhs[1, 1] = gamma[1, 1]
+    Z, *_ = np.linalg.lstsq(Sk, rhs, rcond=None)
+    return Z, Sk @ Z - rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 25), st.integers(3, 25),
+       st.sampled_from([0.0, -0.6, -3.0, 1.0, 1e3]),
+       st.sampled_from([0.0, -0.6, -3.0, 1.0, 1e3]),
+       st.floats(0.2, 1.2), st.integers(1, 20), st.integers(0, 2**32 - 1))
+def test_block_gmres_matches_lstsq_reference(m, n, lam, mu, coupling, k_max, seed):
+    # Where S[:2k+2, :2k] has full column rank, the QR-updated histories
+    # and the final iterates must be those of lstsq on the whole matrix.
+    # A residual read off a backward-stable QR is exact for a matrix
+    # perturbed by eps |S|, so it may differ from the explicitly formed
+    # one by about eps |S| |Z|; least-squares solutions of two stable
+    # solvers differ by eps (kappa + kappa^2 |r| / (|S| |z|)).
+    if m == n:
+        n += 1
+    rng = np.random.default_rng(seed)
+    system, A, B = random_block_system(rng, m, n, lam=lam, mu=mu,
+                                       coupling=coupling)
+    K = dense_full_matrix(system, A, B)
+    D = starting_block(system)
+    rep_b, rep_c = block_gmres_solve(dense_operator(K), D, 1e-300, 1e-300,
+                                     k_max, split=(m, n))
+    state = rep_b.diagnostics["block_arnoldi"]
+    hists = (rep_b.residual_history, rep_c.residual_history,
+             rep_b.diagnostics["summed_history"])
+    norm_d = np.linalg.norm(D)
+    full_rank = []
+    for k in range(1, rep_b.iterations + 1):
+        Sk = state.S[: 2 * k + 2, : 2 * k]
+        full_rank.append(np.linalg.matrix_rank(Sk) == 2 * k)
+        if not full_rank[-1]:
+            continue
+        Z, res = reference_solve(state.S, state.Gamma, k)
+        want = (np.linalg.norm(res[:, 0]), np.linalg.norm(res[:, 1]),
+                np.linalg.norm(res[:, 0] + res[:, 1]))
+        bound = 1e-13 * (norm_d + np.linalg.norm(Sk, 2) * np.linalg.norm(Z))
+        for hist, ref in zip(hists, want):
+            assert abs(hist[k] - ref) <= bound
+
+    k = rep_b.iterations
+    if k == 0 or not full_rank[-1]:
+        return
+    Sk = state.S[: 2 * k + 2, : 2 * k]
+    Z, res = reference_solve(state.S, state.Gamma, k)
+    kappa = np.linalg.cond(Sk)
+    W = np.hstack(state.W[:k])
+    for rep, col in ((rep_b, 0), (rep_c, 1)):
+        want = W @ Z[:, col]
+        got = np.concatenate([rep.x, rep.y])
+        spread = np.linalg.norm(res[:, col]) / (np.linalg.norm(Sk, 2)
+                                                * np.linalg.norm(Z[:, col]))
+        rtol = 1e-10 + 100 * EPS * (kappa + kappa ** 2 * spread)
+        assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+def test_block_gmres_calls_lstsq_once(monkeypatch):
+    rng = np.random.default_rng(613)
+    system, A, B = random_block_system(rng, 40, 30, coupling=1.0)
+    K = dense_full_matrix(system, A, B)
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    rep_b, _ = block_gmres_solve(dense_operator(K), starting_block(system),
+                                 1e-12, 1e-10, 70, split=(40, 30))
+    assert rep_b.converged and rep_b.iterations > 5
+    k = rep_b.iterations
+    assert calls == [(2 * k, 2 * k)]
+
+
+def reference_block_arnoldi(K, D, steps):
+    """Pairs in a Python list and S grown in place, pairwise MGS."""
+    Q, _ = baselines._qr_two_columns(np.asarray(D, dtype=np.float64))
+    W = [Q]
+    S = np.zeros((2 * (steps + 1), 2 * steps))
+    for k in range(steps):
+        wk = W[k]
+        G = np.column_stack([K.apply(wk[:, 0]), K.apply(wk[:, 1])])
+        scale = float(np.linalg.norm(G))
+        for i in range(k + 1):
+            Psi = W[i].T @ G
+            G -= W[i] @ Psi
+            S[2 * i:2 * i + 2, 2 * k:2 * k + 2] = Psi
+        Q, Psi_next = baselines._normalize_remainder(
+            G, rank_tol=baselines._LUCKY_BREAKDOWN_RTOL * scale)
+        W.append(Q)
+        S[2 * k + 2:2 * k + 4, 2 * k:2 * k + 2] = Psi_next
+    return W, S
+
+
+def test_block_arnoldi_storage_keeps_arithmetic():
+    rng = np.random.default_rng(617)
+    system, A, B = random_block_system(rng, 60, 45, coupling=1.1)
+    K = dense_operator(dense_full_matrix(system, A, B))
+    D = starting_block(system)
+    steps = 30
+    state = block_arnoldi_init(D, steps)
+    for _ in range(steps):
+        block_arnoldi_step(state, K)
+    W_ref, S_ref = reference_block_arnoldi(K, D, steps)
+    assert np.array_equal(state.S, S_ref)
+    assert np.array_equal(state.W, np.stack(W_ref))
+    assert all(w.flags.c_contiguous for w in state.W)
+
+
+def test_block_arnoldi_storage_exhausted():
+    rng = np.random.default_rng(619)
+    system, A, B = random_block_system(rng, 6, 5)
+    K = dense_operator(dense_full_matrix(system, A, B))
+    state = block_arnoldi_init(starting_block(system), 2)
+    block_arnoldi_step(state, K)
+    block_arnoldi_step(state, K)
+    with pytest.raises(ValueError, match="storage exhausted"):
+        block_arnoldi_step(state, K)
