@@ -35,7 +35,7 @@ from .operators import (
     recover_solution,
 )
 from .solver import STATUS_NONFINITE, check_tolerances, gpmr_solve
-from .sparse import MatrixMarketError, SparseMatrix, load_matrix_market, spmv
+from .sparse import MatrixMarketError, load_matrix_market, spmv
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -76,10 +76,11 @@ class ExperimentConfig:
             raise ValueError("k_max must be at least 1")
 
 
-def generate_rhs(M: SparseMatrix, A: SparseMatrix, B: SparseMatrix, N: SparseMatrix):
-    """Right-hand side pair making the all-ones vector the exact solution."""
-    ones_m = np.ones(M.ncols)
-    ones_n = np.ones(N.ncols)
+def generate_rhs(M, A, B, N):
+    """Right-hand side pair making the all-ones vector the exact solution
+    of the block system with CSR blocks ``M``, ``A``, ``B`` and ``N``."""
+    ones_m = np.ones(M.shape[1])
+    ones_n = np.ones(N.shape[1])
     b = spmv(M, ones_m) + spmv(A, ones_n)
     c = spmv(B, ones_m) + spmv(N, ones_n)
     return b, c
@@ -128,7 +129,7 @@ def _load_inputs(cfg: ExperimentConfig):
         raise ExperimentInputError(f"cannot read matrix file: {exc}") from exc
     except MatrixMarketError as exc:
         raise ExperimentInputError(f"cannot parse matrix file: {exc}") from exc
-    if C.nrows != C.ncols:
+    if C.shape[0] != C.shape[1]:
         raise ExperimentInputError("experiment needs a square matrix")
 
     if cfg.partition == "auto":
@@ -140,9 +141,9 @@ def _load_inputs(cfg: ExperimentConfig):
             raise ExperimentInputError(f"cannot read permutation file: {exc}") from exc
         except ValueError as exc:
             raise ExperimentInputError(f"bad permutation file: {exc}") from exc
-        if split.order != C.nrows:
+        if split.order != C.shape[0]:
             raise ExperimentInputError(
-                f"permutation covers {split.order} vertices, matrix has {C.nrows}")
+                f"permutation covers {split.order} vertices, matrix has {C.shape[0]}")
     return C, split
 
 
@@ -243,8 +244,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     report = {
         "matrix": str(cfg.matrix_path),
-        "order": C.nrows,
-        "nnz": C.nnz_stored,
+        "order": C.shape[0],
+        "nnz": C.nnz,
         "m": split.m,
         "n": split.n,
         "partition": cfg.partition,

@@ -24,11 +24,9 @@ from scipy.sparse.csgraph import breadth_first_order, shortest_path
 from .sparse import (
     LUFactors,
     SingularMatrixError,
-    SparseMatrix,
     lu_solve,
     sparse_lu,
     spmv,
-    spmv_transpose,
 )
 
 
@@ -47,13 +45,12 @@ class PreconditionerError(RuntimeError):
 class LinearOperator:
     """Matrix-free linear map between real coordinate spaces."""
 
-    __slots__ = ("nrows", "ncols", "_apply", "_apply_transpose")
+    __slots__ = ("nrows", "ncols", "_apply")
 
-    def __init__(self, nrows, ncols, apply, apply_transpose=None):
+    def __init__(self, nrows, ncols, apply):
         self.nrows = int(nrows)
         self.ncols = int(ncols)
         self._apply = apply
-        self._apply_transpose = apply_transpose
 
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -61,34 +58,18 @@ class LinearOperator:
             raise ValueError(f"operator is {self.nrows}x{self.ncols}, got vector {x.shape}")
         return np.asarray(self._apply(x), dtype=np.float64)
 
-    @property
-    def has_transpose(self) -> bool:
-        return self._apply_transpose is not None
-
-    def apply_transpose(self, x) -> np.ndarray:
-        if self._apply_transpose is None:
-            raise ValueError("operator has no transpose map")
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.nrows,):
-            raise ValueError(f"operator is {self.nrows}x{self.ncols}, got vector {x.shape}")
-        return np.asarray(self._apply_transpose(x), dtype=np.float64)
-
     @classmethod
-    def from_matrix(cls, M: SparseMatrix) -> "LinearOperator":
-        return cls(M.nrows, M.ncols,
-                   lambda x: spmv(M, x),
-                   lambda x: spmv_transpose(M, x))
+    def from_matrix(cls, M: scipy.sparse.csr_array) -> "LinearOperator":
+        return cls(*M.shape, lambda x: spmv(M, x))
 
     @classmethod
     def from_dense(cls, arr) -> "LinearOperator":
         arr = np.asarray(arr, dtype=np.float64)
-        return cls(arr.shape[0], arr.shape[1],
-                   lambda x: arr @ x,
-                   lambda x: arr.T @ x)
+        return cls(*arr.shape, lambda x: arr @ x)
 
     @classmethod
     def identity(cls, n: int) -> "LinearOperator":
-        return cls(n, n, lambda x: x.copy(), lambda x: x.copy())
+        return cls(n, n, lambda x: x.copy())
 
 
 @dataclass(frozen=True)
@@ -113,12 +94,13 @@ class BlockSplit:
         return self.m + self.n
 
 
-def bisect_graph(C: SparseMatrix) -> BlockSplit:
+def bisect_graph(C: scipy.sparse.csr_array) -> BlockSplit:
     """Split the symmetrized adjacency graph of ``C`` into two halves.
 
     Vertices are ordered by breadth-first level sets grown from a
     pseudo-peripheral vertex (components are traversed one after the
-    other, restarting from a minimum-degree unvisited vertex). The
+    other, restarting from a minimum-degree unvisited vertex; vertices
+    without neighbors come first, in index order, as one piece). The
     boundary level is split in discovery order so the parts are balanced
     to within one vertex, and part-1 vertices come first in ``perm``.
 
@@ -129,20 +111,21 @@ def bisect_graph(C: SparseMatrix) -> BlockSplit:
     neighbors in turn, which changes the order. BFS levels are unweighted
     distances from ``scipy.sparse.csgraph.shortest_path``.
     """
-    if C.nrows != C.ncols:
+    order_n, ncols = C.shape
+    if order_n != ncols:
         raise GraphPartitionError("matrix must be square")
-    order_n = C.nrows
     if order_n < 2:
         raise GraphPartitionError("need at least two vertices to bisect")
-    P = scipy.sparse.csr_array((np.ones(C.nnz_stored), C.col_indices, C.row_offsets),
-                               shape=C.shape)
+    P = scipy.sparse.csr_array((np.ones(C.nnz), C.indices, C.indptr), shape=C.shape)
     upper = scipy.sparse.triu(P + P.T, k=1, format="csr")
     G = (upper + upper.T).tocsr()
     G.sum_duplicates()
     degrees = np.diff(G.indptr)
     by_degree = np.lexsort((np.arange(order_n), degrees))
-    visited = np.zeros(order_n, dtype=bool)
-    pieces = []
+    # isolated vertices lead the (degree, index) order and each would be a
+    # one-vertex component, so they are taken in bulk
+    visited = degrees == 0
+    pieces = [np.flatnonzero(visited)]
     while not visited.all():
         # each component starts from its first vertex in (degree, index)
         # order; the root moves to the far end (least degree, then least
@@ -164,22 +147,21 @@ def bisect_graph(C: SparseMatrix) -> BlockSplit:
     return BlockSplit(perm=np.concatenate(pieces), m=m, n=order_n - m)
 
 
-def extract_blocks(C: SparseMatrix, split: BlockSplit):
+def extract_blocks(C: scipy.sparse.csr_array, split: BlockSplit):
     """Permute ``C`` by ``split.perm`` and cut it into (M, A, B, N).
 
     Every stored entry, explicit zeros included, lands in one block.
     """
-    if C.nrows != C.ncols:
+    if C.shape[0] != C.shape[1]:
         raise ValueError("matrix must be square")
-    if C.nrows != split.order:
+    if C.shape[0] != split.order:
         raise ValueError("split order does not match matrix order")
     m, perm = split.m, split.perm
-    P = scipy.sparse.csr_array((C.values, C.col_indices, C.row_offsets),
-                               shape=C.shape)[perm][:, perm]
+    P = C[perm][:, perm]
     blocks = (P[:m, :m], P[:m, m:], P[m:, :m], P[m:, m:])
     for X in blocks:
         X.sort_indices()
-    return tuple(SparseMatrix(*X.shape, X.indptr, X.indices, X.data) for X in blocks)
+    return blocks
 
 
 @dataclass
@@ -261,8 +243,8 @@ def build_preconditioned_system(M, A, B, N, b_star, c_star, lam=1.0, mu=1.0):
     lam = mu = 1 the result is exactly the original system pushed through
     blkdiag(M, N)^{-1} on the right.
     """
-    m, n = M.nrows, N.nrows
-    if M.ncols != m or N.ncols != n:
+    (m, m_cols), (n, n_cols) = M.shape, N.shape
+    if m_cols != m or n_cols != n:
         raise ValueError("diagonal blocks must be square")
     if A.shape != (m, n) or B.shape != (n, m):
         raise ValueError("off-diagonal block shapes do not match")

@@ -1,10 +1,13 @@
-"""Compressed sparse row matrices and the kernels the solvers need.
+"""Sparse matrices, Matrix Market I/O and the LU the preconditioner needs.
 
-This module is deliberately small: CSR storage, matrix-vector products,
-Matrix Market I/O and an LU factorization with partial pivoting used to
-apply block-Jacobi preconditioners. The factorization is SuperLU's, in
-natural column order, with this package's relative zero-pivot test on
-top; it never builds a dense copy of a block that factors.
+Every matrix in this package is a ``scipy.sparse.csr_array`` of float64
+values with sorted column indices and explicitly stored zeros kept.
+``csr_from_coo``, ``csr_identity`` and ``spmv`` build and apply them.
+The Matrix Market reader names the failing line of a bad file. The LU
+factorization with partial pivoting, used to apply block-Jacobi
+preconditioners, is SuperLU's in natural column order with this
+package's relative zero-pivot test on top; it never builds a dense copy
+of a block that factors.
 """
 
 from __future__ import annotations
@@ -52,147 +55,21 @@ class SingularMatrixError(RuntimeError):
         super().__init__(msg)
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
-    """CSR matrix with sorted, duplicate-free column indices per row.
-
-    Explicitly stored zeros are allowed, so structural and numeric
-    nonzero counts can differ (``nnz_stored`` vs ``nnz_numeric``).
-    Instances are immutable and safe to share across threads.
-    """
-
-    nrows: int
-    ncols: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        offsets = np.ascontiguousarray(self.row_offsets, dtype=np.int64)
-        cols = np.ascontiguousarray(self.col_indices, dtype=np.int64)
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "row_offsets", offsets)
-        object.__setattr__(self, "col_indices", cols)
-        object.__setattr__(self, "values", vals)
-        if self.nrows < 0 or self.ncols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if offsets.shape != (self.nrows + 1,):
-            raise ValueError("row_offsets must have length nrows + 1")
-        if offsets[0] != 0 or offsets[-1] != vals.size or cols.size != vals.size:
-            raise ValueError("row_offsets inconsistent with stored entries")
-        if np.any(np.diff(offsets) < 0):
-            raise ValueError("row_offsets must be nondecreasing")
-        if cols.size:
-            if cols.min() < 0 or cols.max() >= self.ncols:
-                raise ValueError("column index out of range")
-        if cols.size > 1:
-            starts = np.zeros(cols.size, dtype=bool)
-            inner = offsets[1:-1]
-            starts[inner[inner < cols.size]] = True
-            bad = (np.diff(cols) <= 0) & ~starts[1:]
-            if bad.any():
-                raise ValueError("column indices must be strictly increasing per row")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
-
-    @property
-    def nnz_stored(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def nnz_numeric(self) -> int:
-        return int(np.count_nonzero(self.values))
-
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Column indices and values of row ``i`` (views, do not mutate)."""
-        s, e = self.row_offsets[i], self.row_offsets[i + 1]
-        return self.col_indices[s:e], self.values[s:e]
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.nrows, self.ncols))
-        counts = np.diff(self.row_offsets)
-        rows = np.repeat(np.arange(self.nrows), counts)
-        out[rows, self.col_indices] = self.values
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        return (
-            self.shape == other.shape
-            and np.array_equal(self.row_offsets, other.row_offsets)
-            and np.array_equal(self.col_indices, other.col_indices)
-            and np.array_equal(self.values, other.values)
-        )
+def csr_from_coo(nrows, ncols, rows, cols, values) -> scipy.sparse.csr_array:
+    """CSR matrix from coordinates: duplicates summed, explicit zeros kept,
+    column indices sorted. Unequal lengths or an index out of range raise
+    ``ValueError``."""
+    return scipy.sparse.coo_array((values, (rows, cols)), shape=(nrows, ncols),
+                                  dtype=np.float64).tocsr()
 
 
-def csr_from_coo(nrows, ncols, rows, cols, values) -> SparseMatrix:
-    """Build a CSR matrix from coordinates, summing duplicate entries."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
-    if not (rows.size == cols.size == values.size):
-        raise ValueError("coordinate arrays must have equal length")
-    if rows.size == 0:
-        return SparseMatrix(nrows, ncols, np.zeros(nrows + 1, np.int64),
-                            np.zeros(0, np.int64), np.zeros(0))
-    if rows.min() < 0 or rows.max() >= nrows or cols.min() < 0 or cols.max() >= ncols:
-        raise ValueError("coordinate index out of range")
-    order = np.lexsort((cols, rows))
-    r, c, v = rows[order], cols[order], values[order]
-    group_start = np.empty(r.size, dtype=bool)
-    group_start[0] = True
-    group_start[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-    starts = np.flatnonzero(group_start)
-    summed = np.add.reduceat(v, starts)
-    r, c = r[starts], c[starts]
-    counts = np.bincount(r, minlength=nrows)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    return SparseMatrix(nrows, ncols, offsets, c, summed)
+def csr_identity(n: int) -> scipy.sparse.csr_array:
+    return scipy.sparse.eye_array(n, format="csr")
 
 
-def csr_from_dense(arr) -> SparseMatrix:
-    """CSR from a dense array, dropping exact zeros."""
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-d array")
-    rows, cols = np.nonzero(arr)
-    return csr_from_coo(arr.shape[0], arr.shape[1], rows, cols, arr[rows, cols])
-
-
-def csr_identity(n: int) -> SparseMatrix:
-    idx = np.arange(n, dtype=np.int64)
-    return SparseMatrix(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
-
-
-def spmv(M: SparseMatrix, x) -> np.ndarray:
-    """Matrix-vector product ``M @ x`` by row dot products."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (M.ncols,):
-        raise ValueError(f"vector length {x.shape} does not match ncols={M.ncols}")
-    out = np.zeros(M.nrows)
-    if M.values.size == 0:
-        return out
-    prod = M.values * x[M.col_indices]
-    counts = np.diff(M.row_offsets)
-    nonempty = counts > 0
-    # reduceat over the starts of nonempty rows sums exactly one row per segment
-    out[nonempty] = np.add.reduceat(prod, M.row_offsets[:-1][nonempty])
-    return out
-
-
-def spmv_transpose(M: SparseMatrix, x) -> np.ndarray:
-    """Product ``M.T @ x`` without materializing the transpose."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (M.nrows,):
-        raise ValueError(f"vector length {x.shape} does not match nrows={M.nrows}")
-    if M.values.size == 0:
-        return np.zeros(M.ncols)
-    counts = np.diff(M.row_offsets)
-    weights = M.values * np.repeat(x, counts)
-    return np.bincount(M.col_indices, weights=weights, minlength=M.ncols).astype(np.float64)
+def spmv(M: scipy.sparse.csr_array, x) -> np.ndarray:
+    """Matrix-vector product ``M @ x``; a length mismatch raises ``ValueError``."""
+    return M @ np.asarray(x, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +93,7 @@ def _text_lines(source):
     return data.splitlines()
 
 
-def parse_matrix_market(source) -> SparseMatrix:
+def parse_matrix_market(source) -> scipy.sparse.csr_array:
     """Read a coordinate Matrix Market matrix from text, bytes or a stream.
 
     Supports real, integer and pattern fields with general or symmetric
@@ -317,7 +194,7 @@ def parse_matrix_market(source) -> SparseMatrix:
     return csr_from_coo(nrows, ncols, rows, cols, vals)
 
 
-def write_matrix_market(M: SparseMatrix, target) -> None:
+def write_matrix_market(M: scipy.sparse.csr_array, target) -> None:
     """Write ``M`` in coordinate format with 17 significant digits.
 
     Output always uses the ``real general`` banner and 1-based indices,
@@ -325,11 +202,10 @@ def write_matrix_market(M: SparseMatrix, target) -> None:
     """
     buf = io.StringIO()
     buf.write("%%MatrixMarket matrix coordinate real general\n")
-    buf.write(f"{M.nrows} {M.ncols} {M.nnz_stored}\n")
-    for i in range(M.nrows):
-        cols, vals = M.row(i)
-        for j, v in zip(cols, vals):
-            buf.write(f"{i + 1} {j + 1} {v:.16e}\n")
+    buf.write(f"{M.shape[0]} {M.shape[1]} {M.nnz}\n")
+    rows = np.repeat(np.arange(1, M.shape[0] + 1), np.diff(M.indptr))
+    buf.writelines(f"{i} {j + 1} {v:.16e}\n" for i, j, v in
+                   zip(rows.tolist(), M.indices.tolist(), M.data.tolist()))
     text = buf.getvalue()
     if isinstance(target, (str, Path)):
         Path(target).write_text(text)
@@ -337,7 +213,7 @@ def write_matrix_market(M: SparseMatrix, target) -> None:
         target.write(text)
 
 
-def load_matrix_market(path) -> SparseMatrix:
+def load_matrix_market(path) -> scipy.sparse.csr_array:
     with open(path, "rb") as fh:
         return parse_matrix_market(fh)
 
@@ -390,19 +266,19 @@ def _weak_pivots(absdiag, u_colmax, l_colmax, pivot_rtol) -> np.ndarray:
     return np.flatnonzero((colmax == 0.0) | (absdiag <= pivot_rtol * colmax))
 
 
-def _dense_singular_column(M: SparseMatrix, pivot_rtol: float) -> int:
+def _dense_singular_column(M: scipy.sparse.csr_array, pivot_rtol: float) -> int:
     """Failing column of an exactly singular ``M``, from LAPACK's LU of a
     densified copy; SuperLU rejects such a matrix without naming it."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, _ = scipy.linalg.lu_factor(M.to_dense(), check_finite=False)
+        lu, _ = scipy.linalg.lu_factor(M.toarray(), check_finite=False)
     absdiag = np.abs(np.diag(lu))
     bad = _weak_pivots(absdiag, np.abs(np.triu(lu)).max(axis=0),
                        np.abs(np.tril(lu, -1)).max(axis=0), pivot_rtol)
     return int(bad[0])
 
 
-def sparse_lu(M: SparseMatrix, pivot_rtol: float = PIVOT_RTOL) -> LUFactors:
+def sparse_lu(M: scipy.sparse.csr_array, pivot_rtol: float = PIVOT_RTOL) -> LUFactors:
     """Factor a square matrix as ``P @ M = L @ U`` with SuperLU.
 
     Column ``j`` is eliminated at step ``j`` (natural column order) with
@@ -410,12 +286,10 @@ def sparse_lu(M: SparseMatrix, pivot_rtol: float = PIVOT_RTOL) -> LUFactors:
     ``pivot_rtol`` times the column maximum raises
     :class:`SingularMatrixError` with the failing column index.
     """
-    if M.nrows != M.ncols:
+    if M.shape[0] != M.shape[1]:
         raise ValueError("LU factorization requires a square matrix")
-    csc = scipy.sparse.csr_array((M.values, M.col_indices, M.row_offsets),
-                                 shape=M.shape).tocsc()
     try:
-        lu = splu(csc, permc_spec="NATURAL")
+        lu = splu(M.tocsc(), permc_spec="NATURAL")
     except RuntimeError as exc:
         if "exactly singular" not in str(exc):
             raise

@@ -3,8 +3,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from gpmr import LinearOperator, PartitionedSystem
+
+
+def csr(dense):
+    """CSR copy of a dense array with its exact zeros dropped."""
+    return scipy.sparse.csr_array(np.asarray(dense, dtype=np.float64))
+
+
+def stored_entries(M):
+    """(row, col, value) of every stored entry, in storage order."""
+    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    return list(zip(rows.tolist(), M.indices.tolist(), M.data.tolist()))
 
 
 def dense_operator(arr):

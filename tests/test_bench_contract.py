@@ -1,0 +1,63 @@
+"""The calls ``perfbench/measure.py`` makes into the package.
+
+The benchmark builds the ``krylov`` system from coordinate arrays with
+``csr_from_coo``, ``csr_identity`` and ``LinearOperator.from_matrix``,
+and its ``--trace 1`` run times ``sparse.spmv_us`` by patching
+``gpmr.operators.spmv``. These tests run that path on a small pair.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import scipy.sparse
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import gpmr.operators  # noqa: E402
+import measure  # noqa: E402
+from spans import NullTracer, Tracer  # noqa: E402
+
+
+def small_pair(m=30, n=20, per_row=3, seed=0):
+    """Coordinate arrays in the layout of the benchmark's ``.npz`` input."""
+    rng = np.random.default_rng(seed)
+
+    def block(nrows, ncols):
+        cols = np.concatenate([rng.choice(ncols, per_row, replace=False)
+                               for _ in range(nrows)])
+        rows = np.repeat(np.arange(nrows), per_row)
+        return rows, cols, 0.3 * rng.standard_normal(nrows * per_row)
+
+    (ar, ac, av), (br, bc, bv) = block(m, n), block(n, m)
+    arrays = {"m": np.array(m), "n": np.array(n), "A_rows": ar, "A_cols": ac, "A_vals": av,
+              "B_rows": br, "B_cols": bc, "B_vals": bv}
+    A = scipy.sparse.coo_array((av, (ar, ac)), shape=(m, n)).toarray()
+    B = scipy.sparse.coo_array((bv, (br, bc)), shape=(n, m)).toarray()
+    return arrays, A, B
+
+
+def test_krylov_setup_builds_the_block_system():
+    arrays, A, B = small_pair()
+    system, prec, perm = measure.setup_krylov(arrays, NullTracer())
+    assert prec is None and perm is None
+    assert (system.m, system.n, system.lam, system.mu) == (30, 20, 1.0, 1.0)
+    # the right-hand side makes the all-ones vector the solution
+    assert np.allclose(system.b, 1.0 + A.sum(axis=1), rtol=0, atol=1e-14)
+    assert np.allclose(system.c, B.sum(axis=1) + 1.0, rtol=0, atol=1e-14)
+    y = np.random.default_rng(1).standard_normal(20)
+    assert np.allclose(system.A.apply(y), A @ y, rtol=0, atol=1e-14)
+
+
+def test_traced_apply_records_a_spmv_span():
+    arrays, A, _ = small_pair()
+    system, _, _ = measure.setup_krylov(arrays, NullTracer())
+    original = gpmr.operators.spmv
+    tr = Tracer()
+    with tr.patched(measure.trace_targets()):
+        measure.count_applies(system, tr)
+        y = np.ones(system.n)
+        assert np.allclose(system.A.apply(y), A @ y, rtol=0, atol=1e-14)
+    # the span sparse.spmv_us is read from: a product inside an A apply
+    assert len(tr.durations("sparse.spmv", under="operators.apply_A")) == 1
+    assert gpmr.operators.spmv is original

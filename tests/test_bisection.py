@@ -6,23 +6,19 @@
 pattern, stored zeros, self loops and disconnected parts included.
 """
 
+import time
 from collections import deque
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpmr import BlockSplit, bisect_graph, csr_from_coo, extract_blocks
-
-
-def stored_entries(M):
-    """(row, col, value) of every stored entry, in storage order."""
-    rows = np.repeat(np.arange(M.nrows), np.diff(M.row_offsets))
-    return list(zip(rows.tolist(), M.col_indices.tolist(), M.values.tolist()))
+from gpmr import BlockSplit, bisect_graph, csr_from_coo, csr_identity, extract_blocks
+from conftest import stored_entries
 
 
 def reference_perm(C):
-    n = C.nrows
+    n = C.shape[0]
     adj = [set() for _ in range(n)]
     for i, j, _ in stored_entries(C):
         if i != j:
@@ -86,13 +82,13 @@ def square_patterns(draw):
 def test_bisect_matches_reference_bfs(C):
     split = bisect_graph(C)
     assert split.perm.tolist() == reference_perm(C)
-    assert split.m == (C.nrows + 1) // 2
+    assert split.m == (C.shape[0] + 1) // 2
 
 
 @settings(max_examples=300, deadline=None)
 @given(square_patterns(), st.data())
 def test_extract_blocks_keeps_every_stored_entry(C, data):
-    n = C.nrows
+    n = C.shape[0]
     perm = np.array(data.draw(st.permutations(range(n))))
     m = data.draw(st.integers(1, n - 1))
     blocks = extract_blocks(C, BlockSplit(perm, m, n - m))
@@ -149,3 +145,16 @@ def test_grid_permutation_is_pinned():
     split = bisect_graph(C)
     assert split.perm.tolist() == GRID_PERM == reference_perm(C)
     assert (split.m, split.n) == (36, 36)
+
+
+def test_isolated_vertices_are_one_piece_in_index_order():
+    # every vertex of a diagonal matrix is its own component; one pass per
+    # component made this quadratic
+    n = 20000
+    C = csr_identity(n)
+    start = time.perf_counter()
+    split = bisect_graph(C)
+    elapsed = time.perf_counter() - start
+    assert np.array_equal(split.perm, np.arange(n))
+    assert (split.m, split.n) == (10000, 10000)
+    assert elapsed < 1.0

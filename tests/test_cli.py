@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from gpmr import csr_from_dense, csr_identity, write_matrix_market
+from gpmr import csr_identity, write_matrix_market
 from gpmr.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NO_CONVERGENCE,
@@ -17,6 +17,7 @@ from gpmr.cli import (
     run_experiment,
     write_history_csv,
 )
+from conftest import csr
 
 
 def make_test_matrix(rng, order, density=0.3):
@@ -36,7 +37,7 @@ def matrix_file(tmp_path):
     rng = np.random.default_rng(211)
     dense = make_test_matrix(rng, 18)
     path = tmp_path / "system.mtx"
-    write_matrix_market(csr_from_dense(dense), path)
+    write_matrix_market(csr(dense), path)
     return path
 
 
@@ -45,18 +46,18 @@ def matrix_file(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_generate_rhs_identity_blocks():
-    zero = csr_from_dense(np.zeros((2, 3)))
-    zero_t = csr_from_dense(np.zeros((3, 2)))
+    zero = csr(np.zeros((2, 3)))
+    zero_t = csr(np.zeros((3, 2)))
     b, c = generate_rhs(csr_identity(2), zero, zero_t, csr_identity(3))
     assert np.array_equal(b, np.ones(2))
     assert np.array_equal(c, np.ones(3))
 
 
 def test_generate_rhs_small_blocks():
-    M = csr_from_dense([[2.0]])
-    A = csr_from_dense([[1.0]])
-    B = csr_from_dense([[1.0]])
-    N = csr_from_dense([[2.0]])
+    M = csr([[2.0]])
+    A = csr([[1.0]])
+    B = csr([[1.0]])
+    N = csr([[2.0]])
     b, c = generate_rhs(M, A, B, N)
     assert np.array_equal(b, [3.0])
     assert np.array_equal(c, [3.0])
@@ -67,7 +68,7 @@ def test_two_dim_toy_system(tmp_path):
     # eigenvector of the preconditioned operator, so every method
     # converges in a single iteration to the same recovered solution
     path = tmp_path / "toy.mtx"
-    write_matrix_market(csr_from_dense([[2.0, 1.0], [1.0, 2.0]]), path)
+    write_matrix_market(csr([[2.0, 1.0], [1.0, 2.0]]), path)
     cfg = ExperimentConfig(matrix_path=str(path), methods=("gpmr", "gmres"),
                            k_max=4)
     report = run_experiment(cfg)
@@ -224,7 +225,7 @@ def test_json_report_carries_lu_fill(matrix_file, tmp_path, capsys):
     C = load_matrix_market(matrix_file)
     M, _, _, N = extract_blocks(C, bisect_graph(C))
     for name, block in (("M", M), ("N", N)):
-        _, L, U = scipy.linalg.lu(block.to_dense())
+        _, L, U = scipy.linalg.lu(block.toarray())
         assert fill[name] == np.count_nonzero(L) + np.count_nonzero(U)
 
 

@@ -13,7 +13,6 @@ from gpmr import (
     bisect_graph,
     build_preconditioned_system,
     csr_from_coo,
-    csr_from_dense,
     csr_identity,
     extract_blocks,
     gpmr_solve,
@@ -21,7 +20,7 @@ from gpmr import (
     recover_solution,
     write_permutation,
 )
-from conftest import dense_operator
+from conftest import csr, dense_operator
 
 
 def assert_linear(op, rng, rel=1e-12, probes=3):
@@ -39,7 +38,7 @@ def random_permuted_matrix(rng, order, density=0.35):
     dense = np.where(rng.random((order, order)) < density,
                      rng.standard_normal((order, order)), 0.0)
     dense += np.diag(np.abs(dense).sum(axis=1) + 1.0)
-    return csr_from_dense(dense), dense
+    return csr(dense), dense
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +47,7 @@ def random_permuted_matrix(rng, order, density=0.35):
 
 def test_operator_linearity_probe():
     rng = np.random.default_rng(3)
-    M = csr_from_dense(rng.standard_normal((6, 4)))
+    M = csr(rng.standard_normal((6, 4)))
     assert_linear(LinearOperator.from_matrix(M), rng)
     assert_linear(dense_operator(rng.standard_normal((5, 5))), rng)
     assert_linear(LinearOperator.identity(7), rng)
@@ -57,10 +56,10 @@ def test_operator_linearity_probe():
 def test_preconditioned_operators_are_linear():
     rng = np.random.default_rng(4)
     m, n = 6, 5
-    Md = csr_from_dense(rng.standard_normal((m, m)) + 4 * np.eye(m))
-    Nd = csr_from_dense(rng.standard_normal((n, n)) + 4 * np.eye(n))
-    Ad = csr_from_dense(rng.standard_normal((m, n)))
-    Bd = csr_from_dense(rng.standard_normal((n, m)))
+    Md = csr(rng.standard_normal((m, m)) + 4 * np.eye(m))
+    Nd = csr(rng.standard_normal((n, n)) + 4 * np.eye(n))
+    Ad = csr(rng.standard_normal((m, n)))
+    Bd = csr(rng.standard_normal((n, m)))
     system, _ = build_preconditioned_system(Md, Ad, Bd, Nd,
                                             np.ones(m), np.ones(n))
     assert_linear(system.A, rng)
@@ -72,18 +71,6 @@ def test_operator_shape_checks():
     op = LinearOperator.identity(3)
     with pytest.raises(ValueError):
         op.apply([1.0, 2.0])
-    plain = LinearOperator(2, 2, lambda x: x)
-    assert not plain.has_transpose
-    with pytest.raises(ValueError):
-        plain.apply_transpose([1.0, 2.0])
-
-
-def test_operator_transpose_matches_matrix():
-    rng = np.random.default_rng(5)
-    dense = rng.standard_normal((6, 4))
-    op = LinearOperator.from_matrix(csr_from_dense(dense))
-    x = rng.standard_normal(6)
-    assert np.allclose(op.apply_transpose(x), dense.T @ x, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +78,7 @@ def test_operator_transpose_matches_matrix():
 # ---------------------------------------------------------------------------
 
 def test_bisect_path_graph():
-    path = csr_from_dense([[1, 1, 0, 0],
+    path = csr([[1, 1, 0, 0],
                            [1, 1, 1, 0],
                            [0, 1, 1, 1],
                            [0, 0, 1, 1]])
@@ -108,7 +95,7 @@ def test_bisect_disconnected_cliques():
         for i in group:
             for j in group:
                 dense[i, j] = 1.0
-    split = bisect_graph(csr_from_dense(dense))
+    split = bisect_graph(csr(dense))
     assert split.m == 3 and split.n == 3
     part1 = set(split.perm[:3].tolist())
     assert part1 in ({0, 2, 4}, {1, 3, 5})
@@ -136,7 +123,7 @@ def test_bisect_rejects_tiny_or_rectangular():
     with pytest.raises(GraphPartitionError):
         bisect_graph(csr_identity(1))
     with pytest.raises(GraphPartitionError):
-        bisect_graph(csr_from_dense(np.ones((2, 3))))
+        bisect_graph(csr(np.ones((2, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -144,22 +131,22 @@ def test_bisect_rejects_tiny_or_rectangular():
 # ---------------------------------------------------------------------------
 
 def test_extract_blocks_diagonal():
-    C = csr_from_dense([[1.0, 0.0], [0.0, 2.0]])
+    C = csr([[1.0, 0.0], [0.0, 2.0]])
     split = BlockSplit(np.array([0, 1]), 1, 1)
     M, A, B, N = extract_blocks(C, split)
-    assert np.array_equal(M.to_dense(), [[1.0]])
-    assert np.array_equal(N.to_dense(), [[2.0]])
-    assert A.nnz_stored == 0 and B.nnz_stored == 0
+    assert np.array_equal(M.toarray(), [[1.0]])
+    assert np.array_equal(N.toarray(), [[2.0]])
+    assert A.nnz == 0 and B.nnz == 0
 
 
 def test_extract_blocks_two_by_two():
-    C = csr_from_dense([[1.0, 2.0], [3.0, 4.0]])
+    C = csr([[1.0, 2.0], [3.0, 4.0]])
     split = BlockSplit(np.array([0, 1]), 1, 1)
     M, A, B, N = extract_blocks(C, split)
-    assert np.array_equal(M.to_dense(), [[1.0]])
-    assert np.array_equal(A.to_dense(), [[2.0]])
-    assert np.array_equal(B.to_dense(), [[3.0]])
-    assert np.array_equal(N.to_dense(), [[4.0]])
+    assert np.array_equal(M.toarray(), [[1.0]])
+    assert np.array_equal(A.toarray(), [[2.0]])
+    assert np.array_equal(B.toarray(), [[3.0]])
+    assert np.array_equal(N.toarray(), [[4.0]])
 
 
 def test_extract_blocks_reassembles_source():
@@ -167,8 +154,8 @@ def test_extract_blocks_reassembles_source():
     C, dense = random_permuted_matrix(rng, 10)
     split = bisect_graph(C)
     M, A, B, N = extract_blocks(C, split)
-    permuted = np.block([[M.to_dense(), A.to_dense()],
-                         [B.to_dense(), N.to_dense()]])
+    permuted = np.block([[M.toarray(), A.toarray()],
+                         [B.toarray(), N.toarray()]])
     want = dense[np.ix_(split.perm, split.perm)]
     assert np.array_equal(permuted, want)
 
@@ -186,8 +173,8 @@ def test_block_split_validates():
 
 def test_identity_blocks_leave_operators_unchanged():
     rng = np.random.default_rng(21)
-    A = csr_from_dense(rng.standard_normal((3, 3)))
-    B = csr_from_dense(rng.standard_normal((3, 3)))
+    A = csr(rng.standard_normal((3, 3)))
+    B = csr(rng.standard_normal((3, 3)))
     system, _ = build_preconditioned_system(
         csr_identity(3), A, B, csr_identity(3),
         rng.standard_normal(3), rng.standard_normal(3))
@@ -198,7 +185,7 @@ def test_identity_blocks_leave_operators_unchanged():
 
 def test_scalar_blocks_scale_through_the_solve():
     # with A = I and N = 2I the preconditioned operator halves its input
-    twoI = csr_from_dense(2.0 * np.eye(2))
+    twoI = csr(2.0 * np.eye(2))
     system, _ = build_preconditioned_system(
         twoI, csr_identity(2), csr_identity(2), twoI,
         np.ones(2), np.ones(2))
@@ -216,8 +203,8 @@ def test_preconditioned_operator_matches_dense_assembly():
     b = rng.standard_normal(m)
     c = rng.standard_normal(n)
     system, prec = build_preconditioned_system(
-        csr_from_dense(Md), csr_from_dense(Ad), csr_from_dense(Bd),
-        csr_from_dense(Nd), b, c)
+        csr(Md), csr(Ad), csr(Bd),
+        csr(Nd), b, c)
 
     K_orig = np.block([[Md, Ad], [Bd, Nd]])
     Pr_inv = np.block([
@@ -231,7 +218,7 @@ def test_preconditioned_operator_matches_dense_assembly():
 
 
 def test_singular_block_is_reported_by_name():
-    singular = csr_from_dense(np.zeros((2, 2)) + np.diag([1.0, 0.0]))
+    singular = csr(np.zeros((2, 2)) + np.diag([1.0, 0.0]))
     ok = csr_identity(2)
     coupling = csr_identity(2)
     with pytest.raises(PreconditionerError) as info:
@@ -252,7 +239,7 @@ def test_recover_solution_identity_and_scaling():
     x, y = recover_solution(prec, [1.0, 2.0], [3.0, 4.0])
     assert np.array_equal(x, [1.0, 2.0]) and np.array_equal(y, [3.0, 4.0])
 
-    twoI = csr_from_dense(2.0 * np.eye(2))
+    twoI = csr(2.0 * np.eye(2))
     _, prec = build_preconditioned_system(
         twoI, csr_identity(2), csr_identity(2), twoI, np.ones(2), np.ones(2))
     x, _ = recover_solution(prec, [2.0, 2.0], [1.0, 1.0])
@@ -267,8 +254,8 @@ def test_recover_solution_image_consistency():
     Ad = rng.standard_normal((m, n))
     Bd = rng.standard_normal((n, m))
     system, prec = build_preconditioned_system(
-        csr_from_dense(Md), csr_from_dense(Ad), csr_from_dense(Bd),
-        csr_from_dense(Nd), np.ones(m), np.ones(n))
+        csr(Md), csr(Ad), csr(Bd),
+        csr(Nd), np.ones(m), np.ones(n))
     x = rng.standard_normal(m)
     y = rng.standard_normal(n)
     xs, ys = recover_solution(prec, x, y)
@@ -281,8 +268,8 @@ def test_recover_solution_image_consistency():
 def test_identity_preconditioner_reproduces_raw_system_bit_exactly():
     rng = np.random.default_rng(37)
     m = n = 7
-    A = csr_from_dense(0.4 * rng.standard_normal((m, n)))
-    B = csr_from_dense(0.4 * rng.standard_normal((n, m)))
+    A = csr(0.4 * rng.standard_normal((m, n)))
+    B = csr(0.4 * rng.standard_normal((n, m)))
     b = rng.standard_normal(m)
     c = rng.standard_normal(n)
     raw = PartitionedSystem(1.0, 1.0, LinearOperator.from_matrix(A),

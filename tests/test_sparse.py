@@ -4,37 +4,44 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gpmr import (
     IndexOutOfRangeError,
     MalformedEntryError,
     MalformedHeaderError,
     SingularMatrixError,
-    SparseMatrix,
     UnsupportedFormatError,
     csr_from_coo,
-    csr_from_dense,
     csr_identity,
     lu_solve,
     parse_matrix_market,
     sparse_lu,
     spmv,
-    spmv_transpose,
     write_matrix_market,
 )
+from conftest import csr, stored_entries
+
 BANNER = "%%MatrixMarket matrix coordinate real general\n"
+
+
+def same_csr(P, Q):
+    """Same shape and bit-identical ``indptr``, ``indices`` and ``data``."""
+    return (P.shape == Q.shape and np.array_equal(P.indptr, Q.indptr)
+            and np.array_equal(P.indices, Q.indices) and np.array_equal(P.data, Q.data))
 
 
 def random_sparse(rng, nrows, ncols, density=0.3):
     mask = rng.random((nrows, ncols)) < density
     dense = np.where(mask, rng.standard_normal((nrows, ncols)), 0.0)
-    return csr_from_dense(dense), dense
+    return csr(dense), dense
 
 
 def diag_dominant(rng, n, density=0.25):
     dense = np.where(rng.random((n, n)) < density, rng.standard_normal((n, n)), 0.0)
     dense += np.diag(np.abs(dense).sum(axis=1) + 1.0)
-    return csr_from_dense(dense), dense
+    return csr(dense), dense
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +51,8 @@ def diag_dominant(rng, n, density=0.25):
 def test_parse_single_entry():
     M = parse_matrix_market(BANNER + "2 2 1\n1 1 5.0\n")
     assert M.shape == (2, 2)
-    assert M.nnz_stored == 1
-    assert M.to_dense()[0, 0] == 5.0
+    assert M.nnz == 1
+    assert M.toarray()[0, 0] == 5.0
 
 
 def test_parse_sums_duplicates():
@@ -55,14 +62,14 @@ def test_parse_sums_duplicates():
     acc = {}
     for i, j, v in [(0, 0, 2.0), (0, 0, 3.0)]:
         acc[(i, j)] = acc.get((i, j), 0.0) + v
-    assert M.nnz_stored == len(acc)
-    assert M.to_dense()[0, 0] == acc[(0, 0)]
+    assert M.nnz == len(acc)
+    assert M.toarray()[0, 0] == acc[(0, 0)]
 
 
 def test_parse_symmetric_expands():
     text = "%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n1 1 2.0\n2 1 -1.0\n3 2 4.0\n"
     M = parse_matrix_market(text)
-    dense = M.to_dense()
+    dense = M.toarray()
     assert dense[0, 1] == dense[1, 0] == -1.0
     assert dense[1, 2] == dense[2, 1] == 4.0
     assert dense[0, 0] == 2.0
@@ -71,18 +78,18 @@ def test_parse_symmetric_expands():
 def test_parse_pattern_assigns_ones():
     text = "%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 2\n2 1\n"
     M = parse_matrix_market(text)
-    assert np.array_equal(M.to_dense(), [[0.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(M.toarray(), [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_parse_integer_field():
     text = "%%MatrixMarket matrix coordinate integer general\n2 2 1\n2 2 7\n"
-    assert parse_matrix_market(text).to_dense()[1, 1] == 7.0
+    assert parse_matrix_market(text).toarray()[1, 1] == 7.0
 
 
 def test_parse_accepts_bytes_and_streams():
     text = BANNER + "1 1 1\n1 1 -2.5\n"
     for source in (text, text.encode(), io.StringIO(text), io.BytesIO(text.encode())):
-        assert parse_matrix_market(source).to_dense()[0, 0] == -2.5
+        assert parse_matrix_market(source).toarray()[0, 0] == -2.5
 
 
 def test_parse_malformed_header():
@@ -131,21 +138,24 @@ def test_parse_rejects_non_finite_values(value):
 
 def test_parse_sherman5_dimensions(sherman5_path):
     M = parse_matrix_market(sherman5_path.read_text())
-    assert M.nrows == 3312
-    assert M.ncols == 3312
-    assert M.nnz_stored == 20793
+    assert M.shape == (3312, 3312)
+    assert M.nnz == 20793
 
 
 def test_write_parse_round_trip_is_bit_exact():
     rng = np.random.default_rng(7)
     M, _ = random_sparse(rng, 12, 9, density=0.4)
-    buf = io.StringIO()
-    write_matrix_market(M, buf)
-    again = parse_matrix_market(buf.getvalue())
-    assert again == M
-    buf2 = io.StringIO()
-    write_matrix_market(again, buf2)
-    assert buf2.getvalue() == buf.getvalue()
+    # explicit zeros (one negative) and empty rows 0, 2 and 4
+    Z = csr_from_coo(5, 4, [1, 1, 3, 3, 3], [3, 0, 2, 1, 3], [0.0, 2.5, -0.0, 1e-3, 0.0])
+    for X in (M, Z):
+        buf = io.StringIO()
+        write_matrix_market(X, buf)
+        again = parse_matrix_market(buf.getvalue())
+        assert same_csr(again, X)
+        buf2 = io.StringIO()
+        write_matrix_market(again, buf2)
+        assert buf2.getvalue() == buf.getvalue()
+    assert Z.nnz == 5
 
 
 def test_parse_tolerates_real_world_formatting():
@@ -161,16 +171,16 @@ def test_parse_tolerates_real_world_formatting():
     ]
     for text in variants:
         M = parse_matrix_market(text)
-        assert np.array_equal(M.to_dense(), [[1.5, 0.0], [0.0, 2.5]])
+        assert np.array_equal(M.toarray(), [[1.5, 0.0], [0.0, 2.5]])
 
 
 def test_round_trip_survives_extreme_values():
     vals = [1e-308, -2.2250738585072014e-308, 1.7976931348623157e308,
             3.141592653589793, -0.0]
-    M = csr_from_dense(np.diag(vals))
+    M = csr(np.diag(vals))
     buf = io.StringIO()
     write_matrix_market(M, buf)
-    assert parse_matrix_market(buf.getvalue()) == M
+    assert same_csr(parse_matrix_market(buf.getvalue()), M)
 
 
 def test_writer_uses_general_banner_and_one_based_indices():
@@ -192,7 +202,7 @@ def test_spmv_identity():
 
 
 def test_spmv_small_by_hand():
-    M = csr_from_dense([[1.0, 1.0], [0.0, 1.0]])
+    M = csr([[1.0, 1.0], [0.0, 1.0]])
     assert np.array_equal(spmv(M, [1.0, 1.0]), [2.0, 1.0])
 
 
@@ -213,28 +223,42 @@ def test_spmv_handles_empty_rows():
 def test_spmv_dimension_mismatch():
     with pytest.raises(ValueError):
         spmv(csr_identity(3), [1.0, 2.0])
-    with pytest.raises(ValueError):
-        spmv_transpose(csr_identity(3), [1.0, 2.0])
 
 
-def test_spmv_transpose_identity():
-    assert np.array_equal(spmv_transpose(csr_identity(3), [1.0, 2.0, 3.0]),
-                          [1.0, 2.0, 3.0])
+@st.composite
+def coordinates(draw):
+    """Shape and coordinate lists with duplicates, explicit zeros, empty
+    rows and m != n. Values are quarter-integers: duplicates are summed
+    in an order the constructor does not promise, and sums of these are
+    exact in every order."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    k = draw(st.integers(0, 20))
+    index = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))
+    coords = draw(st.lists(index, min_size=k, max_size=k))
+    values = draw(st.lists(st.integers(-8, 8).map(lambda v: 0.25 * v), min_size=k, max_size=k))
+    x = draw(st.lists(st.floats(-100, 100), min_size=n, max_size=n))
+    return m, n, coords, values, np.array(x)
 
 
-def test_spmv_transpose_small_by_hand():
-    M = csr_from_dense([[1.0, 1.0], [0.0, 1.0]])
-    assert np.array_equal(spmv_transpose(M, [1.0, 1.0]), [1.0, 2.0])
-
-
-def test_spmv_transpose_matches_explicit_transpose():
-    rng = np.random.default_rng(13)
-    M, dense = random_sparse(rng, 15, 10)
-    Mt = csr_from_dense(dense.T)
-    x = rng.standard_normal(15)
-    want = spmv(Mt, x)
-    got = spmv_transpose(M, x)
-    assert np.all(np.abs(got - want) <= 1e-14 * (1.0 + np.abs(want)))
+@given(coordinates())
+def test_csr_from_coo_and_spmv_match_oracles(case):
+    m, n, coords, values, x = case
+    rows = [i for i, _ in coords]
+    cols = [j for _, j in coords]
+    M = csr_from_coo(m, n, rows, cols, values)
+    # oracle: accumulate coordinates in a dictionary
+    acc = {}
+    for key, v in zip(coords, values):
+        acc[key] = acc.get(key, 0.0) + v
+    assert M.shape == (m, n) and M.dtype == np.float64
+    # row-major with sorted columns, explicit zeros kept
+    assert stored_entries(M) == [(i, j, acc[(i, j)]) for i, j in sorted(acc)]
+    dense = np.zeros((m, n))
+    for (i, j), v in acc.items():
+        dense[i, j] = v
+    got = spmv(M, x)
+    assert got.shape == (m,)
+    assert np.all(np.abs(got - dense @ x) <= 1e-14 * (np.abs(dense) @ np.abs(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +274,7 @@ def test_lu_identity():
 
 
 def test_lu_forced_pivot():
-    F = sparse_lu(csr_from_dense([[0.0, 1.0], [1.0, 0.0]]))
+    F = sparse_lu(csr([[0.0, 1.0], [1.0, 0.0]]))
     assert np.array_equal(F.perm_rows, [1, 0])
     assert np.array_equal(F.L.toarray(), np.eye(2))
     assert np.array_equal(F.U.toarray(), np.eye(2))
@@ -280,14 +304,14 @@ def test_lu_reports_singular_column():
     dense = np.eye(4)
     dense[:, 2] = 0.0
     with pytest.raises(SingularMatrixError) as info:
-        sparse_lu(csr_from_dense(dense))
+        sparse_lu(csr(dense))
     assert info.value.column == 2
 
     rng = np.random.default_rng(23)
     dup = rng.standard_normal((5, 5))
     dup[:, 3] = dup[:, 1]
     with pytest.raises(SingularMatrixError) as info:
-        sparse_lu(csr_from_dense(dup))
+        sparse_lu(csr(dup))
     assert info.value.column == 3
 
 
@@ -298,7 +322,7 @@ def test_lu_names_exactly_zero_column_of_large_block():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularMatrixError) as info:
-            sparse_lu(csr_from_dense(dense))
+            sparse_lu(csr(dense))
     assert info.value.column == 417
 
 
@@ -322,7 +346,7 @@ def test_lu_factors_large_banded_block_without_dense_copy():
 
 def test_lu_requires_square():
     with pytest.raises(ValueError):
-        sparse_lu(csr_from_dense(np.ones((2, 3))))
+        sparse_lu(csr(np.ones((2, 3))))
 
 
 def test_lu_solve_identity():
@@ -331,7 +355,7 @@ def test_lu_solve_identity():
 
 
 def test_lu_solve_diagonal():
-    F = sparse_lu(csr_from_dense([[2.0, 0.0], [0.0, 4.0]]))
+    F = sparse_lu(csr([[2.0, 0.0], [0.0, 4.0]]))
     assert np.array_equal(lu_solve(F, [2.0, 4.0]), [1.0, 1.0])
 
 
@@ -357,14 +381,18 @@ def test_lu_solve_identity_residual_property(n):
 
 def test_csr_invariant_validation():
     with pytest.raises(ValueError):
-        SparseMatrix(2, 2, np.array([0, 1]), np.array([0]), np.array([1.0]))
+        csr_from_coo(2, 2, [0, 1], [0], [1.0, 2.0])
     with pytest.raises(ValueError):
-        SparseMatrix(1, 2, np.array([0, 2]), np.array([1, 0]), np.array([1.0, 2.0]))
+        csr_from_coo(1, 2, [0], [5], [1.0])
     with pytest.raises(ValueError):
-        SparseMatrix(1, 2, np.array([0, 1]), np.array([5]), np.array([1.0]))
+        csr_from_coo(2, 2, [-1], [0], [1.0])
+    # columns given out of order are stored sorted
+    M = csr_from_coo(1, 2, [0, 0], [1, 0], [1.0, 2.0])
+    assert M.has_sorted_indices
+    assert np.array_equal(M.indices, [0, 1]) and np.array_equal(M.data, [2.0, 1.0])
 
 
 def test_nnz_queries_distinguish_structure_from_values():
     M = csr_from_coo(2, 2, [0, 1], [0, 1], [1.0, 0.0])
-    assert M.nnz_stored == 2
-    assert M.nnz_numeric == 1
+    assert M.nnz == 2
+    assert M.count_nonzero() == 1
