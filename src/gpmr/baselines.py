@@ -17,17 +17,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .hessenberg import orthogonalize
 from .operators import LinearOperator
 from .solver import (
-    STATUS_CONVERGED,
-    STATUS_EXHAUSTED,
-    STATUS_MAX_ITERATIONS,
-    STATUS_NONFINITE,
     SolveReport,
-    check_tolerances,
-    dense_back_substitution,
+    check_nonsingular,
+    check_stopping_rule,
+    final_status,
     quiet_nonfinite,
     reflection_coefficients,
 )
@@ -71,7 +69,7 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
     one is not). ``split=(m, n)`` places the two solution blocks in the
     report's x and y fields; without it the full vector lands in x.
     """
-    check_tolerances(atol, rtol)
+    check_stopping_rule(atol, rtol, k_max)
     d = np.asarray(d, dtype=np.float64)
     dim = K.nrows
     if d.shape != (dim,):
@@ -79,8 +77,6 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
     norm_d = float(np.linalg.norm(d))
     if norm_d == 0.0:
         raise ValueError("right-hand side must be nonzero")
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
     cap = min(k_max, dim)
 
     state = ArnoldiState(basis=np.zeros((cap + 1, dim)).T,
@@ -132,19 +128,13 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
         rnorm = abs(tbar[k])
         history.append(rnorm)
 
-    if nonfinite:
-        status = STATUS_NONFINITE
-    elif rnorm <= threshold:
-        status = STATUS_CONVERGED
-    elif saturated or k >= dim:
-        status = STATUS_EXHAUSTED
-    else:
-        status = STATUS_MAX_ITERATIONS
+    status = final_status(nonfinite, rnorm <= threshold, saturated or k >= dim)
 
     if k == 0:
         sol = np.zeros(dim)
     else:
-        y = dense_back_substitution(R[:k, :k], tbar[:k])
+        check_nonsingular(R.diagonal()[:k])
+        y = solve_triangular(R[:k, :k], tbar[:k], check_finite=False)
         sol = V[:, :k] @ y
     x, yblk = _split_solution(sol, split)
     return SolveReport(x=x, y=yblk, status=status,
@@ -272,8 +262,7 @@ def _block_iterates(W: np.ndarray, cols: list, g: np.ndarray):
 
 @quiet_nonfinite
 def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
-                      k_max: int, *, reorth: bool = False, split=None,
-                      track_iterates: bool = False):
+                      k_max: int, *, reorth: bool = False, split=None):
     """Solve K X = D for a two-column D by block minimum residual.
 
     Both reduced subproblems (targets beta e_1 and gamma e_2) share one
@@ -288,20 +277,17 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
     least-squares solution is linear in the right-hand side; on a
     rank-deficient block-Hessenberg matrix it leaves out what the
     singular triangle cannot fit, a rounding-level amount. The iterates
-    come from one least-squares solve on the triangle at the end (one
-    per iteration with ``track_iterates``). A non-finite starting block
-    or block-Hessenberg column ends the solve with ``nonfinite`` and the
-    last iterates computed from finite data (zeros if the starting block
-    is not finite). Returns one report per column; the summed residual
+    come from one least-squares solve on the triangle at the end. A
+    non-finite starting block or block-Hessenberg column ends the solve
+    with ``nonfinite`` and the last iterates computed from finite data
+    (zeros if the starting block is not finite). Returns one report per column; the summed residual
     history rides along in each report's diagnostics.
     """
-    check_tolerances(atol, rtol)
+    check_stopping_rule(atol, rtol, k_max)
     D = np.asarray(D, dtype=np.float64)
     dim = K.nrows
     if D.shape != (dim, 2):
         raise ValueError("starting block shape does not match the operator")
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
     cap = min(k_max, dim)
 
     state = block_arnoldi_init(D, cap)
@@ -319,7 +305,6 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
     hist_b = [abs(beta)]
     hist_c = [abs(gamma)]
     hist_sum = [norm_d]
-    iterates = [] if track_iterates else None
 
     res_sum = norm_d
     k = 0
@@ -346,17 +331,8 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
         hist_c.append(math.hypot(tc, uc))
         res_sum = math.hypot(tb + tc, ub + uc)
         hist_sum.append(res_sum)
-        if track_iterates:
-            iterates.append(_block_iterates(state.W, cols, g))
 
-    if nonfinite:
-        status = STATUS_NONFINITE
-    elif res_sum <= threshold:
-        status = STATUS_CONVERGED
-    elif 2 * k >= dim:
-        status = STATUS_EXHAUSTED
-    else:
-        status = STATUS_MAX_ITERATIONS
+    status = final_status(nonfinite, res_sum <= threshold, 2 * k >= dim)
 
     if k == 0:
         sol = np.zeros((2, dim))
@@ -364,20 +340,15 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
         sol = _block_iterates(state.W, cols, g)
 
     shared = {"summed_history": np.asarray(hist_sum), "block_arnoldi": state}
-    diag_b = dict(shared)
-    diag_c = dict(shared)
-    if track_iterates:
-        diag_b["iterates"] = [it[0] for it in iterates]
-        diag_c["iterates"] = [it[1] for it in iterates]
 
     xb, yb = _split_solution(sol[0], split)
     xc, yc = _split_solution(sol[1], split)
     report_b = SolveReport(x=xb, y=yb, status=status,
                            residual_history=np.asarray(hist_b),
                            iterations=k, matvec_count=matvecs,
-                           diagnostics=diag_b)
+                           diagnostics=dict(shared))
     report_c = SolveReport(x=xc, y=yc, status=status,
                            residual_history=np.asarray(hist_c),
                            iterations=k, matvec_count=matvecs,
-                           diagnostics=diag_c)
+                           diagnostics=dict(shared))
     return report_b, report_c

@@ -34,7 +34,7 @@ from .operators import (
     read_permutation,
     recover_solution,
 )
-from .solver import STATUS_NONFINITE, check_tolerances, gpmr_solve
+from .solver import STATUS_NONFINITE, check_stopping_rule, gpmr_solve
 from .sparse import MatrixMarketError, load_matrix_market, spmv
 
 EXIT_OK = 0
@@ -71,9 +71,7 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
         if unknown:
             raise ValueError(f"unknown methods: {unknown}")
-        check_tolerances(self.atol, self.rtol)
-        if self.k_max < 1:
-            raise ValueError("k_max must be at least 1")
+        check_stopping_rule(self.atol, self.rtol, self.k_max)
 
 
 def generate_rhs(M, A, B, N):

@@ -26,8 +26,8 @@ A vanishing remainder is a breakdown: the subdiagonal coefficient is set
 to zero and the new basis vector is replaced by an arbitrary unit vector
 orthogonal to the existing columns. Once a side spans its whole space no
 replacement exists; the step then installs a zero column so the
-recurrences above stay valid, which lets a caller run the process past
-min(m, n) when m != n.
+recurrences above stay valid, which lets the process run past min(m, n)
+up to max(m, n) when m != n.
 """
 
 from __future__ import annotations
@@ -194,8 +194,7 @@ def orthogonalize(rows: np.ndarray, w: np.ndarray, reorth: bool) -> np.ndarray:
     return coeffs
 
 
-def hessenberg_step(state: HessenbergState, reorth: bool = False,
-                    allow_padding: bool = False) -> HessenbergState:
+def hessenberg_step(state: HessenbergState, reorth: bool = False) -> HessenbergState:
     """Advance the reduction by one step, appending one h and one f column.
 
     The products are orthogonalized by :func:`orthogonalize`: modified
@@ -204,13 +203,12 @@ def hessenberg_step(state: HessenbergState, reorth: bool = False,
     bases orthonormal to working precision at twice the flops, done as
     matrix-vector products.
 
-    Raises :class:`ReductionExhaustedError` once the basis is complete:
-    at min(m, n) steps normally, or at max(m, n) steps when
-    ``allow_padding`` lets the process continue with zero columns on the
-    saturated side.
+    Past min(m, n) steps the saturated side gets zero columns; raises
+    :class:`ReductionExhaustedError` once both bases are complete, at
+    max(m, n) steps.
     """
     m, n = state.m, state.n
-    limit = max(m, n) if allow_padding else min(m, n)
+    limit = max(m, n)
     if state.k >= limit:
         raise ReductionExhaustedError(
             f"basis complete after {state.k} steps (limit {limit})")

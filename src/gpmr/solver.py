@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dtpsv
 
 from .hessenberg import HessenbergState, hessenberg_init, hessenberg_step
 from .operators import PartitionedSystem
@@ -38,10 +39,24 @@ STATUS_NONFINITE = "nonfinite"
 quiet_nonfinite = np.errstate(over="ignore", invalid="ignore")
 
 
-def check_tolerances(atol: float, rtol: float) -> None:
-    """Reject the stopping-rule tolerances no solve can honour."""
+def check_stopping_rule(atol: float, rtol: float, k_max: int) -> None:
+    """Reject a stopping rule no solve can honour: negative tolerances,
+    both tolerances zero, or an iteration budget below one."""
     if atol < 0 or rtol < 0 or (atol == 0 and rtol == 0):
         raise ValueError("tolerances must be nonnegative and not both zero")
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+
+
+def final_status(nonfinite: bool, converged: bool, exhausted: bool) -> str:
+    """The status a solve ends with; earlier conditions take precedence."""
+    if nonfinite:
+        return STATUS_NONFINITE
+    if converged:
+        return STATUS_CONVERGED
+    if exhausted:
+        return STATUS_EXHAUSTED
+    return STATUS_MAX_ITERATIONS
 
 
 class SingularSubproblemError(RuntimeError):
@@ -50,6 +65,14 @@ class SingularSubproblemError(RuntimeError):
     def __init__(self, index: int):
         self.index = index
         super().__init__(f"projected system is singular at diagonal entry {index}")
+
+
+def check_nonsingular(diagonal: np.ndarray) -> None:
+    """Raise :class:`SingularSubproblemError` naming the last zero entry
+    of a triangle's diagonal, the first one a backward substitution meets."""
+    zeros = np.flatnonzero(diagonal == 0.0)
+    if zeros.size:
+        raise SingularSubproblemError(int(zeros[-1]) + 1)
 
 
 @dataclass
@@ -77,17 +100,6 @@ def reflection_coefficients(a: float, b: float):
     if r == 0.0:
         return 1.0, 0.0, 0.0
     return a / r, b / r, r
-
-
-def dense_back_substitution(R: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Solve the dense upper-triangular system R z = t."""
-    k = R.shape[1]
-    z = np.array(t[:k], dtype=np.float64)
-    for i in range(k - 1, -1, -1):
-        if R[i, i] == 0.0:
-            raise SingularSubproblemError(i + 1)
-        z[i] = (z[i] - R[i, i + 1:k] @ z[i + 1:k]) / R[i, i]
-    return z
 
 
 class GpmrWorkspace:
@@ -202,66 +214,36 @@ def _qr_update(ws: GpmrWorkspace, k: int, hcol: np.ndarray, fcol: np.ndarray):
 def backward_substitution(ws: GpmrWorkspace, k: int) -> np.ndarray:
     """Solve the active 2k x 2k triangle against the transformed RHS.
 
-    The substitution runs in place over the first 2k entries of the
-    workspace RHS storage and returns that slice; a zero diagonal raises
-    :class:`SingularSubproblemError` with the 1-based entry index. It
-    goes column by column from the last: once z_j is known, the j - 1
-    entries above the diagonal in column j, one contiguous slice of the
-    packed triangle, are folded into z_1, ..., z_{j-1}.
+    The substitution is BLAS ``dtpsv`` on the column-packed triangle,
+    which is BLAS upper-packed order. It runs in place over the first 2k
+    entries of the workspace RHS storage and returns that slice. A zero
+    diagonal raises :class:`SingularSubproblemError` with the 1-based
+    entry index before any entry is changed.
     """
-    R = ws.R
-    z = ws.tbar[: 2 * k]
-    for j in range(2 * k, 0, -1):
-        top = _packed_index(1, j)
-        rjj = R[top + j - 1]
-        if rjj == 0.0:
-            raise SingularSubproblemError(j)
-        z[j - 1] /= rjj
-        z[: j - 1] -= z[j - 1] * R[top: top + j - 1]
-    return z
-
-
-def _solve_iterate(ws: GpmrWorkspace, k: int):
-    """Non-destructive iterate for diagnostics: copies the RHS, solves,
-    and assembles (x_k, y_k) from the bases."""
-    saved = ws.tbar[: 2 * k].copy()
-    try:
-        z = backward_substitution(ws, k).copy()
-    finally:
-        ws.tbar[: 2 * k] = saved
-    x = ws.hess.V[:, :k] @ z[0::2]
-    y = ws.hess.U[:, :k] @ z[1::2]
-    return x, y
+    j = np.arange(1, 2 * k + 1)
+    check_nonsingular(ws.R[_packed_index(j, j)])
+    dtpsv(2 * k, ws.R, ws.tbar, overwrite_x=1)
+    return ws.tbar[: 2 * k]
 
 
 @quiet_nonfinite
 def gpmr_solve(system: PartitionedSystem, atol: float, rtol: float,
-               k_max: int | None = None, *, reorth: bool = False,
-               track_iterates: bool = False) -> SolveReport:
+               k_max: int, *, reorth: bool = False) -> SolveReport:
     """Run GPMR on a partitioned system until the residual satisfies
-    ``|r_k| <= atol + rtol * |(b, c)|`` or the iteration budget is spent.
+    ``|r_k| <= atol + rtol * |(b, c)|`` or ``k_max`` iterations ran.
 
-    ``k_max`` defaults to min(m, n); larger budgets let the process
-    continue with zero-padded basis columns up to max(m, n), after which
-    the subspace cannot grow. Termination without convergence reports
-    ``exhausted`` once at least min(m, n) steps ran, ``max_iterations``
-    otherwise. A residual norm that is not finite (from a NaN or Inf in
+    Budgets past min(m, n) let the process continue with zero-padded
+    basis columns up to max(m, n), after which the subspace cannot grow.
+    Termination without convergence reports ``exhausted`` once at least
+    min(m, n) steps ran, ``max_iterations`` otherwise. A residual norm that is not finite (from a NaN or Inf in
     b, c or an operator's output) ends the solve at once with
     ``nonfinite``, keeping the last iterate whose residual norm was
-    finite (zeros if the initial one is not).
-
-    With ``track_iterates`` the report carries per-iteration iterates
-    and true residual norms under ``diagnostics``; the solve itself only
-    assembles the final iterate.
+    finite (zeros if the initial one is not). The solve is nested: the
+    first k iterations of a longer solve are those of ``k_max=k``.
     """
-    check_tolerances(atol, rtol)
+    check_stopping_rule(atol, rtol, k_max)
     m, n = system.m, system.n
-    p_min, p_max = min(m, n), max(m, n)
-    if k_max is None:
-        k_max = p_min
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    cap = min(k_max, p_max)
+    cap = min(k_max, max(m, n))
 
     hess = hessenberg_init(system.A, system.B, system.b, system.c, capacity=cap)
     ws = GpmrWorkspace(hess, system.lam, system.mu, cap)
@@ -271,15 +253,13 @@ def gpmr_solve(system: PartitionedSystem, atol: float, rtol: float,
     threshold = atol + rtol * rnorm
 
     history = [rnorm]
-    iterates = [] if track_iterates else None
-    residual_gaps = [] if track_iterates else None
     matvecs = 0
     stalled = False
     nonfinite = not math.isfinite(rnorm)
     k = 0
     while not nonfinite and rnorm > threshold and k < cap:
         k += 1
-        hessenberg_step(hess, reorth=reorth, allow_padding=True)
+        hessenberg_step(hess, reorth=reorth)
         matvecs += 2
         _qr_update(ws, k, hess.Hcols[k - 1], hess.Fcols[k - 1])
         if (ws.R[_packed_index(2 * k - 1, 2 * k - 1)] == 0.0
@@ -303,21 +283,8 @@ def gpmr_solve(system: PartitionedSystem, atol: float, rtol: float,
             break
         ws.k = k
         history.append(rnorm)
-        if track_iterates:
-            # cross-check the recurrence against the true residual; the
-            # extra operator applications are diagnostic and not counted
-            x_k, y_k = _solve_iterate(ws, k)
-            iterates.append((x_k, y_k))
-            residual_gaps.append(abs(rnorm - system.residual_norm(x_k, y_k)))
 
-    if nonfinite:
-        status = STATUS_NONFINITE
-    elif rnorm <= threshold:
-        status = STATUS_CONVERGED
-    elif stalled or k >= p_min:
-        status = STATUS_EXHAUSTED
-    else:
-        status = STATUS_MAX_ITERATIONS
+    status = final_status(nonfinite, rnorm <= threshold, stalled or k >= min(m, n))
 
     if k == 0:
         x = np.zeros(m)
@@ -328,9 +295,6 @@ def gpmr_solve(system: PartitionedSystem, atol: float, rtol: float,
         y = hess.U[:, :k] @ z[1::2]
 
     diagnostics = {"workspace": ws, "breakdowns": list(hess.breakdown_flags)}
-    if track_iterates:
-        diagnostics["iterates"] = iterates
-        diagnostics["residual_gaps"] = residual_gaps
     return SolveReport(x=x, y=y, status=status,
                        residual_history=np.asarray(history),
                        iterations=k, matvec_count=matvecs,

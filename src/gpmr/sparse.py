@@ -258,15 +258,15 @@ class LUFactors:
         return self.superlu.U
 
 
-def _weak_pivots(absdiag, u_colmax, l_colmax, pivot_rtol) -> np.ndarray:
-    """Columns whose pivot is at most ``pivot_rtol`` times the largest
+def _weak_pivots(absdiag, u_colmax, l_colmax) -> np.ndarray:
+    """Columns whose pivot is at most ``PIVOT_RTOL`` times the largest
     magnitude in the working column at pivot time, which the factors give
     back as max(|U[:, j]|, |L[:, j]| |u_jj|)."""
     colmax = np.maximum(u_colmax, l_colmax * absdiag)
-    return np.flatnonzero((colmax == 0.0) | (absdiag <= pivot_rtol * colmax))
+    return np.flatnonzero((colmax == 0.0) | (absdiag <= PIVOT_RTOL * colmax))
 
 
-def _dense_singular_column(M: scipy.sparse.csr_array, pivot_rtol: float) -> int:
+def _dense_singular_column(M: scipy.sparse.csr_array) -> int:
     """Failing column of an exactly singular ``M``, from LAPACK's LU of a
     densified copy; SuperLU rejects such a matrix without naming it."""
     with warnings.catch_warnings():
@@ -274,16 +274,16 @@ def _dense_singular_column(M: scipy.sparse.csr_array, pivot_rtol: float) -> int:
         lu, _ = scipy.linalg.lu_factor(M.toarray(), check_finite=False)
     absdiag = np.abs(np.diag(lu))
     bad = _weak_pivots(absdiag, np.abs(np.triu(lu)).max(axis=0),
-                       np.abs(np.tril(lu, -1)).max(axis=0), pivot_rtol)
+                       np.abs(np.tril(lu, -1)).max(axis=0))
     return int(bad[0])
 
 
-def sparse_lu(M: scipy.sparse.csr_array, pivot_rtol: float = PIVOT_RTOL) -> LUFactors:
+def sparse_lu(M: scipy.sparse.csr_array) -> LUFactors:
     """Factor a square matrix as ``P @ M = L @ U`` with SuperLU.
 
     Column ``j`` is eliminated at step ``j`` (natural column order) with
     partial pivoting on the working column. A pivot no larger than
-    ``pivot_rtol`` times the column maximum raises
+    ``PIVOT_RTOL`` times the column maximum raises
     :class:`SingularMatrixError` with the failing column index.
     """
     if M.shape[0] != M.shape[1]:
@@ -293,13 +293,13 @@ def sparse_lu(M: scipy.sparse.csr_array, pivot_rtol: float = PIVOT_RTOL) -> LUFa
     except RuntimeError as exc:
         if "exactly singular" not in str(exc):
             raise
-        raise SingularMatrixError(_dense_singular_column(M, pivot_rtol)) from exc
+        raise SingularMatrixError(_dense_singular_column(M)) from exc
     L, U = lu.L, lu.U
     # every column of either factor stores its diagonal entry, so each
     # reduceat segment is a whole, nonempty column
     bad = _weak_pivots(np.abs(U.diagonal()),
                        np.maximum.reduceat(np.abs(U.data), U.indptr[:-1]),
-                       np.maximum.reduceat(np.abs(L.data), L.indptr[:-1]), pivot_rtol)
+                       np.maximum.reduceat(np.abs(L.data), L.indptr[:-1]))
     if bad.size:
         raise SingularMatrixError(int(bad[0]))
     return LUFactors(lu, L.nnz + U.nnz)

@@ -229,15 +229,16 @@ def test_block_gmres_summed_matches_gpmr():
     system, A, B = random_block_system(rng, 16, 14)
     K = dense_full_matrix(system, A, B)
     atol, rtol = 1e-12, 1e-10
-    rep_g = gpmr_solve(system, atol, rtol, k_max=30, track_iterates=True)
-    rep_b, rep_c = block_gmres_solve(dense_operator(K), starting_block(system),
-                                     atol, rtol, 30, split=(16, 14),
-                                     track_iterates=True)
+    rep_g = gpmr_solve(system, atol, rtol, k_max=30)
+    rep_b, _ = block_gmres_solve(dense_operator(K), starting_block(system),
+                                 atol, rtol, 30, split=(16, 14))
     shared = min(rep_g.iterations, rep_b.iterations, 10)
-    for k in range(shared):
-        gx, gy = rep_g.diagnostics["iterates"][k]
-        gpmr_vec = np.concatenate([gx, gy])
-        summed = rep_b.diagnostics["iterates"][k] + rep_c.diagnostics["iterates"][k]
+    for k in range(1, shared + 1):
+        rep_gk = gpmr_solve(system, atol, rtol, k_max=k)
+        rep_bk, rep_ck = block_gmres_solve(dense_operator(K), starting_block(system),
+                                           atol, rtol, k, split=(16, 14))
+        gpmr_vec = np.concatenate([rep_gk.x, rep_gk.y])
+        summed = np.concatenate([rep_bk.x + rep_ck.x, rep_bk.y + rep_ck.y])
         norm = max(np.linalg.norm(gpmr_vec), 1e-30)
         assert np.linalg.norm(summed - gpmr_vec) <= 1e-6 * norm
 

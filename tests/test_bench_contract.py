@@ -3,7 +3,10 @@
 The benchmark builds the ``krylov`` system from coordinate arrays with
 ``csr_from_coo``, ``csr_identity`` and ``LinearOperator.from_matrix``,
 and its ``--trace 1`` run times ``sparse.spmv_us`` by patching
-``gpmr.operators.spmv``. These tests run that path on a small pair.
+``gpmr.operators.spmv``, ``gpmr.solver.hessenberg_step``,
+``gpmr.solver.backward_substitution`` and
+``gpmr.baselines.block_arnoldi_step``. These tests run that path on a
+small pair.
 """
 
 import sys
@@ -61,3 +64,25 @@ def test_traced_apply_records_a_spmv_span():
     # the span sparse.spmv_us is read from: a product inside an A apply
     assert len(tr.durations("sparse.spmv", under="operators.apply_A")) == 1
     assert gpmr.operators.spmv is original
+
+
+def test_traced_solves_record_the_solver_spans():
+    # hessenberg.step_self_s, solver.backsub_s and
+    # baselines.block_arnoldi_self_s are read from these spans
+    targets = measure.trace_targets()
+    originals = [getattr(owner, attr) for owner, attr, _ in targets]
+    assert all(callable(original) for original in originals)
+    arrays, _, _ = small_pair()
+    cfg = {"atol": 1e-12, "rtol": 1e-10, "k_max": 50, "setup_repeats": 1}
+    tr = Tracer()
+    with tr.patched(targets):
+        passed = measure.run_pass(cfg, lambda t: measure.setup_krylov(arrays, t), tr)
+    assert [getattr(owner, attr) for owner, attr, _ in targets] == originals
+    res = passed["results"]
+    assert all(r["status"] == "converged" for r in res.values())
+    steps = tr.durations("hessenberg.step", under="solver.gpmr_solve")
+    assert len(steps) == res["gpmr"]["iterations"] > 0
+    assert len(tr.durations("solver.backsub", under="solver.gpmr_solve")) == 1
+    pairs = tr.durations("baselines.block_arnoldi_step", under="baselines.block_gmres_solve")
+    assert len(pairs) == res["block_gmres"]["iterations"] > 0
+    assert tr.total("baselines.gmres_solve") > 0

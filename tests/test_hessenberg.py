@@ -280,20 +280,12 @@ def test_cgs2_keeps_orthogonality_where_mgs_loses_it():
 # exhaustion
 # ---------------------------------------------------------------------------
 
-def test_step_past_shorter_side_raises_by_default():
-    rng = np.random.default_rng(71)
-    A, B, b, c = random_pair(rng, 5, 3)
-    state = run_steps(A, B, b, c, k=3, capacity=5)
-    with pytest.raises(ReductionExhaustedError):
-        hessenberg_step(state)
-
-
 def test_padding_mode_continues_to_longer_side():
     rng = np.random.default_rng(73)
     A, B, b, c = random_pair(rng, 5, 3)
     state = run_steps(A, B, b, c, k=3, capacity=5)
-    hessenberg_step(state, allow_padding=True)
-    hessenberg_step(state, allow_padding=True)
+    hessenberg_step(state)
+    hessenberg_step(state)
     assert state.k == 5
     assert state.u_saturated
     # padded u columns are exact zeros, recurrences still hold
@@ -303,7 +295,7 @@ def test_padding_mode_continues_to_longer_side():
     res_a = np.linalg.norm(A @ U[:, :5] - V @ state.hessenberg_h())
     assert res_a <= 1e-12 * np.linalg.norm(A) * np.sqrt(5)
     with pytest.raises(ReductionExhaustedError):
-        hessenberg_step(state, allow_padding=True)
+        hessenberg_step(state)
 
 
 def test_capacity_guard():

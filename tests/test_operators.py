@@ -276,8 +276,8 @@ def test_identity_preconditioner_reproduces_raw_system_bit_exactly():
                             LinearOperator.from_matrix(B), b, c)
     prec_sys, _ = build_preconditioned_system(
         csr_identity(m), A, B, csr_identity(n), b, c)
-    rep_raw = gpmr_solve(raw, 1e-12, 1e-10)
-    rep_prec = gpmr_solve(prec_sys, 1e-12, 1e-10)
+    rep_raw = gpmr_solve(raw, 1e-12, 1e-10, k_max=m)
+    rep_prec = gpmr_solve(prec_sys, 1e-12, 1e-10, k_max=m)
     assert np.array_equal(rep_raw.residual_history, rep_prec.residual_history)
 
 

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpmr import (
     LinearOperator,
     PartitionedSystem,
     SingularSubproblemError,
     backward_substitution,
+    block_gmres_solve,
     givens,
     gpmr_solve,
     hessenberg_init,
@@ -13,6 +16,7 @@ from gpmr import (
 )
 from gpmr.solver import GpmrWorkspace, _packed_index
 from conftest import dense_full_matrix, dense_operator, random_block_system
+from test_baselines import starting_block
 
 
 def make_workspace(k_max=4, lam=1.0, mu=1.0, m=6, n=6):
@@ -209,16 +213,18 @@ def test_backward_substitution_singular_diagonal():
 
 
 def test_backward_substitution_names_lowest_zero_diagonal():
-    # the scan runs from the bottom, so of two zero diagonals the later
-    # one is reported
+    # of two zero diagonals the later one is reported, the first a
+    # substitution from the bottom meets; the right-hand side is untouched
     ws = make_workspace()
     R = np.triu(np.ones((6, 6)))
     R[2, 2] = R[4, 4] = 0.0
     set_triangle(ws, R)
     ws.tbar[:6] = 1.0
+    before = ws.tbar.copy()
     with pytest.raises(SingularSubproblemError) as info:
         backward_substitution(ws, 3)
     assert info.value.index == 5
+    assert np.array_equal(ws.tbar, before)
 
 
 def test_backward_substitution_matches_row_oriented_loop():
@@ -248,7 +254,7 @@ def test_backward_substitution_matches_row_oriented_loop():
 def test_toy_system_converges_in_one_iteration():
     system = PartitionedSystem(2.0, 2.0, dense_operator([[1.0]]),
                                dense_operator([[1.0]]), [3.0], [3.0])
-    report = gpmr_solve(system, 1e-12, 1e-10)
+    report = gpmr_solve(system, 1e-12, 1e-10, k_max=1)
     assert report.converged
     assert report.iterations == 1
     assert np.allclose(report.x, [1.0], rtol=0, atol=1e-14)
@@ -289,12 +295,13 @@ def test_true_residual_meets_documented_slack():
 def test_residual_history_matches_recurrence_and_truth():
     rng = np.random.default_rng(107)
     system, A, B = random_block_system(rng, 25, 22)
-    report = gpmr_solve(system, 1e-12, 1e-10, k_max=47, track_iterates=True)
+    report = gpmr_solve(system, 1e-12, 1e-10, k_max=47)
     hist = report.residual_history
     norm_d = np.linalg.norm(system.rhs_full())
     assert hist[0] == pytest.approx(norm_d, rel=1e-15)
-    for k, (x, y) in enumerate(report.diagnostics["iterates"], start=1):
-        true_res = system.residual_norm(x, y)
+    for k in range(1, report.iterations + 1):
+        rep_k = gpmr_solve(system, 1e-12, 1e-10, k_max=k)
+        true_res = system.residual_norm(rep_k.x, rep_k.y)
         assert abs(hist[k] - true_res) <= 1e-8 * norm_d
 
 
@@ -349,9 +356,9 @@ def test_statuses_max_iterations_and_exhausted():
     report = gpmr_solve(system, 1e-12, 1e-10, k_max=2)
     assert report.status == "max_iterations"
     # a rectangular system cannot converge within min(m, n) steps: the
-    # x-side basis still misses directions when the default budget ends
+    # x-side basis still misses directions when a budget of min(m, n) ends
     rect, _, _ = random_block_system(rng, 12, 8, coupling=0.9)
-    report = gpmr_solve(rect, 1e-12, 1e-10)
+    report = gpmr_solve(rect, 1e-12, 1e-10, k_max=8)
     assert report.status == "exhausted"
     assert report.iterations == 8
 
@@ -360,9 +367,9 @@ def test_invalid_arguments():
     rng = np.random.default_rng(137)
     system, _, _ = random_block_system(rng, 4, 4)
     with pytest.raises(ValueError):
-        gpmr_solve(system, 0.0, 0.0)
+        gpmr_solve(system, 0.0, 0.0, k_max=4)
     with pytest.raises(ValueError):
-        gpmr_solve(system, -1.0, 1e-10)
+        gpmr_solve(system, -1.0, 1e-10, k_max=4)
     with pytest.raises(ValueError):
         gpmr_solve(system, 1e-12, 1e-10, k_max=0)
 
@@ -377,16 +384,20 @@ def test_every_solver_rejects_bad_tolerances_with_one_message():
     D = np.zeros((8, 2))
     D[:4, 0] = system.b
     D[4:, 1] = system.c
-    message = "tolerances must be nonnegative and not both zero"
-    for atol, rtol in ((0.0, 0.0), (-1.0, 1e-10), (1e-12, -1.0)):
+    tolerances = "tolerances must be nonnegative and not both zero"
+    budget = "k_max must be at least 1"
+    for atol, rtol, k_max, message in ((0.0, 0.0, 4, tolerances),
+                                       (-1.0, 1e-10, 4, tolerances),
+                                       (1e-12, -1.0, 4, tolerances),
+                                       (1e-12, 1e-10, 0, budget)):
         with pytest.raises(ValueError, match=message):
-            gpmr_solve(system, atol, rtol)
+            gpmr_solve(system, atol, rtol, k_max)
         with pytest.raises(ValueError, match=message):
-            gmres_solve(K, system.rhs_full(), atol, rtol, 8)
+            gmres_solve(K, system.rhs_full(), atol, rtol, k_max)
         with pytest.raises(ValueError, match=message):
-            block_gmres_solve(K, D, atol, rtol, 8)
+            block_gmres_solve(K, D, atol, rtol, k_max)
         with pytest.raises(ValueError, match=message):
-            ExperimentConfig(matrix_path="x", atol=atol, rtol=rtol)
+            ExperimentConfig(matrix_path="x", atol=atol, rtol=rtol, k_max=k_max)
 
 
 def test_cgs2_history_matches_mgs_history():
@@ -395,8 +406,8 @@ def test_cgs2_history_matches_mgs_history():
     rng = np.random.default_rng(140)
     for m, n in ((60, 60), (80, 50)):
         system, _, _ = random_block_system(rng, m, n)
-        mgs = gpmr_solve(system, 1e-12, 1e-10)
-        cgs2 = gpmr_solve(system, 1e-12, 1e-10, reorth=True)
+        mgs = gpmr_solve(system, 1e-12, 1e-10, k_max=min(m, n))
+        cgs2 = gpmr_solve(system, 1e-12, 1e-10, k_max=min(m, n), reorth=True)
         assert mgs.converged and cgs2.converged
         assert mgs.iterations == cgs2.iterations < min(m, n)
         gap = np.abs(cgs2.residual_history - mgs.residual_history)
@@ -406,7 +417,7 @@ def test_cgs2_history_matches_mgs_history():
 def test_matvec_count_is_two_per_iteration():
     rng = np.random.default_rng(139)
     system, _, _ = random_block_system(rng, 10, 10)
-    report = gpmr_solve(system, 1e-12, 1e-10)
+    report = gpmr_solve(system, 1e-12, 1e-10, k_max=10)
     assert report.matvec_count == 2 * report.iterations
 
 
@@ -523,12 +534,48 @@ def test_breakdown_mid_solve_keeps_recurrence_valid():
     b[2] = 1e-3  # small component outside the invariant subspace
     system = PartitionedSystem(1.5, 1.5, dense_operator(pair),
                                dense_operator(pair), b, c)
-    report = gpmr_solve(system, 1e-12, 1e-10, k_max=4, track_iterates=True)
+    report = gpmr_solve(system, 1e-12, 1e-10, k_max=4)
     flags = report.diagnostics["breakdowns"]
     assert any(v or u for v, u in flags[:-1])  # breakdown before the last step
     norm_d = np.linalg.norm(system.rhs_full())
-    for gap in report.diagnostics["residual_gaps"]:
+    for k in range(1, report.iterations + 1):
+        rep_k = gpmr_solve(system, 1e-12, 1e-10, k_max=k)
+        gap = abs(report.residual_history[k] - system.residual_norm(rep_k.x, rep_k.y))
         assert gap <= 1e-10 * norm_d
     assert report.converged
     true_res = system.residual_norm(report.x, report.y)
     assert true_res <= 10.0 * (1e-12 + 1e-10 * norm_d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9),
+       st.sampled_from([0.5, 1.0, 3.0]), st.sampled_from([0.5, 1.0, 3.0]),
+       st.sampled_from([1e-12, 1e-300]), st.booleans(), st.integers(0, 2**32 - 1))
+def test_truncated_solves_are_prefixes_of_the_full_solve(m, n, lam, mu, rtol, reorth,
+                                                         seed):
+    # the per-iteration checks elsewhere read iterate k off a k_max=k
+    # solve, which holds only if a longer solve passes through the same
+    # states: its bases, triangle and transformed RHS at step k; an
+    # unreachable rtol runs both solvers to their ends
+    rng = np.random.default_rng(seed)
+    system, A, B = random_block_system(rng, m, n, lam=lam, mu=mu, coupling=1.0)
+    full = gpmr_solve(system, 0.0, rtol, k_max=m + n, reorth=reorth)
+    for k in range(1, full.iterations + 1):
+        rep = gpmr_solve(system, 0.0, rtol, k_max=k, reorth=reorth)
+        assert np.array_equal(rep.residual_history, full.residual_history[:k + 1])
+        if k < full.iterations:
+            assert rep.status == ("exhausted" if k >= min(m, n) else "max_iterations")
+        else:
+            assert rep.status == full.status
+
+    K = dense_operator(dense_full_matrix(system, A, B))
+    D = starting_block(system)
+    full_b, _ = block_gmres_solve(K, D, 0.0, rtol, m + n, reorth=reorth)
+    summed = full_b.diagnostics["summed_history"]
+    for k in range(1, full_b.iterations + 1):
+        rep_b, _ = block_gmres_solve(K, D, 0.0, rtol, k, reorth=reorth)
+        assert np.array_equal(rep_b.diagnostics["summed_history"], summed[:k + 1])
+        if k < full_b.iterations:
+            assert rep_b.status == ("exhausted" if 2 * k >= m + n else "max_iterations")
+        else:
+            assert rep_b.status == full_b.status
