@@ -67,7 +67,9 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
     norm that is not finite ends the solve with ``nonfinite`` and the
     last iterate whose residual norm was finite (zeros if the initial
     one is not). ``split=(m, n)`` places the two solution blocks in the
-    report's x and y fields; without it the full vector lands in x.
+    report's x and y fields; without it the full vector lands in x. The
+    diagnostics hold the Arnoldi state and, as ``triangle``, H after the
+    accumulated reflections.
     """
     check_stopping_rule(atol, rtol, k_max)
     d = np.asarray(d, dtype=np.float64)
@@ -84,8 +86,8 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
     V, H = state.basis, state.H
     V[:, 0] = d / norm_d
     R = np.zeros((cap + 1, cap))  # H after the accumulated reflections
-    cs = np.zeros(cap)
-    sn = np.zeros(cap)
+    cs: list[float] = []
+    sn: list[float] = []
     tbar = np.zeros(cap + 1)
     tbar[0] = norm_d
 
@@ -107,15 +109,18 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
         else:
             H[k + 1, k] = hnext
             V[:, k + 1] = w / hnext
-        R[: k + 2, k] = H[: k + 2, k]
+        # the earlier rotations run on Python floats, one write per column
+        col = H[: k + 2, k].tolist()
         for i in range(k):
-            ri, rj = R[i, k], R[i + 1, k]
-            R[i, k] = cs[i] * ri + sn[i] * rj
-            R[i + 1, k] = sn[i] * ri - cs[i] * rj
-        c, s, r = reflection_coefficients(R[k, k], R[k + 1, k])
-        cs[k], sn[k] = c, s
-        R[k, k] = r
-        R[k + 1, k] = 0.0
+            ri, rj = col[i], col[i + 1]
+            col[i] = cs[i] * ri + sn[i] * rj
+            col[i + 1] = sn[i] * ri - cs[i] * rj
+        c, s, r = reflection_coefficients(col[k], col[k + 1])
+        cs.append(c)
+        sn.append(s)
+        col[k] = r
+        col[k + 1] = 0.0
+        R[: k + 2, k] = col
         tb = tbar[k]
         tbar[k] = c * tb
         tbar[k + 1] = s * tb
@@ -140,7 +145,7 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
     return SolveReport(x=x, y=yblk, status=status,
                        residual_history=np.asarray(history),
                        iterations=k, matvec_count=matvecs,
-                       diagnostics={"arnoldi": state})
+                       diagnostics={"arnoldi": state, "triangle": R})
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +285,9 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
     come from one least-squares solve on the triangle at the end. A
     non-finite starting block or block-Hessenberg column ends the solve
     with ``nonfinite`` and the last iterates computed from finite data
-    (zeros if the starting block is not finite). Returns one report per column; the summed residual
-    history rides along in each report's diagnostics.
+    (zeros if the starting block is not finite). Returns one report per
+    column; the summed residual history rides along in each report's
+    diagnostics.
     """
     check_stopping_rule(atol, rtol, k_max)
     D = np.asarray(D, dtype=np.float64)

@@ -19,8 +19,8 @@ both, shared with GMRES.
 The bases are stored row-major: basis vector j is one contiguous row of
 a (capacity + 1, dim) array, exposed through its transpose so that
 ``V[:, j]`` keeps the usual column indexing. The orthogonalization then
-streams over contiguous memory, and rows not yet reached are never
-touched.
+streams over contiguous memory. The arrays are allocated uninitialized:
+row j + 1 is written by step j, also on saturation, before any read.
 
 A vanishing remainder is a breakdown: the subdiagonal coefficient is set
 to zero and the new basis vector is replaced by an arbitrary unit vector
@@ -55,8 +55,9 @@ class HessenbergState:
 
     Attributes:
         V, U: basis arrays of shape (m, capacity + 1), (n, capacity + 1);
-            after k steps columns 0..k are populated. Each is the
-            transpose of a C-ordered array, so a column is contiguous.
+            after k steps columns 0..k are populated and later ones
+            are uninitialized. Each is the transpose of a C-ordered
+            array, so a column is contiguous.
         Hcols, Fcols: per-step coefficient columns; step k appends arrays
             of length k + 1 whose last entry is the subdiagonal.
         beta, gamma: norms of the starting vectors.
@@ -81,8 +82,9 @@ class HessenbergState:
         self.A = A
         self.B = B
         self.capacity = int(capacity)
-        self.V = np.zeros((capacity + 1, m)).T
-        self.U = np.zeros((capacity + 1, n)).T
+        # uninitialized: each step writes column j + 1 before any read
+        self.V = np.empty((capacity + 1, m)).T
+        self.U = np.empty((capacity + 1, n)).T
         self.V[:, 0] = b / beta
         self.U[:, 0] = c / gamma
         self.beta = beta

@@ -11,6 +11,12 @@ length of its last two components, so iterates are only materialized at
 termination by a backward substitution performed in place over the
 transformed right-hand side storage.
 
+The reflections run on Python floats: each iteration converts its new
+columns and the stored coefficients once with ``tolist``, which spares
+the per-operation overhead of numpy scalars and gives the same IEEE
+double results. The bases and the packed triangle are allocated
+uninitialized; every entry is written before it is read.
+
 Workspace storage after k iterations matches the method's accounting:
 k(m+n) basis entries plus one in-flight column pair, 2k entries for the
 transformed right-hand side (shared with the subproblem solution), 8k
@@ -114,7 +120,8 @@ class GpmrWorkspace:
         self.lam = float(lam)
         self.mu = float(mu)
         self.k_max = int(k_max)
-        self.R = np.zeros(k_max * (2 * k_max + 1))
+        # written a column pair per iteration before it is read
+        self.R = np.empty(k_max * (2 * k_max + 1))
         self.givens_c = np.zeros((4, k_max))
         self.givens_s = np.zeros((4, k_max))
         self.tbar = np.zeros(2 * k_max + 2)
@@ -142,24 +149,36 @@ def _packed_index(i: int, j: int) -> int:
     return j * (j - 1) // 2 + (i - 1)
 
 
+def reflect(c, s, a1: float, a2: float, a3: float, a4: float):
+    """Apply the four reflections of one iteration i, coefficients
+    ``c[0..3]`` and ``s[0..3]``, to the entries (a1, a2, a3, a4) sitting
+    at rows 2i-1, 2i, 2i+1, 2i+2.
+
+    On Python floats this is plain C double arithmetic, the same result
+    as on ``np.float64`` scalars without their per-operation overhead.
+    """
+    c1, c2, c3, c4 = c
+    s1, s2, s3, s4 = s
+    t = c1 * a1 + s1 * a4
+    a4 = s1 * a1 - c1 * a4
+    a1 = t
+    t = c2 * a1 + s2 * a2
+    a2 = s2 * a1 - c2 * a2
+    a1 = t
+    t = c3 * a2 + s3 * a4
+    a4 = s3 * a2 - c3 * a4
+    a2 = t
+    t = c4 * a2 + s4 * a3
+    a3 = s4 * a2 - c4 * a3
+    a2 = t
+    return a1, a2, a3, a4
+
+
 def ref(i: int, a1: float, a2: float, a3: float, a4: float, ws: GpmrWorkspace):
     """Apply the four stored reflections of iteration ``i`` (1-based) to
     the entries (a1, a2, a3, a4) sitting at rows 2i-1, 2i, 2i+1, 2i+2."""
-    c = ws.givens_c[:, i - 1]
-    s = ws.givens_s[:, i - 1]
-    t = c[0] * a1 + s[0] * a4
-    a4 = s[0] * a1 - c[0] * a4
-    a1 = t
-    t = c[1] * a1 + s[1] * a2
-    a2 = s[1] * a1 - c[1] * a2
-    a1 = t
-    t = c[2] * a2 + s[2] * a4
-    a4 = s[2] * a2 - c[2] * a4
-    a2 = t
-    t = c[3] * a2 + s[3] * a3
-    a3 = s[3] * a2 - c[3] * a3
-    a2 = t
-    return a1, a2, a3, a4
+    return reflect(ws.givens_c[:, i - 1].tolist(), ws.givens_s[:, i - 1].tolist(),
+                   a1, a2, a3, a4)
 
 
 def givens(k: int, r11: float, r12: float, r21: float, r22: float,
@@ -185,30 +204,40 @@ def givens(k: int, r11: float, r12: float, r21: float, r22: float,
 
 
 def _qr_update(ws: GpmrWorkspace, k: int, hcol: np.ndarray, fcol: np.ndarray):
-    """Fold the step-k column pair into the packed triangle."""
+    """Fold the step-k column pair into the packed triangle.
+
+    The reflections run on Python floats; each column's entries are
+    collected in a list and written with one slice assignment, so every
+    entry of packed columns 2k-1 and 2k is written on every call.
+    """
     lam, mu = ws.lam, ws.mu
-    col_a, col_b = 2 * k - 1, 2 * k
+    h = hcol.tolist()
+    f = fcol.tolist()
+    cs = ws.givens_c[:, : k - 1].T.tolist()
+    ss = ws.givens_s[:, : k - 1].T.tolist()
     if k == 1:
-        a1, a2 = lam, fcol[0]
-        b1, b2 = hcol[0], mu
+        a1, a2 = lam, f[0]
+        b1, b2 = h[0], mu
     else:
-        a1, a2 = 0.0, fcol[0]
-        b1, b2 = hcol[0], 0.0
-    R = ws.R
+        a1, a2 = 0.0, f[0]
+        b1, b2 = h[0], 0.0
+    col_a, col_b = [], []
     for i in range(1, k):
         rho, delta = (lam, mu) if i == k - 1 else (0.0, 0.0)
-        a1, a2, a3, a4 = ref(i, a1, a2, rho, fcol[i], ws)
-        R[_packed_index(2 * i - 1, col_a)] = a1
-        R[_packed_index(2 * i, col_a)] = a2
+        c, s = cs[i - 1], ss[i - 1]
+        a1, a2, a3, a4 = reflect(c, s, a1, a2, rho, f[i])
+        col_a += (a1, a2)
         a1, a2 = a3, a4
-        b1, b2, b3, b4 = ref(i, b1, b2, hcol[i], delta, ws)
-        R[_packed_index(2 * i - 1, col_b)] = b1
-        R[_packed_index(2 * i, col_b)] = b2
+        b1, b2, b3, b4 = reflect(c, s, b1, b2, h[i], delta)
+        col_b += (b1, b2)
         b1, b2 = b3, b4
-    out11, out12, out22 = givens(k, a1, b1, a2, b2, hcol[k], fcol[k], ws)
-    R[_packed_index(2 * k - 1, col_a)] = out11
-    R[_packed_index(2 * k - 1, col_b)] = out12
-    R[_packed_index(2 * k, col_b)] = out22
+    out11, out12, out22 = givens(k, a1, b1, a2, b2, h[k], f[k], ws)
+    col_a.append(out11)
+    col_b += (out12, out22)
+    start_a = _packed_index(1, 2 * k - 1)
+    start_b = _packed_index(1, 2 * k)
+    ws.R[start_a:start_b] = col_a
+    ws.R[start_b : start_b + 2 * k] = col_b
 
 
 def backward_substitution(ws: GpmrWorkspace, k: int) -> np.ndarray:
@@ -235,11 +264,12 @@ def gpmr_solve(system: PartitionedSystem, atol: float, rtol: float,
     Budgets past min(m, n) let the process continue with zero-padded
     basis columns up to max(m, n), after which the subspace cannot grow.
     Termination without convergence reports ``exhausted`` once at least
-    min(m, n) steps ran, ``max_iterations`` otherwise. A residual norm that is not finite (from a NaN or Inf in
-    b, c or an operator's output) ends the solve at once with
-    ``nonfinite``, keeping the last iterate whose residual norm was
-    finite (zeros if the initial one is not). The solve is nested: the
-    first k iterations of a longer solve are those of ``k_max=k``.
+    min(m, n) steps ran, ``max_iterations`` otherwise. A residual norm
+    that is not finite (from a NaN or Inf in b, c or an operator's
+    output) ends the solve at once with ``nonfinite``, keeping the last
+    iterate whose residual norm was finite (zeros if the initial one is
+    not). The solve is nested: the first k iterations of a longer solve
+    are those of ``k_max=k``.
     """
     check_stopping_rule(atol, rtol, k_max)
     m, n = system.m, system.n

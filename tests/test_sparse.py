@@ -258,7 +258,11 @@ def test_csr_from_coo_and_spmv_match_oracles(case):
         dense[i, j] = v
     got = spmv(M, x)
     assert got.shape == (m,)
-    assert np.all(np.abs(got - dense @ x) <= 1e-14 * (np.abs(dense) @ np.abs(x)))
+    # rounding is relative for normal products, absolute (up to 2**-1074
+    # each) for subnormal ones
+    bound = (1e-14 * (np.abs(dense) @ np.abs(x))
+             + (np.count_nonzero(dense, axis=1) + 1) * 2.0**-1074)
+    assert np.all(np.abs(got - dense @ x) <= bound)
 
 
 # ---------------------------------------------------------------------------
