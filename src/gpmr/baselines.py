@@ -5,6 +5,10 @@ and independent oracles for the structure produced by the Hessenberg
 reduction pair. Block-Arnoldi is kept fully generic (dense 2x2
 coefficient blocks, plain QR normalization) on purpose, so that any
 sparsity appearing in its output is evidence rather than construction.
+Its pairs are stored as two contiguous rows each, and one helper,
+:func:`_project_out`, runs the pairwise block modified Gram-Schmidt pass
+(and, with ``reorth``, the second pass) as two in-place BLAS ``dgemm``
+calls per stored pair.
 Block-GMRES updates a QR factorization of the block-Hessenberg matrix
 one column pair per iteration with 4x4 orthogonal factors, reads its
 residual norms off the transformed right-hand side and solves for its
@@ -18,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dgemm
 
 from .hessenberg import orthogonalize
 from .operators import LinearOperator
 from .solver import (
     SolveReport,
-    check_nonsingular,
     check_stopping_rule,
     final_status,
     quiet_nonfinite,
@@ -66,10 +70,12 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
     per column; stopping rule |r_k| <= atol + rtol * |d|. A residual
     norm that is not finite ends the solve with ``nonfinite`` and the
     last iterate whose residual norm was finite (zeros if the initial
-    one is not). ``split=(m, n)`` places the two solution blocks in the
-    report's x and y fields; without it the full vector lands in x. The
-    diagnostics hold the Arnoldi state and, as ``triangle``, H after the
-    accumulated reflections.
+    one is not). A rotated column that is exactly zero (on a singular K)
+    is not counted: the solve ends ``exhausted`` with the last
+    well-posed iterate. ``split=(m, n)`` places the two solution blocks
+    in the report's x and y fields; without it the full vector lands in
+    x. The diagnostics hold the Arnoldi state and, as ``triangle``, H
+    after the accumulated reflections.
     """
     check_stopping_rule(atol, rtol, k_max)
     d = np.asarray(d, dtype=np.float64)
@@ -116,6 +122,12 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
             col[i] = cs[i] * ri + sn[i] * rj
             col[i + 1] = sn[i] * ri - cs[i] * rj
         c, s, r = reflection_coefficients(col[k], col[k + 1])
+        if r == 0.0:
+            # a structurally zero rotated column (K v_k inside the span of
+            # the earlier images on a singular K) cannot be used by the
+            # back-substitution; keep the last well-posed iterate
+            saturated = True
+            break
         cs.append(c)
         sn.append(s)
         col[k] = r
@@ -138,7 +150,6 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
     if k == 0:
         sol = np.zeros(dim)
     else:
-        check_nonsingular(R.diagonal()[:k])
         y = solve_triangular(R[:k, :k], tbar[:k], check_finite=False)
         sol = V[:, :k] @ y
     x, yblk = _split_solution(sol, split)
@@ -157,9 +168,11 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
 class BlockArnoldiState:
     """Pairs w_1, w_2, ... with block-Hessenberg coefficients.
 
-    ``W`` is one preallocated C-ordered array of shape (k_max + 1, dim, 2):
-    ``W[i]`` is pair i+1 as a contiguous (dim, 2) array, and pairs past
-    ``k + 1`` are never touched, so they cost no resident memory.
+    The pairs live in one preallocated C-ordered array of shape
+    (k_max + 1, 2, dim), each pair's two vectors contiguous rows; ``W`` is
+    its ``transpose(0, 2, 1)`` view, so ``W[i]`` is pair i+1 as an
+    F-contiguous (dim, 2) array and ``W[i][:, j]`` a contiguous vector.
+    Pairs past ``k + 1`` are never touched, so they cost no resident memory.
     ``S[2i:2i+2, 2j:2j+2]`` holds the 2x2 coefficient block coupling
     pair i+1 to column pair j+1 (0-based storage of 1-based math).
     """
@@ -214,34 +227,53 @@ def block_arnoldi_init(D: np.ndarray, k_max: int) -> BlockArnoldiState:
     if not np.any(D[:, 0]) or not np.any(D[:, 1]):
         raise ValueError("starting block columns must be nonzero")
     Q, Gamma = _qr_two_columns(D)
-    W = np.zeros((k_max + 1, D.shape[0], 2))
+    W = np.zeros((k_max + 1, 2, D.shape[0])).transpose(0, 2, 1)
     W[0] = Q
     return BlockArnoldiState(W=W, S=np.zeros((2 * (k_max + 1), 2 * k_max)),
                              Gamma=Gamma)
 
 
+def _project_out(W: np.ndarray, G: np.ndarray, S_col: np.ndarray) -> np.ndarray:
+    """One pairwise block modified Gram-Schmidt pass of ``G`` against the
+    pairs ``W[0], W[1], ...``, adding pair i's coefficients to
+    ``S_col[2i:2i+2]``.
+
+    ``G`` is an F-contiguous (dim, 2) block, updated in place by BLAS and
+    returned; each pair's coefficients are taken against the ``G`` that
+    the earlier pairs already updated.
+    """
+    coeffs = []
+    for Wi in W:
+        Psi = dgemm(1.0, Wi, G, trans_a=1)
+        # f2py would update a copy of a non-F-contiguous c; the returned
+        # array is the updated one either way
+        G = dgemm(-1.0, Wi, Psi, beta=1.0, c=G, overwrite_c=1)
+        coeffs.append(Psi)
+    S_col[: 2 * len(W)] += np.concatenate(coeffs)
+    return G
+
+
 def block_arnoldi_step(state: BlockArnoldiState, K: LinearOperator,
                        reorth: bool = False) -> BlockArnoldiState:
-    """Orthogonalize K w_k against all stored pairs and normalize the
-    remainder by a 2x2 QR with nonnegative diagonal."""
+    """Orthogonalize K w_k against all stored pairs (pairwise block MGS,
+    run twice with ``reorth``) and normalize the remainder by a 2x2 QR
+    with nonnegative diagonal."""
     k = state.k
     if k + 1 >= len(state.W):
         raise ValueError("block-Arnoldi storage exhausted")
     wk = state.W[k]
-    G = np.column_stack([K.apply(wk[:, 0]), K.apply(wk[:, 1])])
+    G = np.empty((2, wk.shape[0])).T
+    G[:, 0] = K.apply(wk[:, 0])
+    G[:, 1] = K.apply(wk[:, 1])
     scale = float(np.linalg.norm(G))
-    for i in range(k + 1):
-        Psi = state.W[i].T @ G
-        G -= state.W[i] @ Psi
-        state.S[2 * i:2 * i + 2, 2 * k:2 * k + 2] = Psi
+    # column pair k of S is zero until this step writes it
+    S_col = state.S[:, 2 * k:2 * k + 2]
+    G = _project_out(state.W[: k + 1], G, S_col)
     if reorth:
-        for i in range(k + 1):
-            corr = state.W[i].T @ G
-            G -= state.W[i] @ corr
-            state.S[2 * i:2 * i + 2, 2 * k:2 * k + 2] += corr
+        G = _project_out(state.W[: k + 1], G, S_col)
     Q, Psi_next = _normalize_remainder(G, rank_tol=_LUCKY_BREAKDOWN_RTOL * scale)
     state.W[k + 1] = Q
-    state.S[2 * k + 2:2 * k + 4, 2 * k:2 * k + 2] = Psi_next
+    S_col[2 * k + 2:2 * k + 4] = Psi_next
     state.k = k + 1
     return state
 
@@ -252,17 +284,16 @@ def _block_iterates(W: np.ndarray, cols: list, g: np.ndarray):
     ``cols[j]`` is column pair j of the triangle, rows 0..2j+1. The
     solutions of the triangle R Z = g[:2k] in the least-squares sense are
     those of the block-Hessenberg problem, so one ``lstsq`` on the
-    triangle keeps the minimum-norm rule on a rank-deficient one.
+    triangle keeps the minimum-norm rule on a rank-deficient one. The
+    iterates are one product of Z's transpose with the first k pairs read
+    as 2k contiguous rows.
     """
     k = len(cols)
     R = np.zeros((2 * k, 2 * k))
     for j, col in enumerate(cols):
         R[: 2 * j + 2, 2 * j:2 * j + 2] = col
     Z, *_ = np.linalg.lstsq(R, g[:2 * k], rcond=None)
-    sol = W[0] @ Z[:2]
-    for i in range(1, k):
-        sol += W[i] @ Z[2 * i:2 * i + 2]
-    return np.ascontiguousarray(sol.T)
+    return Z.T @ W[:k].transpose(0, 2, 1).reshape(2 * k, -1)
 
 
 @quiet_nonfinite

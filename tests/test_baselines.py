@@ -118,6 +118,25 @@ def test_gmres_cgs2_history_matches_mgs_history():
     assert np.max(gap) <= 1e-10 * np.linalg.norm(d)
 
 
+def test_gmres_singular_k_keeps_last_well_posed_iterate():
+    # K v_7 falls inside the span of the earlier images: the rotated
+    # column 7 is exactly zero, so its reflection would record a false 0
+    # and leave a zero diagonal for the back-substitution
+    system, _, _ = random_block_system(np.random.default_rng(2), 3, 7,
+                                       lam=0.0, mu=0.0, coupling=1.0)
+    K, d = system.full_operator(), system.rhs_full()
+    rep_g = gpmr_solve(system, 0.0, 1e-300, k_max=10, reorth=True)
+    assert rep_g.status == "exhausted"
+    for budget in range(7, 11):
+        rep = gmres_solve(K, d, 0.0, 1e-300, budget, reorth=True)
+        assert rep.status == "exhausted"
+        assert rep.iterations == 6
+        assert rep.residual_history[-1] == pytest.approx(
+            rep_g.residual_history[-1], rel=1e-14)
+        residual = np.linalg.norm(K.apply(np.concatenate([rep.x, rep.y])) - d)
+        assert residual == pytest.approx(rep.residual_history[-1], rel=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # block-Arnoldi
 # ---------------------------------------------------------------------------

@@ -3,18 +3,27 @@
 The reference is ``np.linalg.lstsq`` on the whole block-Hessenberg
 matrix ``S[:2k+2, :2k]`` at every iteration, which is what
 ``block_gmres_solve`` ran before it updated a QR factorization column
-pair by column pair. ``reference_block_arnoldi`` is the list-based
-pairwise modified Gram-Schmidt that block-Arnoldi ran before its pairs
-moved into one preallocated array; the two must agree bit for bit.
+pair by column pair. ``reference_block_arnoldi`` is block-Arnoldi's
+pairwise modified Gram-Schmidt on pairs held in a Python list, with the
+same two ``dgemm`` calls per stored pair; the preallocated storage must
+agree with it bit for bit. ``interleaved_block_arnoldi`` is the same
+process on C-ordered (dim, 2) pairs with numpy products, as it ran before
+each pair became two contiguous rows; the two agree to rounding.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import dgemm
 
 import gpmr.baselines as baselines
-from gpmr import block_arnoldi_init, block_arnoldi_step, block_gmres_solve
+from gpmr import (
+    block_arnoldi_init,
+    block_arnoldi_step,
+    block_gmres_solve,
+    gpmr_solve,
+)
 from conftest import dense_full_matrix, dense_operator, random_block_system
 
 EPS = np.finfo(np.float64).eps
@@ -136,7 +145,31 @@ def test_block_gmres_calls_lstsq_once(monkeypatch):
 
 
 def reference_block_arnoldi(K, D, steps):
-    """Pairs in a Python list and S grown in place, pairwise MGS."""
+    """Pairs in a Python list, each two contiguous rows, and S grown in
+    place: pairwise MGS as two dgemm calls per stored pair."""
+    Q, _ = baselines._qr_two_columns(np.asarray(D, dtype=np.float64))
+    W = [np.asfortranarray(Q)]
+    S = np.zeros((2 * (steps + 1), 2 * steps))
+    for k in range(steps):
+        wk = W[k]
+        G = np.empty((2, wk.shape[0])).T
+        G[:, 0] = K.apply(wk[:, 0])
+        G[:, 1] = K.apply(wk[:, 1])
+        scale = float(np.linalg.norm(G))
+        for i in range(k + 1):
+            Psi = dgemm(1.0, W[i], G, trans_a=1)
+            G = dgemm(-1.0, W[i], Psi, beta=1.0, c=G, overwrite_c=1)
+            S[2 * i:2 * i + 2, 2 * k:2 * k + 2] = Psi
+        Q, Psi_next = baselines._normalize_remainder(
+            G, rank_tol=baselines._LUCKY_BREAKDOWN_RTOL * scale)
+        W.append(np.asfortranarray(Q))
+        S[2 * k + 2:2 * k + 4, 2 * k:2 * k + 2] = Psi_next
+    return W, S
+
+
+def interleaved_block_arnoldi(K, D, steps):
+    """Pairs as C-ordered (dim, 2) blocks in a Python list, pairwise MGS
+    by numpy products."""
     Q, _ = baselines._qr_two_columns(np.asarray(D, dtype=np.float64))
     W = [Q]
     S = np.zeros((2 * (steps + 1), 2 * steps))
@@ -167,7 +200,63 @@ def test_block_arnoldi_storage_keeps_arithmetic():
     W_ref, S_ref = reference_block_arnoldi(K, D, steps)
     assert np.array_equal(state.S, S_ref)
     assert np.array_equal(state.W, np.stack(W_ref))
-    assert all(w.flags.c_contiguous for w in state.W)
+    assert all(w[:, j].flags.c_contiguous for w in state.W for j in range(2))
+    # the row-pair layout changes only the rounding of the old arithmetic;
+    # MGS amplifies that difference as the pairs lose orthogonality
+    # (about 8e-13 by step 30), to about 1.4e-13 relative here
+    W_old, S_old = interleaved_block_arnoldi(K, D, steps)
+    W_old = np.stack(W_old)
+    assert np.linalg.norm(state.S - S_old) <= 1e-12 * np.linalg.norm(S_old)
+    assert np.linalg.norm(state.W - W_old) <= 1e-12 * np.linalg.norm(W_old)
+
+
+def test_block_arnoldi_reorth_keeps_pairs_orthonormal():
+    rng = np.random.default_rng(631)
+    system, A, B = random_block_system(rng, 60, 45, coupling=1.1)
+    K = dense_full_matrix(system, A, B)
+    steps = 40
+    state = block_arnoldi_init(starting_block(system), steps)
+    for _ in range(steps):
+        block_arnoldi_step(state, dense_operator(K), reorth=True)
+    W = np.hstack(state.W[:steps])
+    W_next = np.hstack(state.W)
+    S = state.S[: 2 * steps + 2, : 2 * steps]
+    assert np.linalg.norm(W_next.T @ W_next - np.eye(2 * steps + 2)) <= 1e-13
+    assert np.linalg.norm(K @ W - W_next @ S) <= 1e-12 * np.linalg.norm(K)
+
+
+def test_block_iterates_match_the_per_pair_sum():
+    rng = np.random.default_rng(637)
+    dim, k = 50, 7
+    state = block_arnoldi_init(rng.standard_normal((dim, 2)), k)
+    state.W[1:] = rng.standard_normal((k, dim, 2))
+    R = np.triu(rng.standard_normal((2 * k, 2 * k))) + 4.0 * np.eye(2 * k)
+    cols = [R[: 2 * j + 2, 2 * j:2 * j + 2] for j in range(k)]
+    g = rng.standard_normal((2 * k + 2, 2))
+    got = baselines._block_iterates(state.W, cols, g)
+    Z, *_ = np.linalg.lstsq(R, g[: 2 * k], rcond=None)
+    want = sum(state.W[i] @ Z[2 * i:2 * i + 2] for i in range(k)).T
+    assert got.shape == (2, dim)
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_block_gmres_reorth_matches_gpmr_history():
+    # criterion 8's cases, with CGS2 on both sides
+    rng = np.random.default_rng(808)
+    for _ in range(6):
+        m = int(rng.integers(12, 31))
+        n = int(rng.integers(12, 30))
+        system, A, B = random_block_system(rng, m, n)
+        K = dense_full_matrix(system, A, B)
+        D = starting_block(system)
+        rep_g = gpmr_solve(system, 1e-12, 1e-10, k_max=m + n, reorth=True)
+        rep_b, _ = block_gmres_solve(dense_operator(K), D, 1e-12, 1e-10,
+                                     m + n, reorth=True, split=(m, n))
+        assert rep_g.converged and rep_b.converged
+        assert rep_b.iterations == rep_g.iterations
+        summed = rep_b.diagnostics["summed_history"]
+        gap = np.abs(summed - rep_g.residual_history).max()
+        assert gap <= 1e-12 * np.linalg.norm(D)
 
 
 def test_block_arnoldi_storage_exhausted():

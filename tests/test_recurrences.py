@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from gpmr import (
     LinearOperator,
     PartitionedSystem,
-    SingularSubproblemError,
     gmres_solve,
     gpmr_solve,
     hessenberg_init,
@@ -151,11 +150,7 @@ def test_recurrences_match_numpy_scalar_oracles(m, n, lam, mu, reorth, seed):
     # GMRES: every budget, so every iteration's triangle is checked
     K, d = system.full_operator(), system.rhs_full()
     for budget in range(1, m + n + 1):
-        try:
-            rep = gmres_solve(K, d, 0.0, 1e-300, budget, reorth=reorth)
-        except SingularSubproblemError:
-            # a singular K leaves a zero on the diagonal of its last column
-            continue
+        rep = gmres_solve(K, d, 0.0, 1e-300, budget, reorth=reorth)
         k = rep.iterations
         H = rep.diagnostics["arnoldi"].H
         assert np.array_equal(rep.diagnostics["triangle"][: k + 1, :k],
