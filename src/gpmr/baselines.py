@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dgemm
 
-from .hessenberg import orthogonalize
+from .hessenberg import BREAKDOWN_RTOL, orthogonalize
 from .operators import LinearOperator
 from .solver import (
     SolveReport,
@@ -33,23 +33,6 @@ from .solver import (
     quiet_nonfinite,
     reflection_coefficients,
 )
-
-_LUCKY_BREAKDOWN_RTOL = 1e-14
-
-
-@dataclass
-class ArnoldiState:
-    """Orthonormal Krylov basis and Hessenberg coefficients for one operator.
-
-    ``basis`` has shape (dim, capacity + 1) and is the transpose of a
-    C-ordered array, so each basis column is contiguous.
-    """
-
-    basis: np.ndarray
-    H: np.ndarray
-    beta0: float
-    k: int = 0
-
 
 def _split_solution(sol: np.ndarray, split):
     if split is None:
@@ -74,8 +57,11 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
     is not counted: the solve ends ``exhausted`` with the last
     well-posed iterate. ``split=(m, n)`` places the two solution blocks
     in the report's x and y fields; without it the full vector lands in
-    x. The diagnostics hold the Arnoldi state and, as ``triangle``, H
-    after the accumulated reflections.
+    x. The basis is one row per vector of a (cap + 1, dim) array,
+    allocated uninitialized: row k + 1 is written by step k before any
+    read. Each Hessenberg column is rotated as a Python list, and the
+    triangle is assembled from those lists once, at the end. The
+    report's diagnostics are empty.
     """
     check_stopping_rule(atol, rtol, k_max)
     d = np.asarray(d, dtype=np.float64)
@@ -87,11 +73,9 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
         raise ValueError("right-hand side must be nonzero")
     cap = min(k_max, dim)
 
-    state = ArnoldiState(basis=np.zeros((cap + 1, dim)).T,
-                         H=np.zeros((cap + 1, cap)), beta0=norm_d)
-    V, H = state.basis, state.H
+    V = np.empty((cap + 1, dim)).T
     V[:, 0] = d / norm_d
-    R = np.zeros((cap + 1, cap))  # H after the accumulated reflections
+    cols: list[list[float]] = []  # the Hessenberg columns after their reflections
     cs: list[float] = []
     sn: list[float] = []
     tbar = np.zeros(cap + 1)
@@ -108,15 +92,15 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
         w = np.array(K.apply(V[:, k]), dtype=np.float64)
         matvecs += 1
         scale = float(np.linalg.norm(w))
-        H[: k + 1, k] = orthogonalize(V[:, : k + 1].T, w, reorth)
+        col = orthogonalize(V[:, : k + 1].T, w, reorth).tolist()
         hnext = float(np.linalg.norm(w))
-        if hnext <= _LUCKY_BREAKDOWN_RTOL * scale:
+        if hnext <= BREAKDOWN_RTOL * scale:
             saturated = True
+            col.append(0.0)
         else:
-            H[k + 1, k] = hnext
+            col.append(hnext)
             V[:, k + 1] = w / hnext
-        # the earlier rotations run on Python floats, one write per column
-        col = H[: k + 2, k].tolist()
+        # the earlier rotations run on Python floats
         for i in range(k):
             ri, rj = col[i], col[i + 1]
             col[i] = cs[i] * ri + sn[i] * rj
@@ -131,17 +115,15 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
         cs.append(c)
         sn.append(s)
         col[k] = r
-        col[k + 1] = 0.0
-        R[: k + 2, k] = col
         tb = tbar[k]
         tbar[k] = c * tb
         tbar[k + 1] = s * tb
         if not math.isfinite(tbar[k + 1]):
-            # the first k columns of R and tbar[:k] are as they were
+            # the first k columns and tbar[:k] are as they were
             nonfinite = True
             break
+        cols.append(col[: k + 1])
         k += 1
-        state.k = k
         rnorm = abs(tbar[k])
         history.append(rnorm)
 
@@ -150,13 +132,15 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
     if k == 0:
         sol = np.zeros(dim)
     else:
-        y = solve_triangular(R[:k, :k], tbar[:k], check_finite=False)
+        R = np.zeros((k, k))
+        for j, col in enumerate(cols):
+            R[: j + 1, j] = col
+        y = solve_triangular(R, tbar[:k], check_finite=False)
         sol = V[:, :k] @ y
     x, yblk = _split_solution(sol, split)
     return SolveReport(x=x, y=yblk, status=status,
                        residual_history=np.asarray(history),
-                       iterations=k, matvec_count=matvecs,
-                       diagnostics={"arnoldi": state, "triangle": R})
+                       iterations=k, matvec_count=matvecs)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +156,8 @@ class BlockArnoldiState:
     (k_max + 1, 2, dim), each pair's two vectors contiguous rows; ``W`` is
     its ``transpose(0, 2, 1)`` view, so ``W[i]`` is pair i+1 as an
     F-contiguous (dim, 2) array and ``W[i][:, j]`` a contiguous vector.
-    Pairs past ``k + 1`` are never touched, so they cost no resident memory.
+    The array is allocated uninitialized: a step from ``k`` writes
+    ``W[k + 1]`` before any read, and later pairs are never touched.
     ``S[2i:2i+2, 2j:2j+2]`` holds the 2x2 coefficient block coupling
     pair i+1 to column pair j+1 (0-based storage of 1-based math).
     """
@@ -227,7 +212,7 @@ def block_arnoldi_init(D: np.ndarray, k_max: int) -> BlockArnoldiState:
     if not np.any(D[:, 0]) or not np.any(D[:, 1]):
         raise ValueError("starting block columns must be nonzero")
     Q, Gamma = _qr_two_columns(D)
-    W = np.zeros((k_max + 1, 2, D.shape[0])).transpose(0, 2, 1)
+    W = np.empty((k_max + 1, 2, D.shape[0])).transpose(0, 2, 1)
     W[0] = Q
     return BlockArnoldiState(W=W, S=np.zeros((2 * (k_max + 1), 2 * k_max)),
                              Gamma=Gamma)
@@ -271,7 +256,7 @@ def block_arnoldi_step(state: BlockArnoldiState, K: LinearOperator,
     G = _project_out(state.W[: k + 1], G, S_col)
     if reorth:
         G = _project_out(state.W[: k + 1], G, S_col)
-    Q, Psi_next = _normalize_remainder(G, rank_tol=_LUCKY_BREAKDOWN_RTOL * scale)
+    Q, Psi_next = _normalize_remainder(G, rank_tol=BREAKDOWN_RTOL * scale)
     state.W[k + 1] = Q
     S_col[2 * k + 2:2 * k + 4] = Psi_next
     state.k = k + 1
@@ -317,8 +302,9 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
     non-finite starting block or block-Hessenberg column ends the solve
     with ``nonfinite`` and the last iterates computed from finite data
     (zeros if the starting block is not finite). Returns one report per
-    column; the summed residual history rides along in each report's
-    diagnostics.
+    column; each report's diagnostics hold only ``summed_history``, the
+    summed residual history. The block-Arnoldi pairs and the QR factors
+    are dropped when the solve returns.
     """
     check_stopping_rule(atol, rtol, k_max)
     D = np.asarray(D, dtype=np.float64)
@@ -376,16 +362,15 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
     else:
         sol = _block_iterates(state.W, cols, g)
 
-    shared = {"summed_history": np.asarray(hist_sum), "block_arnoldi": state}
-
+    summed = np.asarray(hist_sum)
     xb, yb = _split_solution(sol[0], split)
     xc, yc = _split_solution(sol[1], split)
     report_b = SolveReport(x=xb, y=yb, status=status,
                            residual_history=np.asarray(hist_b),
                            iterations=k, matvec_count=matvecs,
-                           diagnostics=dict(shared))
+                           diagnostics={"summed_history": summed})
     report_c = SolveReport(x=xc, y=yc, status=status,
                            residual_history=np.asarray(hist_c),
                            iterations=k, matvec_count=matvecs,
-                           diagnostics=dict(shared))
+                           diagnostics={"summed_history": summed})
     return report_b, report_c

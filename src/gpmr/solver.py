@@ -83,7 +83,12 @@ def check_nonsingular(diagonal: np.ndarray) -> None:
 
 @dataclass
 class SolveReport:
-    """Outcome of a solve: iterate, status and residual-norm history."""
+    """Outcome of a solve: iterate, status and residual-norm history.
+
+    Every field is plain data: arrays the solve computed, numbers and,
+    in ``diagnostics``, lists, dicts and arrays of O(k) entries. No
+    solver state (bases, triangles, workspaces) outlives the solve.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -269,7 +274,9 @@ def gpmr_solve(system: PartitionedSystem, atol: float, rtol: float,
     output) ends the solve at once with ``nonfinite``, keeping the last
     iterate whose residual norm was finite (zeros if the initial one is
     not). The solve is nested: the first k iterations of a longer solve
-    are those of ``k_max=k``.
+    are those of ``k_max=k``. The diagnostics hold ``breakdowns``, one
+    (v_side, u_side) flag pair per step, and ``storage``, the workspace's
+    :meth:`GpmrWorkspace.storage_report` at the last iteration.
     """
     check_stopping_rule(atol, rtol, k_max)
     m, n = system.m, system.n
@@ -324,7 +331,8 @@ def gpmr_solve(system: PartitionedSystem, atol: float, rtol: float,
         x = hess.V[:, :k] @ z[0::2]
         y = hess.U[:, :k] @ z[1::2]
 
-    diagnostics = {"workspace": ws, "breakdowns": list(hess.breakdown_flags)}
+    diagnostics = {"breakdowns": list(hess.breakdown_flags),
+                   "storage": ws.storage_report()}
     return SolveReport(x=x, y=y, status=status,
                        residual_history=np.asarray(history),
                        iterations=k, matvec_count=matvecs,

@@ -1,3 +1,4 @@
+import math
 import os
 from pathlib import Path
 
@@ -5,7 +6,17 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from gpmr import LinearOperator, PartitionedSystem
+import gpmr.baselines as baselines
+from gpmr import (
+    LinearOperator,
+    PartitionedSystem,
+    backward_substitution,
+    hessenberg_init,
+    hessenberg_step,
+    ref,
+)
+from gpmr.hessenberg import BREAKDOWN_RTOL
+from gpmr.solver import GpmrWorkspace, _qr_update
 
 
 def csr(dense):
@@ -46,6 +57,85 @@ def dense_full_matrix(system, A, B):
         [system.lam * np.eye(m), A],
         [B, system.mu * np.eye(n)],
     ])
+
+
+def starting_block(system):
+    """The two-column block [(b, 0), (0, c)] of a partitioned system."""
+    m = system.m
+    D = np.zeros((m + system.n, 2))
+    D[:m, 0] = system.b
+    D[m:, 1] = system.c
+    return D
+
+
+def replay_gpmr(system, steps, reorth=False):
+    """Run ``steps`` iterations of GPMR's process and QR update outside
+    the solver, as ``gpmr_solve`` runs them without a stopping rule.
+
+    Returns the workspace (its ``hess`` holds the bases and columns) and
+    the residual-norm history. A solve that ran k <= steps iterations
+    on the same system must reproduce ``history[:k + 1]`` bit for bit.
+    """
+    hess = hessenberg_init(system.A, system.B, system.b, system.c, capacity=steps)
+    ws = GpmrWorkspace(hess, system.lam, system.mu, steps)
+    ws.tbar[:2] = hess.beta, hess.gamma
+    history = [math.hypot(hess.beta, hess.gamma)]
+    for k in range(1, steps + 1):
+        hessenberg_step(hess, reorth=reorth)
+        _qr_update(ws, k, hess.Hcols[k - 1], hess.Fcols[k - 1])
+        t = ref(k, ws.tbar[2 * k - 2], ws.tbar[2 * k - 1], 0.0, 0.0, ws)
+        ws.tbar[2 * k - 2:2 * k + 2] = t
+        history.append(math.hypot(t[2], t[3]))
+        ws.k = k
+    return ws, history
+
+
+def replay_iterate(ws, k):
+    """Iterate k of a replayed workspace, formed as ``gpmr_solve`` forms
+    it; later steps leave the first k column pairs and tbar[:2k] as they
+    were. Overwrites the workspace's transformed right-hand side."""
+    z = backward_substitution(ws, k)
+    return ws.hess.V[:, :k] @ z[0::2], ws.hess.U[:, :k] @ z[1::2]
+
+
+def record_orthogonalize(monkeypatch):
+    """Record every ``orthogonalize`` call GMRES makes.
+
+    Call j appends (rows, coeffs, scale, remainder): the basis rows it
+    projected against (the solve's own storage, rows 0..j), the
+    coefficients, the product norm on entry and a copy of the remainder.
+    """
+    calls = []
+    real = baselines.orthogonalize
+
+    def recorded(rows, w, reorth):
+        scale = float(np.linalg.norm(w))
+        coeffs = real(rows, w, reorth)
+        calls.append((rows, coeffs.copy(), scale, w.copy()))
+        return coeffs
+
+    monkeypatch.setattr(baselines, "orthogonalize", recorded)
+    return calls
+
+
+def gmres_arnoldi(calls, k):
+    """GMRES's basis V (dim x (k + 1)) and Hessenberg matrix H
+    ((k + 1) x k) rebuilt from the first k recorded calls. A remainder
+    at or below BREAKDOWN_RTOL times the product norm is a breakdown, as
+    in the solve: its subdiagonal entry and the next basis vector are
+    zero."""
+    rows = calls[k - 1][0]
+    V = np.zeros((rows.shape[1], k + 1))
+    V[:, :k] = rows.T
+    H = np.zeros((k + 1, k))
+    for j, (_, coeffs, scale, remainder) in enumerate(calls[:k]):
+        H[: j + 1, j] = coeffs
+        hnext = float(np.linalg.norm(remainder))
+        if hnext > BREAKDOWN_RTOL * scale:
+            H[j + 1, j] = hnext
+            if j == k - 1:
+                V[:, k] = remainder / hnext
+    return V, H
 
 
 def _find_data_file(name):

@@ -290,9 +290,8 @@ def test_criterion_11_memory_contract():
     for k_budget in (1, 2, 4, 7):
         system, _, _ = random_block_system(rng, m, n, coupling=0.9)
         report = gpmr_solve(system, 1e-300, 1e-300, k_max=k_budget)
-        ws = report.diagnostics["workspace"]
         k = report.iterations
-        counts = ws.storage_report()
+        counts = report.diagnostics["storage"]
         expected = {"basis": k * (m + n), "t": 2 * k, "z": 2 * k,
                     "givens": 8 * k, "r": k * (2 * k + 1)}
         match = all(counts[key] == value for key, value in expected.items())

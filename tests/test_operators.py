@@ -288,6 +288,8 @@ def test_partitioned_system_rejects_zero_inputs():
     zero_op = LinearOperator(2, 2, lambda x: np.zeros(2))
     with pytest.raises(ValueError):
         PartitionedSystem(1.0, 1.0, zero_op, A, np.ones(2), np.ones(2))
+    with pytest.raises(ValueError):
+        PartitionedSystem(1.0, 1.0, A, zero_op, np.ones(2), np.ones(2))
 
 
 def test_partitioned_system_accepts_rows_summing_to_zero():

@@ -3,11 +3,15 @@
 ``reference_ref``, ``reference_qr_update`` and ``reference_gmres_triangle``
 are the reflection updates as they ran before they moved to Python floats:
 numpy scalars read and written one entry at a time. IEEE double arithmetic
-is the same on both, so the two must agree bit for bit.
+is the same on both, so the two must agree bit for bit. The solves keep no
+state, so the references run on a replay of GPMR's process and on GMRES's
+recorded ``orthogonalize`` calls, and must reproduce each solve's history
+and iterate bit for bit.
 
 The storage tests poison ``np.empty`` with NaN: GPMR's bases and packed
-triangle are allocated uninitialized, and a read of an entry before its
-write would change a history or an iterate.
+triangle, GMRES's basis and the block-Arnoldi pairs are allocated
+uninitialized, and a read of an entry before its write would change a
+history or an iterate.
 """
 
 import math
@@ -17,23 +21,30 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from scipy.linalg import solve_triangular
+
 from gpmr import (
     LinearOperator,
     PartitionedSystem,
+    block_gmres_solve,
     gmres_solve,
     gpmr_solve,
-    hessenberg_init,
-    hessenberg_step,
-    ref,
 )
 from gpmr.solver import (
     GpmrWorkspace,
     _packed_index,
-    _qr_update,
     givens,
     reflection_coefficients,
 )
-from conftest import dense_operator, random_block_system
+from conftest import (
+    dense_operator,
+    gmres_arnoldi,
+    random_block_system,
+    record_orthogonalize,
+    replay_gpmr,
+    replay_iterate,
+    starting_block,
+)
 
 
 def reference_ref(i, a1, a2, a3, a4, ws):
@@ -81,8 +92,9 @@ def reference_qr_update(ws, k, hcol, fcol):
 
 
 def reference_gmres_triangle(H, k):
-    """GMRES's triangle after k columns: each column of H takes the
-    earlier rotations entry by entry, then its own reflection."""
+    """GMRES's triangle after k columns and its rotations: each column
+    of H takes the earlier rotations entry by entry, then its own
+    reflection."""
     R = np.zeros((k + 1, k))
     cs = np.zeros(k)
     sn = np.zeros(k)
@@ -96,7 +108,7 @@ def reference_gmres_triangle(H, k):
         cs[j], sn[j] = c, s
         R[j, j] = r
         R[j + 1, j] = 0.0
-    return R
+    return R, cs, sn
 
 
 def update_rhs(ws, k, apply):
@@ -118,45 +130,55 @@ def test_recurrences_match_numpy_scalar_oracles(m, n, lam, mu, reorth, seed):
     rng = np.random.default_rng(seed)
     system, _, _ = random_block_system(rng, m, n, lam=lam, mu=mu, coupling=1.0)
     cap = max(m, n)
-    hess = hessenberg_init(system.A, system.B, system.b, system.c, capacity=cap)
-    ws = GpmrWorkspace(hess, lam, mu, cap)
-    oracle = GpmrWorkspace(hess, lam, mu, cap)
-    for w in (ws, oracle):
-        w.tbar[:2] = hess.beta, hess.gamma
-    history = [math.hypot(hess.beta, hess.gamma)]
     # the whole reduction, past min(m, n) into zero-padded columns, and
-    # past a zero diagonal where the solve would stop
+    # past a zero diagonal where the solve would stop; the packed columns
+    # and the reflections of step k are written once, at step k
+    ws, history = replay_gpmr(system, cap, reorth=reorth)
+    hess = ws.hess
+    oracle = GpmrWorkspace(hess, lam, mu, cap)
+    oracle.tbar[:2] = hess.beta, hess.gamma
     for k in range(1, cap + 1):
-        hessenberg_step(hess, reorth=reorth)
-        _qr_update(ws, k, hess.Hcols[k - 1], hess.Fcols[k - 1])
         reference_qr_update(oracle, k, hess.Hcols[k - 1], hess.Fcols[k - 1])
-        history.append(update_rhs(ws, k, ref))
-        assert update_rhs(oracle, k, reference_ref) == history[-1]
-        active = k * (2 * k + 1)
-        assert np.array_equal(ws.R[:active], oracle.R[:active])
-        assert np.array_equal(ws.givens_c, oracle.givens_c)
-        assert np.array_equal(ws.givens_s, oracle.givens_s)
-        assert np.array_equal(ws.tbar, oracle.tbar)
+        assert update_rhs(oracle, k, reference_ref) == history[k]
+    assert np.array_equal(ws.R, oracle.R)
+    assert np.array_equal(ws.givens_c, oracle.givens_c)
+    assert np.array_equal(ws.givens_s, oracle.givens_s)
+    assert np.array_equal(ws.tbar, oracle.tbar)
 
-    # the solve runs the same recurrences
+    # the solve runs the same recurrences: its history is the replay's,
+    # and its iterate is the replay's triangle solved against its RHS
     report = gpmr_solve(system, 0.0, 1e-300, k_max=cap, reorth=reorth)
     k = report.iterations
-    solved = report.diagnostics["workspace"]
     assert np.array_equal(report.residual_history, history[: k + 1])
-    assert np.array_equal(solved.R[: k * (2 * k + 1)], ws.R[: k * (2 * k + 1)])
-    assert np.array_equal(solved.givens_c[:, :k], ws.givens_c[:, :k])
-    assert np.array_equal(solved.givens_s[:, :k], ws.givens_s[:, :k])
+    if k:
+        x, y = replay_iterate(ws, k)
+        assert np.array_equal(report.x, x)
+        assert np.array_equal(report.y, y)
 
     # GMRES: every budget, so every iteration's triangle is checked
+    # through the history it yields and the iterate it solves for
     K, d = system.full_operator(), system.rhs_full()
-    for budget in range(1, m + n + 1):
-        rep = gmres_solve(K, d, 0.0, 1e-300, budget, reorth=reorth)
-        k = rep.iterations
-        H = rep.diagnostics["arnoldi"].H
-        assert np.array_equal(rep.diagnostics["triangle"][: k + 1, :k],
-                              reference_gmres_triangle(H, k))
-        if k < budget:
-            break
+    with pytest.MonkeyPatch.context() as mp:
+        calls = record_orthogonalize(mp)
+        for budget in range(1, m + n + 1):
+            calls.clear()
+            rep = gmres_solve(K, d, 0.0, 1e-300, budget, reorth=reorth)
+            k = rep.iterations
+            _, H = gmres_arnoldi(calls, k)
+            R, cs, sn = reference_gmres_triangle(H, k)
+            tbar = np.zeros(k + 1)
+            tbar[0] = np.linalg.norm(d)
+            want = [tbar[0]]
+            for j in range(k):
+                tb = tbar[j]
+                tbar[j] = cs[j] * tb
+                tbar[j + 1] = sn[j] * tb
+                want.append(abs(tbar[j + 1]))
+            assert np.array_equal(rep.residual_history, want)
+            z = solve_triangular(R[:k, :k], tbar[:k], check_finite=False)
+            assert np.array_equal(rep.x, calls[k - 1][0].T @ z)
+            if k < budget:
+                break
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +252,21 @@ def poison_empty(monkeypatch):
     monkeypatch.setattr(np, "empty", nan_empty)
 
 
+def all_solves(case):
+    """GPMR's report, GMRES's and Block-GMRES's two on the case, each
+    solve on a fresh copy of it (the nonfinite case counts its applies)."""
+    system, atol, rtol, k_max = case()
+    reports = [gpmr_solve(system, atol, rtol, k_max=k_max)]
+    system, atol, rtol, k_max = case()
+    split = (system.m, system.n)
+    reports.append(gmres_solve(system.full_operator(), system.rhs_full(),
+                               atol, rtol, k_max, split=split))
+    system, atol, rtol, k_max = case()
+    reports += block_gmres_solve(system.full_operator(), starting_block(system),
+                                 atol, rtol, k_max, split=split)
+    return reports
+
+
 @pytest.mark.parametrize("case, status, min_iterations", [
     (converging, "converged", 1),
     (padded, "converged", 9),
@@ -239,14 +276,12 @@ def poison_empty(monkeypatch):
 ])
 def test_uninitialized_storage_is_written_before_it_is_read(monkeypatch, case, status,
                                                            min_iterations):
-    system, atol, rtol, k_max = case()
-    clean = gpmr_solve(system, atol, rtol, k_max=k_max)
-    assert clean.status == status and clean.iterations >= min_iterations
-    system, atol, rtol, k_max = case()
+    clean = all_solves(case)
+    assert clean[0].status == status and clean[0].iterations >= min_iterations
     poison_empty(monkeypatch)
-    poisoned = gpmr_solve(system, atol, rtol, k_max=k_max)
-    assert poisoned.status == clean.status
-    assert poisoned.iterations == clean.iterations
-    assert np.array_equal(poisoned.residual_history, clean.residual_history)
-    assert np.array_equal(poisoned.x, clean.x)
-    assert np.array_equal(poisoned.y, clean.y)
+    for poisoned, want in zip(all_solves(case), clean, strict=True):
+        assert poisoned.status == want.status
+        assert poisoned.iterations == want.iterations
+        assert np.array_equal(poisoned.residual_history, want.residual_history)
+        assert np.array_equal(poisoned.x, want.x)
+        assert np.array_equal(poisoned.y, want.y)

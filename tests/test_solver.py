@@ -15,8 +15,14 @@ from gpmr import (
     ref,
 )
 from gpmr.solver import GpmrWorkspace, _packed_index
-from conftest import dense_full_matrix, dense_operator, random_block_system
-from test_baselines import starting_block
+from conftest import (
+    dense_full_matrix,
+    dense_operator,
+    random_block_system,
+    replay_gpmr,
+    replay_iterate,
+    starting_block,
+)
 
 
 def make_workspace(k_max=4, lam=1.0, mu=1.0, m=6, n=6):
@@ -319,9 +325,11 @@ def test_qr_factorization_matches_projected_matrix():
     rng = np.random.default_rng(113)
     system, A, B = random_block_system(rng, 30, 28)
     report = gpmr_solve(system, 0.0, 1e-30, k_max=15)
-    ws = report.diagnostics["workspace"]
     k = report.iterations
     assert k == 15
+    # the replay is the solve: same history and iterate, bit for bit
+    ws, history = replay_gpmr(system, k)
+    assert np.array_equal(report.residual_history, history)
     S = assemble_projected_matrix(ws.hess, system.lam, system.mu, k)
     Qt = np.eye(2 * k + 2)
     for i in range(1, k + 1):
@@ -330,6 +338,8 @@ def test_qr_factorization_matches_projected_matrix():
         Qt = Gi @ Qt
     R_stack = np.vstack([dense_triangle(ws, k), np.zeros((2, 2 * k))])
     assert np.linalg.norm(Qt.T @ R_stack - S) <= 1e-12 * np.linalg.norm(S)
+    x, y = replay_iterate(ws, k)
+    assert np.array_equal(report.x, x) and np.array_equal(report.y, y)
 
 
 def test_first_iteration_seeds_lambda_mu():
@@ -339,7 +349,8 @@ def test_first_iteration_seeds_lambda_mu():
     lam, mu = 2.0, 3.0
     system, A, B = random_block_system(rng, 4, 4, lam=lam, mu=mu)
     report = gpmr_solve(system, 1e-12, 1e-10, k_max=1)
-    ws = report.diagnostics["workspace"]
+    ws, history = replay_gpmr(system, 1)
+    assert np.array_equal(report.residual_history, history)
     S1 = assemble_projected_matrix(ws.hess, lam, mu, 1)
     assert S1[0, 0] == lam and S1[1, 1] == mu
     Q, R = np.linalg.qr(S1)
@@ -348,6 +359,8 @@ def test_first_iteration_seeds_lambda_mu():
             R[j, :] = -R[j, :]
     got = dense_triangle(ws, 1)
     assert np.allclose(got, R, rtol=0, atol=1e-13)
+    x, y = replay_iterate(ws, 1)
+    assert np.array_equal(report.x, x) and np.array_equal(report.y, y)
 
 
 def test_statuses_max_iterations_and_exhausted():
@@ -427,10 +440,9 @@ def test_storage_report_formulas():
     for k_budget in (1, 2, 3, 5):
         system, _, _ = random_block_system(rng, m, n, coupling=0.9)
         report = gpmr_solve(system, 1e-300, 1e-300, k_max=k_budget)
-        ws = report.diagnostics["workspace"]
         k = report.iterations
         assert k == k_budget
-        report_dict = ws.storage_report()
+        report_dict = report.diagnostics["storage"]
         assert report_dict["basis"] == k * (m + n)
         assert report_dict["qp"] == m + n
         assert report_dict["t"] == 2 * k
