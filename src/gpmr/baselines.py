@@ -363,8 +363,9 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
         sol = _block_iterates(state.W, cols, g)
 
     summed = np.asarray(hist_sum)
-    xb, yb = _split_solution(sol[0], split)
-    xc, yc = _split_solution(sol[1], split)
+    # a copy per column, so that one report kept alone holds one iterate
+    xb, yb = _split_solution(sol[0].copy(), split)
+    xc, yc = _split_solution(sol[1].copy(), split)
     report_b = SolveReport(x=xb, y=yb, status=status,
                            residual_history=np.asarray(hist_b),
                            iterations=k, matvec_count=matvecs,

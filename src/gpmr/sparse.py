@@ -4,10 +4,12 @@ Every matrix in this package is a ``scipy.sparse.csr_array`` of float64
 values with sorted column indices and explicitly stored zeros kept.
 ``csr_from_coo``, ``csr_identity`` and ``spmv`` build and apply them.
 The Matrix Market reader names the failing line of a bad file. The LU
-factorization with partial pivoting, used to apply block-Jacobi
-preconditioners, is SuperLU's in natural column order with this
-package's relative zero-pivot test on top; it never builds a dense copy
-of a block that factors.
+factorization with partial pivoting, ``P M Q = L U``, used to apply
+block-Jacobi preconditioners, is SuperLU's in a minimum-degree column
+order with this package's relative zero-pivot test on top. A block that
+fails in that order is factored again in natural column order, so a
+singular block names the column that natural order numbers. It never
+builds a dense copy of a block that factors.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.sparse.csgraph import structural_rank
 from scipy.sparse.linalg import SuperLU, splu
 
 
@@ -224,17 +227,22 @@ def load_matrix_market(path) -> scipy.sparse.csr_array:
 
 # Relative magnitude below which a pivot counts as zero.
 PIVOT_RTOL = 1e-13
+# SuperLU scales a pivot column by the pivot's reciprocal, which overflows
+# below this magnitude.
+_SMALLEST_NORMAL = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
 class LUFactors:
-    """SuperLU factors of ``P @ M = L @ U`` in natural column order.
+    """SuperLU factors of ``P @ M @ Q = L @ U``.
 
-    ``perm_rows[i]`` is the original row placed at position ``i``. ``L``
-    is unit lower triangular with its diagonal stored explicitly and
-    ``U`` is upper triangular with nonzero diagonal; both are scipy CSC
-    matrices extracted from ``superlu`` on each access. ``fill`` is the
-    number of entries stored in ``L`` and ``U`` together.
+    ``perm_rows[i]`` is the original row placed at position ``i`` and
+    ``perm_cols[j]`` the original column eliminated at step ``j``, so
+    ``M[perm_rows][:, perm_cols] == L @ U``. ``L`` is unit lower
+    triangular with its diagonal stored explicitly and ``U`` is upper
+    triangular with nonzero diagonal; both are scipy CSC matrices
+    extracted from ``superlu`` on each access. ``fill`` is the number of
+    entries stored in ``L`` and ``U`` together.
     """
 
     superlu: SuperLU
@@ -250,6 +258,11 @@ class LUFactors:
         return np.argsort(self.superlu.perm_r)
 
     @property
+    def perm_cols(self) -> np.ndarray:
+        # and perm_c an original column to its step
+        return np.argsort(self.superlu.perm_c)
+
+    @property
     def L(self):
         return self.superlu.L
 
@@ -258,12 +271,13 @@ class LUFactors:
         return self.superlu.U
 
 
-def _weak_pivots(absdiag, u_colmax, l_colmax) -> np.ndarray:
+def _weak_pivots(absdiag, u_colmax, l_colmax, floor=0.0) -> np.ndarray:
     """Columns whose pivot is at most ``PIVOT_RTOL`` times the largest
     magnitude in the working column at pivot time, which the factors give
-    back as max(|U[:, j]|, |L[:, j]| |u_jj|)."""
+    back as max(|U[:, j]|, |L[:, j]| |u_jj|), or below ``floor``."""
     colmax = np.maximum(u_colmax, l_colmax * absdiag)
-    return np.flatnonzero((colmax == 0.0) | (absdiag <= PIVOT_RTOL * colmax))
+    return np.flatnonzero((colmax == 0.0) | (absdiag <= PIVOT_RTOL * colmax)
+                          | (absdiag < floor))
 
 
 def _dense_singular_column(M: scipy.sparse.csr_array) -> int:
@@ -275,34 +289,61 @@ def _dense_singular_column(M: scipy.sparse.csr_array) -> int:
     absdiag = np.abs(np.diag(lu))
     bad = _weak_pivots(absdiag, np.abs(np.triu(lu)).max(axis=0),
                        np.abs(np.tril(lu, -1)).max(axis=0))
+    if not bad.size:
+        # SuperLU also stops where a subnormal pivot's reciprocal overflows
+        bad = np.flatnonzero(absdiag < _SMALLEST_NORMAL)
     return int(bad[0])
 
 
-def sparse_lu(M: scipy.sparse.csr_array) -> LUFactors:
-    """Factor a square matrix as ``P @ M = L @ U`` with SuperLU.
-
-    Column ``j`` is eliminated at step ``j`` (natural column order) with
-    partial pivoting on the working column. A pivot no larger than
-    ``PIVOT_RTOL`` times the column maximum raises
-    :class:`SingularMatrixError` with the failing column index.
-    """
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("LU factorization requires a square matrix")
-    try:
-        lu = splu(M.tocsc(), permc_spec="NATURAL")
-    except RuntimeError as exc:
-        if "exactly singular" not in str(exc):
-            raise
-        raise SingularMatrixError(_dense_singular_column(M)) from exc
+def _checked_splu(csc, permc_spec: str, floor=0.0):
+    """``splu`` in the column order ``permc_spec`` with partial pivoting,
+    and the steps whose pivots :func:`_weak_pivots` flags; an exactly
+    singular matrix raises SuperLU's ``RuntimeError``."""
+    lu = splu(csc, permc_spec=permc_spec)
     L, U = lu.L, lu.U
     # every column of either factor stores its diagonal entry, so each
     # reduceat segment is a whole, nonempty column
     bad = _weak_pivots(np.abs(U.diagonal()),
                        np.maximum.reduceat(np.abs(U.data), U.indptr[:-1]),
-                       np.maximum.reduceat(np.abs(L.data), L.indptr[:-1]))
+                       np.maximum.reduceat(np.abs(L.data), L.indptr[:-1]), floor)
+    return LUFactors(lu, L.nnz + U.nnz), bad
+
+
+def sparse_lu(M: scipy.sparse.csr_array) -> LUFactors:
+    """Factor a square matrix as ``P @ M @ Q = L @ U`` with SuperLU.
+
+    The columns are eliminated in SuperLU's minimum-degree order of the
+    pattern of ``M + M.T`` (``MMD_AT_PLUS_A``), with partial pivoting on
+    the working column. If that factorization fails in any way (exactly
+    singular, a pivot no larger than ``PIVOT_RTOL`` times its column
+    maximum, or a subnormal pivot), ``M`` is factored again in natural
+    column order, where column ``j`` is eliminated at step ``j``: a
+    failing pivot there raises :class:`SingularMatrixError` naming column
+    ``j`` of ``M``, and otherwise those factors are returned. A
+    structurally singular ``M`` raises before SuperLU sees it, naming the
+    column the natural-order factorization would.
+    """
+    if M.shape[0] != M.shape[1]:
+        raise ValueError("LU factorization requires a square matrix")
+    if structural_rank(M) < M.shape[0]:
+        # SuperLU can abort on such a pattern, or corrupt its own heap
+        raise SingularMatrixError(_dense_singular_column(M))
+    csc = M.tocsc()
+    try:
+        F, bad = _checked_splu(csc, "MMD_AT_PLUS_A", _SMALLEST_NORMAL)
+        if not bad.size:
+            return F
+    except RuntimeError:
+        pass  # whatever SuperLU reports, natural order decides
+    try:
+        F, bad = _checked_splu(csc, "NATURAL")
+    except RuntimeError as exc:
+        if "exactly singular" not in str(exc):
+            raise
+        raise SingularMatrixError(_dense_singular_column(M)) from exc
     if bad.size:
         raise SingularMatrixError(int(bad[0]))
-    return LUFactors(lu, L.nnz + U.nnz)
+    return F
 
 
 def lu_solve(F: LUFactors, rhs) -> np.ndarray:

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse
+from scipy.sparse.linalg import splu
 
 from gpmr import (
     spmv,
@@ -11,16 +13,18 @@ from gpmr import (
     PartitionedSystem,
     PreconditionerError,
     bisect_graph,
+    block_gmres_solve,
     build_preconditioned_system,
     csr_from_coo,
     csr_identity,
     extract_blocks,
+    gmres_solve,
     gpmr_solve,
     read_permutation,
     recover_solution,
     write_permutation,
 )
-from conftest import csr, dense_operator
+from conftest import csr, dense_operator, starting_block
 
 
 def assert_linear(op, rng, rel=1e-12, probes=3):
@@ -279,6 +283,47 @@ def test_identity_preconditioner_reproduces_raw_system_bit_exactly():
     rep_raw = gpmr_solve(raw, 1e-12, 1e-10, k_max=m)
     rep_prec = gpmr_solve(prec_sys, 1e-12, 1e-10, k_max=m)
     assert np.array_equal(rep_raw.residual_history, rep_prec.residual_history)
+
+
+def convection_diffusion(nx, ny, wind=(20.0, 5.0)):
+    """Upwind five-point -lap(u) + w . grad(u) on an nx by ny grid, scaled
+    by h^2: unsymmetric and nonsingular."""
+    def one_dim(n, w):
+        h = 1.0 / (n + 1)
+        return scipy.sparse.diags_array([-1.0 - h * w, 2.0 + h * w, -1.0], offsets=[-1, 0, 1],
+                                        shape=(n, n))
+    return scipy.sparse.csr_array(scipy.sparse.kronsum(one_dim(nx, wind[0]),
+                                                       one_dim(ny, wind[1])))
+
+
+def test_preconditioned_solves_match_natural_order_factors():
+    """The fill-reducing LU changes the preconditioner's rounding only:
+    every method takes the same iterations to the same status as with
+    natural-order factors, along the same residual history."""
+    C = convection_diffusion(24, 20)
+    M, A, B, N = extract_blocks(C, bisect_graph(C))
+    rng = np.random.default_rng(43)
+    b, c = rng.standard_normal(M.shape[0]), rng.standard_normal(N.shape[0])
+    system, prec = build_preconditioned_system(M, A, B, N, b, c)
+
+    Mlu, Nlu = (splu(X.tocsc(), permc_spec="NATURAL") for X in (M, N))
+    for F, lu in ((prec.Mfac, Mlu), (prec.Nfac, Nlu)):
+        assert F.fill < lu.L.nnz + lu.U.nnz
+    natural = PartitionedSystem(
+        1.0, 1.0, LinearOperator(system.m, system.n, lambda x: spmv(A, Nlu.solve(x))),
+        LinearOperator(system.n, system.m, lambda y: spmv(B, Mlu.solve(y))), b, c)
+
+    def solve_all(sys_):
+        K, split = sys_.full_operator(), (sys_.m, sys_.n)
+        return [gpmr_solve(sys_, 0.0, 1e-10, k_max=200),
+                gmres_solve(K, sys_.rhs_full(), 0.0, 1e-10, 200, split=split),
+                *block_gmres_solve(K, starting_block(sys_), 0.0, 1e-10, 200, split=split)]
+
+    for got, want in zip(solve_all(system), solve_all(natural)):
+        assert got.status == want.status == "converged"
+        assert got.iterations == want.iterations
+        scale = want.residual_history[0]
+        assert np.all(np.abs(got.residual_history - want.residual_history) <= 1e-10 * scale)
 
 
 def test_partitioned_system_rejects_zero_inputs():

@@ -79,6 +79,15 @@ def test_reports_retain_only_iterates_and_histories():
         assert retained <= bound, (name, retained, bound)
 
 
+def test_block_gmres_report_kept_alone_retains_one_iterate():
+    solve = solvers(sparse_system())["block_gmres"]
+    retained, report = retained_bytes(lambda: solve()[0])
+    k = report.iterations
+    assert k == K_MAX
+    bound = 8 * (M + N) + PER_ITERATION_BYTES * (k + 1) + PER_REPORT_BYTES
+    assert retained <= bound, (retained, bound)
+
+
 def test_diagnostics_are_plain_data():
     system = sparse_system()
     keys = {"gpmr": {"breakdowns", "storage"}, "gmres": set(),

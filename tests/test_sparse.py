@@ -4,15 +4,19 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import structural_rank
+from scipy.sparse.linalg import splu
 
 from gpmr import (
     IndexOutOfRangeError,
     MalformedEntryError,
     MalformedHeaderError,
+    PreconditionerError,
     SingularMatrixError,
     UnsupportedFormatError,
+    build_preconditioned_system,
     csr_from_coo,
     csr_identity,
     lu_solve,
@@ -21,6 +25,7 @@ from gpmr import (
     spmv,
     write_matrix_market,
 )
+from gpmr.sparse import _dense_singular_column, _weak_pivots
 from conftest import csr, stored_entries
 
 BANNER = "%%MatrixMarket matrix coordinate real general\n"
@@ -278,8 +283,12 @@ def test_lu_identity():
 
 
 def test_lu_forced_pivot():
-    F = sparse_lu(csr([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.array_equal(F.perm_rows, [1, 0])
+    # the zero diagonal is moved off by a row or a column exchange,
+    # depending on the column order
+    dense = np.array([[0.0, 1.0], [1.0, 0.0]])
+    F = sparse_lu(csr(dense))
+    assert np.array_equal(dense[F.perm_rows][:, F.perm_cols], np.eye(2))
+    assert [1, 0] in (F.perm_rows.tolist(), F.perm_cols.tolist())
     assert np.array_equal(F.L.toarray(), np.eye(2))
     assert np.array_equal(F.U.toarray(), np.eye(2))
 
@@ -288,7 +297,7 @@ def test_lu_reconstruction():
     rng = np.random.default_rng(17)
     M, dense = diag_dominant(rng, 30)
     F = sparse_lu(M)
-    lhs = dense[F.perm_rows]
+    lhs = dense[F.perm_rows][:, F.perm_cols]
     rhs = F.L.toarray() @ F.U.toarray()
     err = np.linalg.norm(lhs - rhs)
     assert err <= 1e-12 * np.linalg.norm(dense)
@@ -299,7 +308,7 @@ def test_lu_dense_path_reconstruction():
     n = 536
     M, dense = diag_dominant(rng, n, density=0.01)
     F = sparse_lu(M)
-    lhs = dense[F.perm_rows]
+    lhs = dense[F.perm_rows][:, F.perm_cols]
     rhs = F.L.toarray() @ F.U.toarray()
     assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(dense)
 
@@ -328,6 +337,140 @@ def test_lu_names_exactly_zero_column_of_large_block():
         with pytest.raises(SingularMatrixError) as info:
             sparse_lu(csr(dense))
     assert info.value.column == 417
+
+
+def test_lu_names_column_of_structurally_singular_block():
+    # natural-order SuperLU stops on this pattern with an internal error,
+    # not "exactly singular"; no factorization is tried on it
+    dense = np.zeros((3, 3))
+    dense[2] = 1.0
+    with pytest.raises(SingularMatrixError) as info:
+        sparse_lu(csr(dense))
+    assert info.value.column == 1
+
+
+def test_lu_subnormal_pivots_keep_the_natural_order_outcome():
+    # the reciprocal of a subnormal pivot overflows in SuperLU. In natural
+    # order this block's multiplier turns infinite and column 0 fails;
+    # the minimum-degree order would accept it with a subnormal last pivot
+    with pytest.raises(SingularMatrixError) as info:
+        sparse_lu(csr([[5e-324, 1.0], [5e-324, 2.0]]))
+    assert info.value.column == 0
+    # SuperLU calls this one exactly singular, and LAPACK's pivots pass
+    # the relative test: the first subnormal one is named
+    with pytest.raises(SingularMatrixError) as info:
+        sparse_lu(csr([[5e-324, 5e-324], [0.0, 1e-323]]))
+    assert info.value.column == 0
+    # a subnormal pivot that natural order accepts is still accepted
+    F = sparse_lu(csr([[1.0, 0.0], [0.0, 5e-324]]))
+    assert np.array_equal(F.U.diagonal(), [1.0, 5e-324])
+
+
+def weak_steps(lu):
+    """Steps whose pivots fail the relative test, in SuperLU's factors."""
+    L, U = lu.L.toarray(), lu.U.toarray()
+    return _weak_pivots(np.abs(np.diag(U)), np.abs(U).max(axis=0), np.abs(L).max(axis=0))
+
+
+def arrowhead(n=8):
+    dense = np.diag(np.full(n, 4.0))
+    dense[0, :] = dense[:, 0] = 1.0
+    dense[0, 0] = 10.0
+    return dense
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-15])
+def test_lu_singular_column_is_named_in_natural_order(scale):
+    """A singular block names the column that natural order names, even
+    where the fill-reducing factorization fails at another step.
+
+    The minimum-degree order eliminates the arrowhead's columns last to
+    first. With column 0 copied into column 5, the ordered factorization
+    is exactly singular or, for the copy times 1 + 1e-15, has its weak
+    pivot at step 7: reported as is, that step would name column 7.
+    Only the natural-order refactor on failure names column 5.
+    """
+    nonsingular = sparse_lu(csr(arrowhead()))
+    assert np.array_equal(nonsingular.perm_cols, np.arange(8)[::-1])
+
+    dense = arrowhead()
+    dense[:, 5] = scale * dense[:, 0]
+    M = csr(dense)
+    if scale == 1.0:
+        with pytest.raises(RuntimeError, match="exactly singular"):
+            splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    else:
+        ordered = splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        assert weak_steps(ordered).tolist() == [7]
+    with pytest.raises(SingularMatrixError) as info:
+        sparse_lu(M)
+    assert info.value.column == 5
+
+    ok = csr_identity(8)
+    with pytest.raises(PreconditionerError) as info:
+        build_preconditioned_system(ok, ok, ok, M, np.ones(8), np.ones(8))
+    assert info.value.block == "N"
+    assert "column 5" in str(info.value)
+
+
+def natural_order_column(M):
+    """The column the pivot test of the natural-order SuperLU factors of
+    ``M`` names, or None if they pass it. Where SuperLU finds ``M``
+    exactly singular, as it must a structurally singular ``M`` (which it
+    is not shown: it can abort or crash on one), LAPACK names it."""
+    if structural_rank(M) < M.shape[0]:
+        return _dense_singular_column(M)
+    try:
+        weak = weak_steps(splu(M.tocsc(), permc_spec="NATURAL"))
+    except RuntimeError:
+        return _dense_singular_column(M)
+    return int(weak[0]) if weak.size else None
+
+
+@st.composite
+def lu_blocks(draw):
+    """Sparse square blocks: a random pattern plus a dominant diagonal,
+    and optionally one column zeroed or copied, up to a scale, into
+    another."""
+    n = draw(st.integers(2, 40))
+    index = st.integers(0, n - 1)
+    entries = draw(st.lists(st.tuples(index, index, st.floats(-4.0, 4.0)),
+                            max_size=4 * n))
+    dense = np.zeros((n, n))
+    for i, j, v in entries:
+        dense[i, j] = v
+    dense += np.diag(np.abs(dense).sum(axis=1) + draw(st.sampled_from([0.0, 0.5, 1.0])))
+    edit = draw(st.sampled_from(["none", "zero", "copy"]))
+    if edit != "none":
+        target = draw(index)
+        if edit == "zero":
+            dense[:, target] = 0.0
+        else:
+            source = draw(index.filter(lambda i: i != target))
+            dense[:, target] = draw(st.sampled_from([1.0, 1.0 + 1e-15, -2.5])) * dense[:, source]
+    return dense
+
+
+@settings(max_examples=300, deadline=None)
+@given(lu_blocks())
+def test_lu_matches_natural_order_contract(dense):
+    """A block that factors reconstructs as ``P M Q = L U``; a block that
+    does not names the column the natural-order factorization names.
+
+    Fill is not compared with natural order here: minimum degree orders
+    the pattern of M + M.T, so on some unsymmetric blocks it stores more.
+    One is [[1.5, 1], [0, 0.5]]: upper triangular, so natural order
+    stores 5 entries, while minimum degree eliminates column 1 first and
+    stores 6.
+    """
+    M = csr(dense)
+    try:
+        F = sparse_lu(M)
+    except SingularMatrixError as exc:
+        assert exc.column == natural_order_column(M)
+        return
+    lhs = dense[F.perm_rows][:, F.perm_cols]
+    assert np.linalg.norm(lhs - F.L.toarray() @ F.U.toarray()) <= 1e-12 * np.linalg.norm(dense)
 
 
 def test_lu_factors_large_banded_block_without_dense_copy():
