@@ -36,7 +36,6 @@ from .operators import (
     write_permutation,
 )
 from .solver import (
-    GpmrWorkspace,
     SingularSubproblemError,
     SolveReport,
     backward_substitution,
@@ -66,7 +65,6 @@ __all__ = [
     "BlockArnoldiState",
     "BlockJacobiPreconditioner",
     "BlockSplit",
-    "GpmrWorkspace",
     "GraphPartitionError",
     "HessenbergState",
     "IndexOutOfRangeError",

@@ -13,12 +13,19 @@ Block-GMRES updates a QR factorization of the block-Hessenberg matrix
 one column pair per iteration with 4x4 orthogonal factors, reads its
 residual norms off the transformed right-hand side and solves for its
 iterates once, at the end.
+
+The Krylov bases (GMRES's vectors, block-Arnoldi's pairs) are the only
+arrays sized by the iteration budget. Everything else a solve keeps
+grows by one entry per iteration in Python lists: GMRES's rotated
+columns and rotations, block-Arnoldi's coefficient column pairs,
+Block-GMRES's QR factors and triangle columns, and the transformed
+right-hand sides.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -59,9 +66,10 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
     in the report's x and y fields; without it the full vector lands in
     x. The basis is one row per vector of a (cap + 1, dim) array,
     allocated uninitialized: row k + 1 is written by step k before any
-    read. Each Hessenberg column is rotated as a Python list, and the
-    triangle is assembled from those lists once, at the end. The
-    report's diagnostics are empty.
+    read. Each Hessenberg column is rotated as a Python list and kept
+    as a float64 array; the triangle is assembled from those once, at
+    the end. The transformed right-hand side is a list. The report's
+    diagnostics are empty.
     """
     check_stopping_rule(atol, rtol, k_max)
     d = np.asarray(d, dtype=np.float64)
@@ -75,11 +83,10 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
 
     V = np.empty((cap + 1, dim)).T
     V[:, 0] = d / norm_d
-    cols: list[list[float]] = []  # the Hessenberg columns after their reflections
+    cols: list[np.ndarray] = []  # the Hessenberg columns after their reflections
     cs: list[float] = []
     sn: list[float] = []
-    tbar = np.zeros(cap + 1)
-    tbar[0] = norm_d
+    tbar = [norm_d]
 
     threshold = atol + rtol * norm_d
     history = [norm_d]
@@ -116,13 +123,12 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
         sn.append(s)
         col[k] = r
         tb = tbar[k]
-        tbar[k] = c * tb
-        tbar[k + 1] = s * tb
+        tbar[k:] = c * tb, s * tb
         if not math.isfinite(tbar[k + 1]):
             # the first k columns and tbar[:k] are as they were
             nonfinite = True
             break
-        cols.append(col[: k + 1])
+        cols.append(np.array(col[: k + 1]))
         k += 1
         rnorm = abs(tbar[k])
         history.append(rnorm)
@@ -135,7 +141,7 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
         R = np.zeros((k, k))
         for j, col in enumerate(cols):
             R[: j + 1, j] = col
-        y = solve_triangular(R, tbar[:k], check_finite=False)
+        y = solve_triangular(R, np.array(tbar[:k]), check_finite=False)
         sol = V[:, :k] @ y
     x, yblk = _split_solution(sol, split)
     return SolveReport(x=x, y=yblk, status=status,
@@ -158,14 +164,29 @@ class BlockArnoldiState:
     F-contiguous (dim, 2) array and ``W[i][:, j]`` a contiguous vector.
     The array is allocated uninitialized: a step from ``k`` writes
     ``W[k + 1]`` before any read, and later pairs are never touched.
-    ``S[2i:2i+2, 2j:2j+2]`` holds the 2x2 coefficient block coupling
-    pair i+1 to column pair j+1 (0-based storage of 1-based math).
+    ``columns[j]`` is the (2j+4) x 2 coefficient column pair of step
+    j+1: rows 2i:2i+2 couple pair i+1 to it (0-based storage of 1-based
+    math). Only the pairs are sized by k_max.
     """
 
     W: np.ndarray
-    S: np.ndarray
     Gamma: np.ndarray
-    k: int = 0
+    columns: list = field(default_factory=list)
+
+    @property
+    def k(self) -> int:
+        """The number of steps taken."""
+        return len(self.columns)
+
+    @property
+    def S(self) -> np.ndarray:
+        """The (2 k_max + 2) x 2 k_max block-Hessenberg matrix, assembled
+        from ``columns`` with zeros past step k; a new array each read."""
+        k_max = len(self.W) - 1
+        S = np.zeros((2 * k_max + 2, 2 * k_max))
+        for j, col in enumerate(self.columns):
+            S[: 2 * j + 4, 2 * j:2 * j + 2] = col
+        return S
 
 
 def _qr_two_columns(block: np.ndarray, rank_tol: float = 0.0):
@@ -214,18 +235,17 @@ def block_arnoldi_init(D: np.ndarray, k_max: int) -> BlockArnoldiState:
     Q, Gamma = _qr_two_columns(D)
     W = np.empty((k_max + 1, 2, D.shape[0])).transpose(0, 2, 1)
     W[0] = Q
-    return BlockArnoldiState(W=W, S=np.zeros((2 * (k_max + 1), 2 * k_max)),
-                             Gamma=Gamma)
+    return BlockArnoldiState(W=W, Gamma=Gamma)
 
 
-def _project_out(W: np.ndarray, G: np.ndarray, S_col: np.ndarray) -> np.ndarray:
+def _project_out(W: np.ndarray, G: np.ndarray):
     """One pairwise block modified Gram-Schmidt pass of ``G`` against the
-    pairs ``W[0], W[1], ...``, adding pair i's coefficients to
-    ``S_col[2i:2i+2]``.
+    pairs ``W[0], W[1], ...``.
 
-    ``G`` is an F-contiguous (dim, 2) block, updated in place by BLAS and
-    returned; each pair's coefficients are taken against the ``G`` that
-    the earlier pairs already updated.
+    ``G`` is an F-contiguous (dim, 2) block, updated in place by BLAS;
+    each pair's coefficients are taken against the ``G`` that the earlier
+    pairs already updated. Returns ``G`` and the coefficients, pair i's
+    in rows 2i:2i+2 of a (2 len(W)) x 2 array.
     """
     coeffs = []
     for Wi in W:
@@ -234,15 +254,16 @@ def _project_out(W: np.ndarray, G: np.ndarray, S_col: np.ndarray) -> np.ndarray:
         # array is the updated one either way
         G = dgemm(-1.0, Wi, Psi, beta=1.0, c=G, overwrite_c=1)
         coeffs.append(Psi)
-    S_col[: 2 * len(W)] += np.concatenate(coeffs)
-    return G
+    return G, np.concatenate(coeffs)
 
 
 def block_arnoldi_step(state: BlockArnoldiState, K: LinearOperator,
                        reorth: bool = False) -> BlockArnoldiState:
     """Orthogonalize K w_k against all stored pairs (pairwise block MGS,
-    run twice with ``reorth``) and normalize the remainder by a 2x2 QR
-    with nonnegative diagonal."""
+    run twice with ``reorth``, whose coefficients add up) and normalize
+    the remainder by a 2x2 QR with nonnegative diagonal. The step's
+    (2k+4) x 2 coefficient column pair, the projection coefficients over
+    the remainder's 2x2 factor, is appended to ``state.columns``."""
     k = state.k
     if k + 1 >= len(state.W):
         raise ValueError("block-Arnoldi storage exhausted")
@@ -251,22 +272,21 @@ def block_arnoldi_step(state: BlockArnoldiState, K: LinearOperator,
     G[:, 0] = K.apply(wk[:, 0])
     G[:, 1] = K.apply(wk[:, 1])
     scale = float(np.linalg.norm(G))
-    # column pair k of S is zero until this step writes it
-    S_col = state.S[:, 2 * k:2 * k + 2]
-    G = _project_out(state.W[: k + 1], G, S_col)
+    G, coeffs = _project_out(state.W[: k + 1], G)
     if reorth:
-        G = _project_out(state.W[: k + 1], G, S_col)
+        G, again = _project_out(state.W[: k + 1], G)
+        coeffs += again
     Q, Psi_next = _normalize_remainder(G, rank_tol=BREAKDOWN_RTOL * scale)
     state.W[k + 1] = Q
-    S_col[2 * k + 2:2 * k + 4] = Psi_next
-    state.k = k + 1
+    state.columns.append(np.vstack([coeffs, Psi_next]))
     return state
 
 
-def _block_iterates(W: np.ndarray, cols: list, g: np.ndarray):
+def _block_iterates(W: np.ndarray, cols: list, g):
     """Both columns' minimum-norm iterates, as rows of a (2, dim) array.
 
-    ``cols[j]`` is column pair j of the triangle, rows 0..2j+1. The
+    ``cols[j]`` is column pair j of the triangle, rows 0..2j+1, and
+    ``g`` the transformed right-hand side, one two-entry row each. The
     solutions of the triangle R Z = g[:2k] in the least-squares sense are
     those of the block-Hessenberg problem, so one ``lstsq`` on the
     triangle keeps the minimum-norm rule on a rank-deficient one. The
@@ -319,11 +339,9 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
     norm_d = float(np.hypot(beta, gamma))
     threshold = atol + rtol * norm_d
 
-    factors = np.zeros((cap, 4, 4))
+    factors = []  # the 4x4 orthogonal factor of each step
     cols = []  # column pairs of S after the accumulated factors
-    g = np.zeros((2 * cap + 2, 2))
-    g[0, 0] = beta
-    g[1, 1] = gamma
+    g = [[beta, 0.0], [0.0, gamma]]  # rows of the transformed right-hand side
 
     hist_b = [abs(beta)]
     hist_c = [abs(gamma)]
@@ -336,20 +354,21 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
     while not nonfinite and res_sum > threshold and k < cap:
         block_arnoldi_step(state, K, reorth=reorth)
         matvecs += 2
-        col = state.S[: 2 * k + 4, 2 * k:2 * k + 2].copy()
+        col = state.columns[k].copy()
         if not np.isfinite(col).all():
             # the QR of step k came from finite columns
             nonfinite = True
             break
-        for i in range(k):
-            col[2 * i:2 * i + 4] = factors[i].T @ col[2 * i:2 * i + 4]
+        for i, Qi in enumerate(factors):
+            col[2 * i:2 * i + 4] = Qi.T @ col[2 * i:2 * i + 4]
         Q, top = np.linalg.qr(col[2 * k:2 * k + 4], mode="complete")
         col[2 * k:2 * k + 4] = top
-        factors[k] = Q
+        factors.append(Q)
         cols.append(col[: 2 * k + 2])
-        g[2 * k:2 * k + 4] = Q.T @ g[2 * k:2 * k + 4]
+        # the two new rows of g start at zero
+        g[2 * k:] = (Q.T @ (g[2 * k:] + [[0.0, 0.0], [0.0, 0.0]])).tolist()
         k = state.k
-        (tb, tc), (ub, uc) = g[2 * k:2 * k + 2].tolist()
+        (tb, tc), (ub, uc) = g[2 * k:]
         hist_b.append(math.hypot(tb, ub))
         hist_c.append(math.hypot(tc, uc))
         res_sum = math.hypot(tb + tc, ub + uc)

@@ -71,6 +71,10 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
         if unknown:
             raise ValueError(f"unknown methods: {unknown}")
+        # results are keyed by method name, so a repeat would show once
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise ValueError(f"repeated methods: {repeated}")
         check_stopping_rule(self.atol, self.rtol, self.k_max)
 
 

@@ -8,19 +8,21 @@ reflections zero the subdiagonal entries (in order: f_{k+1,k}, the
 (2k, 2k-1) entry, the fill created at row 2k+2, and h_{k+1,k}). The
 transformed right-hand side yields the residual norm for free as the
 length of its last two components, so iterates are only materialized at
-termination by a backward substitution performed in place over the
-transformed right-hand side storage.
+termination by a backward substitution.
 
 The reflections run on Python floats: each iteration converts its new
-columns and the stored coefficients once with ``tolist``, which spares
-the per-operation overhead of numpy scalars and gives the same IEEE
-double results. The bases and the packed triangle are allocated
-uninitialized; every entry is written before it is read.
+columns once with ``tolist``, which spares the per-operation overhead of
+numpy scalars and gives the same IEEE double results.
 
-Workspace storage after k iterations matches the method's accounting:
-k(m+n) basis entries plus one in-flight column pair, 2k entries for the
-transformed right-hand side (shared with the subproblem solution), 8k
-reflection coefficients, and k(2k+1) entries of the packed triangle.
+Only the bases V and U are sized by the iteration budget: they are
+allocated uninitialized, and every entry is written before it is read.
+The rest of the solve's state grows with the iterations run, in Python
+lists: the reflections (8 coefficients a step), the transformed
+right-hand side (2k+2 entries after k steps) and the triangle's columns
+(column j holds its j upper entries, k(2k+1) in all). Each column is
+kept as a float64 array, 8 bytes an entry where a Python float takes 32.
+The columns are packed once, at the end, for BLAS ``dtpsv``, which
+solves over a copy of the transformed right-hand side.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.blas import dtpsv
 
-from .hessenberg import HessenbergState, hessenberg_init, hessenberg_step
+from .hessenberg import hessenberg_init, hessenberg_step
 from .operators import PartitionedSystem
 
 STATUS_CONVERGED = "converged"
@@ -46,9 +48,10 @@ quiet_nonfinite = np.errstate(over="ignore", invalid="ignore")
 
 
 def check_stopping_rule(atol: float, rtol: float, k_max: int) -> None:
-    """Reject a stopping rule no solve can honour: negative tolerances,
-    both tolerances zero, or an iteration budget below one."""
-    if atol < 0 or rtol < 0 or (atol == 0 and rtol == 0):
+    """Reject a stopping rule no solve can honour: negative or NaN
+    tolerances, both tolerances zero, or an iteration budget below one."""
+    # written so that NaN, which fails every comparison, is rejected
+    if not atol >= 0 or not rtol >= 0 or (atol == 0 and rtol == 0):
         raise ValueError("tolerances must be nonnegative and not both zero")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -71,14 +74,6 @@ class SingularSubproblemError(RuntimeError):
     def __init__(self, index: int):
         self.index = index
         super().__init__(f"projected system is singular at diagonal entry {index}")
-
-
-def check_nonsingular(diagonal: np.ndarray) -> None:
-    """Raise :class:`SingularSubproblemError` naming the last zero entry
-    of a triangle's diagonal, the first one a backward substitution meets."""
-    zeros = np.flatnonzero(diagonal == 0.0)
-    if zeros.size:
-        raise SingularSubproblemError(int(zeros[-1]) + 1)
 
 
 @dataclass
@@ -113,51 +108,10 @@ def reflection_coefficients(a: float, b: float):
     return a / r, b / r, r
 
 
-class GpmrWorkspace:
-    """Packed triangle, reflection coefficients and transformed RHS.
-
-    The triangle is packed column by column (column j holds its j upper
-    entries), sized for ``k_max`` iterations: k_max (2 k_max + 1) reals.
-    """
-
-    def __init__(self, hess: HessenbergState, lam: float, mu: float, k_max: int):
-        self.hess = hess
-        self.lam = float(lam)
-        self.mu = float(mu)
-        self.k_max = int(k_max)
-        # written a column pair per iteration before it is read
-        self.R = np.empty(k_max * (2 * k_max + 1))
-        self.givens_c = np.zeros((4, k_max))
-        self.givens_s = np.zeros((4, k_max))
-        self.tbar = np.zeros(2 * k_max + 2)
-        self.k = 0
-
-    def storage_report(self) -> dict:
-        """Live storage counts at the current iteration."""
-        k = self.k
-        m_plus_n = self.hess.m + self.hess.n
-        basis = self.hess.V[:, :k].size + self.hess.U[:, :k].size
-        givens = self.givens_c[:, :k].size + self.givens_s[:, :k].size
-        return {
-            "basis": basis,
-            "qp": m_plus_n,
-            "t": 2 * k,
-            "z": 2 * k,
-            "t_z_shared": True,
-            "givens": givens,
-            "r": k * (2 * k + 1),
-        }
-
-
-def _packed_index(i: int, j: int) -> int:
-    # 1-based (i, j) with i <= j into the column-packed triangle
-    return j * (j - 1) // 2 + (i - 1)
-
-
-def reflect(c, s, a1: float, a2: float, a3: float, a4: float):
+def ref(c, s, a1: float, a2: float, a3: float, a4: float):
     """Apply the four reflections of one iteration i, coefficients
-    ``c[0..3]`` and ``s[0..3]``, to the entries (a1, a2, a3, a4) sitting
-    at rows 2i-1, 2i, 2i+1, 2i+2.
+    ``c = (c1, .., c4)`` and ``s = (s1, .., s4)``, to the entries
+    (a1, a2, a3, a4) sitting at rows 2i-1, 2i, 2i+1, 2i+2.
 
     On Python floats this is plain C double arithmetic, the same result
     as on ``np.float64`` scalars without their per-operation overhead.
@@ -179,19 +133,14 @@ def reflect(c, s, a1: float, a2: float, a3: float, a4: float):
     return a1, a2, a3, a4
 
 
-def ref(i: int, a1: float, a2: float, a3: float, a4: float, ws: GpmrWorkspace):
-    """Apply the four stored reflections of iteration ``i`` (1-based) to
-    the entries (a1, a2, a3, a4) sitting at rows 2i-1, 2i, 2i+1, 2i+2."""
-    return reflect(ws.givens_c[:, i - 1].tolist(), ws.givens_s[:, i - 1].tolist(),
-                   a1, a2, a3, a4)
-
-
-def givens(k: int, r11: float, r12: float, r21: float, r22: float,
-           h_next: float, f_next: float, ws: GpmrWorkspace):
-    """Compute and store the four reflections of iteration ``k``.
+def givens(r11: float, r12: float, r21: float, r22: float,
+           h_next: float, f_next: float):
+    """The four reflections of one iteration and the triangle entries
+    they produce.
 
     Inputs are the current 2x2 diagonal block (r11, r12; r21, r22) of
     the new column pair plus the two subdiagonal coefficients. Returns
+    the coefficients ``c = (c1, .., c4)`` and ``s = (s1, .., s4)`` and
     the final triangle entries (r_{2k-1,2k-1}, r_{2k-1,2k}, r_{2k,2k});
     the produced diagonal entries are nonnegative by construction.
     """
@@ -203,23 +152,23 @@ def givens(k: int, r11: float, r12: float, r21: float, r22: float,
     rbb22 = s2 * rbb12 - c2 * r22
     c3, s3, ring22 = reflection_coefficients(rbb22, fill)
     c4, s4, out22 = reflection_coefficients(ring22, h_next)
-    ws.givens_c[:, k - 1] = (c1, c2, c3, c4)
-    ws.givens_s[:, k - 1] = (s1, s2, s3, s4)
-    return out11, out12, out22
+    return (c1, c2, c3, c4), (s1, s2, s3, s4), out11, out12, out22
 
 
-def _qr_update(ws: GpmrWorkspace, k: int, hcol: np.ndarray, fcol: np.ndarray):
-    """Fold the step-k column pair into the packed triangle.
+def _qr_update(reflections: list, lam: float, mu: float,
+               hcol: np.ndarray, fcol: np.ndarray):
+    """Fold the column pair of step k = len(reflections) + 1 into the
+    triangle.
 
-    The reflections run on Python floats; each column's entries are
-    collected in a list and written with one slice assignment, so every
-    entry of packed columns 2k-1 and 2k is written on every call.
+    The stored reflections ``(c, s)`` of steps 1..k-1 are applied first,
+    on Python floats; then :func:`givens` computes step k's. Returns
+    packed columns 2k-1 and 2k as lists (column j holds its j upper
+    entries) and step k's reflection ``(c, s)``; ``reflections`` is left
+    as it was.
     """
-    lam, mu = ws.lam, ws.mu
+    k = len(reflections) + 1
     h = hcol.tolist()
     f = fcol.tolist()
-    cs = ws.givens_c[:, : k - 1].T.tolist()
-    ss = ws.givens_s[:, : k - 1].T.tolist()
     if k == 1:
         a1, a2 = lam, f[0]
         b1, b2 = h[0], mu
@@ -229,35 +178,36 @@ def _qr_update(ws: GpmrWorkspace, k: int, hcol: np.ndarray, fcol: np.ndarray):
     col_a, col_b = [], []
     for i in range(1, k):
         rho, delta = (lam, mu) if i == k - 1 else (0.0, 0.0)
-        c, s = cs[i - 1], ss[i - 1]
-        a1, a2, a3, a4 = reflect(c, s, a1, a2, rho, f[i])
+        c, s = reflections[i - 1]
+        a1, a2, a3, a4 = ref(c, s, a1, a2, rho, f[i])
         col_a += (a1, a2)
         a1, a2 = a3, a4
-        b1, b2, b3, b4 = reflect(c, s, b1, b2, h[i], delta)
+        b1, b2, b3, b4 = ref(c, s, b1, b2, h[i], delta)
         col_b += (b1, b2)
         b1, b2 = b3, b4
-    out11, out12, out22 = givens(k, a1, b1, a2, b2, h[k], f[k], ws)
+    c, s, out11, out12, out22 = givens(a1, b1, a2, b2, h[k], f[k])
     col_a.append(out11)
     col_b += (out12, out22)
-    start_a = _packed_index(1, 2 * k - 1)
-    start_b = _packed_index(1, 2 * k)
-    ws.R[start_a:start_b] = col_a
-    ws.R[start_b : start_b + 2 * k] = col_b
+    return col_a, col_b, (c, s)
 
 
-def backward_substitution(ws: GpmrWorkspace, k: int) -> np.ndarray:
-    """Solve the active 2k x 2k triangle against the transformed RHS.
+def backward_substitution(columns: list, tbar) -> np.ndarray:
+    """Solve the triangle whose packed columns are ``columns`` against
+    the first ``len(columns)`` entries of ``tbar``.
 
-    The substitution is BLAS ``dtpsv`` on the column-packed triangle,
-    which is BLAS upper-packed order. It runs in place over the first 2k
-    entries of the workspace RHS storage and returns that slice. A zero
-    diagonal raises :class:`SingularSubproblemError` with the 1-based
-    entry index before any entry is changed.
+    Column j (a list or array) holds its j upper entries, so the columns
+    concatenated are BLAS upper-packed order. They are packed once, and
+    BLAS ``dtpsv`` solves in place over a new array holding a copy of
+    ``tbar``'s entries, which is returned. A zero diagonal raises
+    :class:`SingularSubproblemError` with the 1-based index of the last
+    zero entry, the first one a backward substitution meets.
     """
-    j = np.arange(1, 2 * k + 1)
-    check_nonsingular(ws.R[_packed_index(j, j)])
-    dtpsv(2 * k, ws.R, ws.tbar, overwrite_x=1)
-    return ws.tbar[: 2 * k]
+    n = len(columns)
+    for j in range(n, 0, -1):
+        if columns[j - 1][-1] == 0.0:
+            raise SingularSubproblemError(j)
+    z = np.array(tbar[:n], dtype=np.float64)
+    return dtpsv(n, np.concatenate(columns), z, overwrite_x=1)
 
 
 @quiet_nonfinite
@@ -275,17 +225,21 @@ def gpmr_solve(system: PartitionedSystem, atol: float, rtol: float,
     iterate whose residual norm was finite (zeros if the initial one is
     not). The solve is nested: the first k iterations of a longer solve
     are those of ``k_max=k``. The diagnostics hold ``breakdowns``, one
-    (v_side, u_side) flag pair per step, and ``storage``, the workspace's
-    :meth:`GpmrWorkspace.storage_report` at the last iteration.
+    (v_side, u_side) flag pair per step, and ``storage``, the number of
+    reals of each piece of state the last iteration kept: ``basis``
+    k(m+n), ``qp`` the in-flight pair's m+n, ``t`` and ``z`` 2k (the
+    substitution overwrites t with z, so ``t_z_shared``), ``givens`` 8k
+    and ``r`` k(2k+1), the last two counted off the kept lists.
     """
     check_stopping_rule(atol, rtol, k_max)
     m, n = system.m, system.n
+    lam, mu = float(system.lam), float(system.mu)
     cap = min(k_max, max(m, n))
 
     hess = hessenberg_init(system.A, system.B, system.b, system.c, capacity=cap)
-    ws = GpmrWorkspace(hess, system.lam, system.mu, cap)
-    ws.tbar[0] = hess.beta
-    ws.tbar[1] = hess.gamma
+    reflections = []  # the (c, s) coefficient 4-tuples of each step
+    columns = []  # the triangle's packed columns as arrays, two per step
+    tbar = [hess.beta, hess.gamma]
     rnorm = math.hypot(hess.beta, hess.gamma)
     threshold = atol + rtol * rnorm
 
@@ -295,30 +249,26 @@ def gpmr_solve(system: PartitionedSystem, atol: float, rtol: float,
     nonfinite = not math.isfinite(rnorm)
     k = 0
     while not nonfinite and rnorm > threshold and k < cap:
-        k += 1
         hessenberg_step(hess, reorth=reorth)
         matvecs += 2
-        _qr_update(ws, k, hess.Hcols[k - 1], hess.Fcols[k - 1])
-        if (ws.R[_packed_index(2 * k - 1, 2 * k - 1)] == 0.0
-                or ws.R[_packed_index(2 * k, 2 * k)] == 0.0):
+        col_a, col_b, (c, s) = _qr_update(reflections, lam, mu, hess.Hcols[k],
+                                          hess.Fcols[k])
+        if col_a[-1] == 0.0 or col_b[-1] == 0.0:
             # a structurally zero subproblem column (a zero-padded basis
             # slot with vanishing regularization) cannot be used by plain
             # triangular substitution; keep the last well-posed iterate
-            k -= 1
             stalled = True
             break
-        t1, t2, t3, t4 = ref(k, ws.tbar[2 * k - 2], ws.tbar[2 * k - 1], 0.0, 0.0, ws)
-        ws.tbar[2 * k - 2] = t1
-        ws.tbar[2 * k - 1] = t2
-        ws.tbar[2 * k] = t3
-        ws.tbar[2 * k + 1] = t4
+        t1, t2, t3, t4 = ref(c, s, tbar[-2], tbar[-1], 0.0, 0.0)
         rnorm = math.hypot(t3, t4)
         if not math.isfinite(rnorm):
-            # steps before k left the triangle and tbar[: 2k - 2] as they were
-            k -= 1
+            # the lists still hold the last finite step's state
             nonfinite = True
             break
-        ws.k = k
+        reflections.append((c, s))
+        columns += (np.array(col_a), np.array(col_b))
+        tbar[-2:] = t1, t2, t3, t4
+        k += 1
         history.append(rnorm)
 
     status = final_status(nonfinite, rnorm <= threshold, stalled or k >= min(m, n))
@@ -327,12 +277,14 @@ def gpmr_solve(system: PartitionedSystem, atol: float, rtol: float,
         x = np.zeros(m)
         y = np.zeros(n)
     else:
-        z = backward_substitution(ws, k)
+        z = backward_substitution(columns, tbar)
         x = hess.V[:, :k] @ z[0::2]
         y = hess.U[:, :k] @ z[1::2]
 
-    diagnostics = {"breakdowns": list(hess.breakdown_flags),
-                   "storage": ws.storage_report()}
+    storage = {"basis": hess.V[:, :k].size + hess.U[:, :k].size, "qp": m + n,
+               "t": len(columns), "z": len(columns), "t_z_shared": True,
+               "givens": 8 * len(reflections), "r": sum(map(len, columns))}
+    diagnostics = {"breakdowns": list(hess.breakdown_flags), "storage": storage}
     return SolveReport(x=x, y=y, status=status,
                        residual_history=np.asarray(history),
                        iterations=k, matvec_count=matvecs,

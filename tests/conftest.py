@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import scipy.sparse
 
 import gpmr.baselines as baselines
 from gpmr import (
+    HessenbergState,
     LinearOperator,
     PartitionedSystem,
     backward_substitution,
@@ -16,7 +18,7 @@ from gpmr import (
     ref,
 )
 from gpmr.hessenberg import BREAKDOWN_RTOL
-from gpmr.solver import GpmrWorkspace, _qr_update
+from gpmr.solver import _qr_update
 
 
 def csr(dense):
@@ -68,34 +70,47 @@ def starting_block(system):
     return D
 
 
+@dataclass
+class GpmrReplay:
+    """The state ``gpmr_solve`` keeps: the process, each step's
+    reflection ``(c, s)``, the triangle's packed columns and the
+    transformed right-hand side."""
+
+    hess: HessenbergState
+    reflections: list = field(default_factory=list)
+    columns: list = field(default_factory=list)
+    tbar: list = field(default_factory=list)
+
+
 def replay_gpmr(system, steps, reorth=False):
     """Run ``steps`` iterations of GPMR's process and QR update outside
     the solver, as ``gpmr_solve`` runs them without a stopping rule.
 
-    Returns the workspace (its ``hess`` holds the bases and columns) and
-    the residual-norm history. A solve that ran k <= steps iterations
-    on the same system must reproduce ``history[:k + 1]`` bit for bit.
+    Returns the :class:`GpmrReplay` and the residual-norm history. A
+    solve that ran k <= steps iterations on the same system must
+    reproduce ``history[:k + 1]`` bit for bit.
     """
     hess = hessenberg_init(system.A, system.B, system.b, system.c, capacity=steps)
-    ws = GpmrWorkspace(hess, system.lam, system.mu, steps)
-    ws.tbar[:2] = hess.beta, hess.gamma
+    replay = GpmrReplay(hess, tbar=[hess.beta, hess.gamma])
     history = [math.hypot(hess.beta, hess.gamma)]
     for k in range(1, steps + 1):
         hessenberg_step(hess, reorth=reorth)
-        _qr_update(ws, k, hess.Hcols[k - 1], hess.Fcols[k - 1])
-        t = ref(k, ws.tbar[2 * k - 2], ws.tbar[2 * k - 1], 0.0, 0.0, ws)
-        ws.tbar[2 * k - 2:2 * k + 2] = t
+        col_a, col_b, (c, s) = _qr_update(replay.reflections, float(system.lam),
+                                          float(system.mu), hess.Hcols[k - 1],
+                                          hess.Fcols[k - 1])
+        t = ref(c, s, replay.tbar[-2], replay.tbar[-1], 0.0, 0.0)
+        replay.reflections.append((c, s))
+        replay.columns += (np.array(col_a), np.array(col_b))
+        replay.tbar[-2:] = t
         history.append(math.hypot(t[2], t[3]))
-        ws.k = k
-    return ws, history
+    return replay, history
 
 
-def replay_iterate(ws, k):
-    """Iterate k of a replayed workspace, formed as ``gpmr_solve`` forms
-    it; later steps leave the first k column pairs and tbar[:2k] as they
-    were. Overwrites the workspace's transformed right-hand side."""
-    z = backward_substitution(ws, k)
-    return ws.hess.V[:, :k] @ z[0::2], ws.hess.U[:, :k] @ z[1::2]
+def replay_iterate(replay, k):
+    """Iterate k of a replay, formed as ``gpmr_solve`` forms it; later
+    steps leave the first k column pairs and tbar[:2k] as they were."""
+    z = backward_substitution(replay.columns[: 2 * k], replay.tbar)
+    return replay.hess.V[:, :k] @ z[0::2], replay.hess.U[:, :k] @ z[1::2]
 
 
 def record_orthogonalize(monkeypatch):

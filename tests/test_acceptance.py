@@ -26,7 +26,7 @@ from gpmr import (
 from gpmr.cli import ExperimentConfig, run_experiment
 from conftest import dense_full_matrix, dense_operator, random_block_system
 
-from test_solver import make_workspace, reflection_block
+from test_solver import reflection_block
 
 
 def _criterion(num, ok, detail=""):
@@ -154,24 +154,19 @@ def test_criterion_4_block_arnoldi_equivalence():
 
 def test_criterion_5_givens_procedures():
     rng = np.random.default_rng(505)
-    ws = make_workspace()
     worst = 0.0
     for _ in range(1000):
         r11b, r12b, r21b, r22b, h, f = rng.standard_normal(6)
-        out11, out12, out22 = givens(1, r11b, r12b, r21b, r22b, h, f, ws)
-        G = reflection_block(ws, 1)
+        c, s, out11, out12, out22 = givens(r11b, r12b, r21b, r22b, h, f)
+        G = reflection_block(c, s)
         col_a = np.array([r11b, r21b, 0.0, f])
         col_b = np.array([r12b, r22b, h, 0.0])
         err_a = np.max(np.abs(G.T @ [out11, 0.0, 0.0, 0.0] - col_a))
         err_b = np.max(np.abs(G.T @ [out12, out22, 0.0, 0.0] - col_b))
         worst = max(worst, err_a, err_b)
 
-    ws.givens_c[:, 0] = 1.0
-    ws.givens_s[:, 0] = 0.0
-    identity_ok = ref(1, 1.5, -2.5, 3.5, 4.5, ws) == (1.5, 2.5, -3.5, 4.5)
-    ws.givens_c[:, 0] = 0.0
-    ws.givens_s[:, 0] = 1.0
-    exchange_ok = ref(1, 1.5, -2.5, 3.5, 4.5, ws) == (-2.5, 3.5, 1.5, 4.5)
+    identity_ok = ref((1.0,) * 4, (0.0,) * 4, 1.5, -2.5, 3.5, 4.5) == (1.5, 2.5, -3.5, 4.5)
+    exchange_ok = ref((0.0,) * 4, (1.0,) * 4, 1.5, -2.5, 3.5, 4.5) == (-2.5, 3.5, 1.5, 4.5)
 
     ok = worst <= 1e-14 and identity_ok and exchange_ok
     _criterion(5, ok, f"reconstruction error {worst:.2e}, identities "

@@ -169,6 +169,22 @@ def test_config_validation():
         ExperimentConfig(matrix_path="x", k_max=0)
 
 
+@pytest.mark.parametrize("flag", ["--atol", "--rtol"])
+def test_nan_tolerance_is_input_error(matrix_file, capsys, flag):
+    code = main(["--matrix", str(matrix_file), flag, "nan"])
+    assert code == EXIT_INPUT_ERROR
+    assert "tolerances must be nonnegative" in capsys.readouterr().err
+
+
+def test_repeated_method_is_input_error(matrix_file, capsys):
+    # results are keyed by name: a second gpmr run would be reported once
+    with pytest.raises(ValueError, match="repeated methods"):
+        ExperimentConfig(matrix_path="x", methods=("gpmr", "gpmr"))
+    code = main(["--matrix", str(matrix_file), "--method", "gpmr,gmres,gpmr"])
+    assert code == EXIT_INPUT_ERROR
+    assert "repeated methods: ['gpmr']" in capsys.readouterr().err
+
+
 def test_exit_code_missing_file(tmp_path, capsys):
     code = main(["--matrix", str(tmp_path / "absent.mtx")])
     assert code == EXIT_INPUT_ERROR

@@ -3,15 +3,16 @@
 ``reference_ref``, ``reference_qr_update`` and ``reference_gmres_triangle``
 are the reflection updates as they ran before they moved to Python floats:
 numpy scalars read and written one entry at a time. IEEE double arithmetic
-is the same on both, so the two must agree bit for bit. The solves keep no
-state, so the references run on a replay of GPMR's process and on GMRES's
-recorded ``orthogonalize`` calls, and must reproduce each solve's history
-and iterate bit for bit.
+is the same on both, so the two must agree bit for bit. The GPMR oracle
+keeps its own numpy arrays (packed triangle, coefficients by step,
+transformed right-hand side) where the solve keeps Python lists. The
+solves keep no state, so the references run on a replay of GPMR's process
+and on GMRES's recorded ``orthogonalize`` calls, and must reproduce each
+solve's history and iterate bit for bit.
 
-The storage tests poison ``np.empty`` with NaN: GPMR's bases and packed
-triangle, GMRES's basis and the block-Arnoldi pairs are allocated
-uninitialized, and a read of an entry before its write would change a
-history or an iterate.
+The storage tests poison ``np.empty`` with NaN: GPMR's bases, GMRES's
+basis and the block-Arnoldi pairs are allocated uninitialized, and a read
+of an entry before its write would change a history or an iterate.
 """
 
 import math
@@ -30,12 +31,7 @@ from gpmr import (
     gmres_solve,
     gpmr_solve,
 )
-from gpmr.solver import (
-    GpmrWorkspace,
-    _packed_index,
-    givens,
-    reflection_coefficients,
-)
+from gpmr.solver import givens, reflection_coefficients
 from conftest import (
     dense_operator,
     gmres_arnoldi,
@@ -45,6 +41,26 @@ from conftest import (
     replay_iterate,
     starting_block,
 )
+
+
+def packed_index(i, j):
+    # 1-based (i, j) with i <= j into the column-packed triangle
+    return j * (j - 1) // 2 + (i - 1)
+
+
+class NumpyOracle:
+    """GPMR's QR state in numpy arrays sized for ``cap`` steps: the
+    column-packed triangle, the reflection coefficients of step i in
+    column i-1 of ``givens_c`` and ``givens_s``, and the transformed
+    right-hand side."""
+
+    def __init__(self, lam, mu, cap, beta, gamma):
+        self.lam, self.mu = lam, mu
+        self.R = np.zeros(cap * (2 * cap + 1))
+        self.givens_c = np.zeros((4, cap))
+        self.givens_s = np.zeros((4, cap))
+        self.tbar = np.zeros(2 * cap + 2)
+        self.tbar[:2] = beta, gamma
 
 
 def reference_ref(i, a1, a2, a3, a4, ws):
@@ -78,17 +94,19 @@ def reference_qr_update(ws, k, hcol, fcol):
     for i in range(1, k):
         rho, delta = (lam, mu) if i == k - 1 else (0.0, 0.0)
         a1, a2, a3, a4 = reference_ref(i, a1, a2, rho, fcol[i], ws)
-        R[_packed_index(2 * i - 1, col_a)] = a1
-        R[_packed_index(2 * i, col_a)] = a2
+        R[packed_index(2 * i - 1, col_a)] = a1
+        R[packed_index(2 * i, col_a)] = a2
         a1, a2 = a3, a4
         b1, b2, b3, b4 = reference_ref(i, b1, b2, hcol[i], delta, ws)
-        R[_packed_index(2 * i - 1, col_b)] = b1
-        R[_packed_index(2 * i, col_b)] = b2
+        R[packed_index(2 * i - 1, col_b)] = b1
+        R[packed_index(2 * i, col_b)] = b2
         b1, b2 = b3, b4
-    out11, out12, out22 = givens(k, a1, b1, a2, b2, hcol[k], fcol[k], ws)
-    R[_packed_index(2 * k - 1, col_a)] = out11
-    R[_packed_index(2 * k - 1, col_b)] = out12
-    R[_packed_index(2 * k, col_b)] = out22
+    c, s, out11, out12, out22 = givens(a1, b1, a2, b2, hcol[k], fcol[k])
+    ws.givens_c[:, k - 1] = c
+    ws.givens_s[:, k - 1] = s
+    R[packed_index(2 * k - 1, col_a)] = out11
+    R[packed_index(2 * k - 1, col_b)] = out12
+    R[packed_index(2 * k, col_b)] = out22
 
 
 def reference_gmres_triangle(H, k):
@@ -133,17 +151,17 @@ def test_recurrences_match_numpy_scalar_oracles(m, n, lam, mu, reorth, seed):
     # the whole reduction, past min(m, n) into zero-padded columns, and
     # past a zero diagonal where the solve would stop; the packed columns
     # and the reflections of step k are written once, at step k
-    ws, history = replay_gpmr(system, cap, reorth=reorth)
-    hess = ws.hess
-    oracle = GpmrWorkspace(hess, lam, mu, cap)
-    oracle.tbar[:2] = hess.beta, hess.gamma
+    replay, history = replay_gpmr(system, cap, reorth=reorth)
+    hess = replay.hess
+    oracle = NumpyOracle(lam, mu, cap, hess.beta, hess.gamma)
     for k in range(1, cap + 1):
         reference_qr_update(oracle, k, hess.Hcols[k - 1], hess.Fcols[k - 1])
         assert update_rhs(oracle, k, reference_ref) == history[k]
-    assert np.array_equal(ws.R, oracle.R)
-    assert np.array_equal(ws.givens_c, oracle.givens_c)
-    assert np.array_equal(ws.givens_s, oracle.givens_s)
-    assert np.array_equal(ws.tbar, oracle.tbar)
+    assert np.array_equal(np.concatenate(replay.columns), oracle.R)
+    cs, sn = zip(*replay.reflections)
+    assert np.array_equal(np.transpose(cs), oracle.givens_c)
+    assert np.array_equal(np.transpose(sn), oracle.givens_s)
+    assert np.array_equal(replay.tbar, oracle.tbar)
 
     # the solve runs the same recurrences: its history is the replay's,
     # and its iterate is the replay's triangle solved against its RHS
@@ -151,7 +169,7 @@ def test_recurrences_match_numpy_scalar_oracles(m, n, lam, mu, reorth, seed):
     k = report.iterations
     assert np.array_equal(report.residual_history, history[: k + 1])
     if k:
-        x, y = replay_iterate(ws, k)
+        x, y = replay_iterate(replay, k)
         assert np.array_equal(report.x, x)
         assert np.array_equal(report.y, y)
 

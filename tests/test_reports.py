@@ -4,6 +4,9 @@ A report holds the iterate, the residual-norm histories and a few plain
 numbers. ``tracemalloc`` measures the bytes the reports of one solve keep
 after it returns, which must fit that contract: one m + n iterate per
 report plus O(k) per report for the histories and the per-step flags.
+It also measures the peak a solve allocates while it runs: only the
+Krylov bases are sized by the iteration budget, so a short solve at a
+large budget peaks at its bases plus a small, budget-free remainder.
 """
 
 import gc
@@ -32,13 +35,13 @@ PER_ITERATION_BYTES = 128
 PER_REPORT_BYTES = 4096
 
 
-def sparse_system():
+def sparse_system(m=M, n=N, scale=1.0):
     rng = np.random.default_rng(29)
-    A = scipy.sparse.random(M, N, density=8 / N, random_state=rng, format="csr")
-    B = scipy.sparse.random(N, M, density=8 / M, random_state=rng, format="csr")
+    A = scale * scipy.sparse.random(m, n, density=8 / n, random_state=rng, format="csr")
+    B = scale * scipy.sparse.random(n, m, density=8 / m, random_state=rng, format="csr")
     return PartitionedSystem(1.0, 1.0, LinearOperator.from_matrix(A),
                              LinearOperator.from_matrix(B),
-                             rng.standard_normal(M), rng.standard_normal(N))
+                             rng.standard_normal(m), rng.standard_normal(n))
 
 
 def solvers(system):
@@ -102,3 +105,45 @@ def test_diagnostics_are_plain_data():
     assert all(type(v) is bool for pair in diagnostics["breakdowns"] for v in pair)
     summed = reports["block_gmres"][0].diagnostics["summed_history"]
     assert summed.shape == (K_MAX + 1,)
+
+
+def peak_bytes(solve):
+    """Peak bytes allocated while ``solve`` runs, above what was held
+    before, and its first report. A first call fills any cache the
+    solve's libraries keep."""
+    solve()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        reports = solve()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return peak, reports[0]
+
+
+def test_only_the_krylov_bases_are_sized_by_the_budget():
+    # a weak coupling converges in a few steps, far below the budget;
+    # GPMR's bases V and U hold cap + 1 vectors of m and n entries,
+    # GMRES's basis cap + 1 of m + n, and the block-Arnoldi pairs
+    # 2 (cap + 1) of m + n. The projected state of a short solve fits
+    # in 1 MB whatever the budget.
+    m = n = 500
+    k_max = 1000
+    system = sparse_system(m, n, scale=0.1)
+    K, d, D = system.full_operator(), system.rhs_full(), starting_block(system)
+    gpmr_cap, cap = min(k_max, max(m, n)), min(k_max, m + n)
+    cases = {
+        "gpmr": (lambda: (gpmr_solve(system, 1e-12, 1e-10, k_max=k_max),),
+                 8 * (gpmr_cap + 1) * (m + n)),
+        "gmres": (lambda: (gmres_solve(K, d, 1e-12, 1e-10, k_max),),
+                  8 * (cap + 1) * (m + n)),
+        "block_gmres": (lambda: block_gmres_solve(K, D, 1e-12, 1e-10, k_max),
+                        8 * 2 * (cap + 1) * (m + n)),
+    }
+    for name, (solve, bases) in cases.items():
+        peak, report = peak_bytes(solve)
+        assert report.converged and report.iterations < 50, name
+        assert peak <= bases + 2**20, (name, peak, bases)

@@ -11,10 +11,8 @@ from gpmr import (
     block_gmres_solve,
     givens,
     gpmr_solve,
-    hessenberg_init,
     ref,
 )
-from gpmr.solver import GpmrWorkspace, _packed_index
 from conftest import (
     dense_full_matrix,
     dense_operator,
@@ -25,18 +23,8 @@ from conftest import (
 )
 
 
-def make_workspace(k_max=4, lam=1.0, mu=1.0, m=6, n=6):
-    rng = np.random.default_rng(0)
-    state = hessenberg_init(LinearOperator.identity(m), LinearOperator.identity(n),
-                            rng.standard_normal(m), rng.standard_normal(n),
-                            capacity=k_max)
-    return GpmrWorkspace(state, lam, mu, k_max)
-
-
-def reflection_block(ws, i):
-    """Explicit 4x4 orthogonal block from the stored coefficients of step i."""
-    c = ws.givens_c[:, i - 1]
-    s = ws.givens_s[:, i - 1]
+def reflection_block(c, s):
+    """Explicit 4x4 orthogonal block of one step's coefficients."""
 
     def refl(rows, cj, sj):
         G = np.eye(4)
@@ -54,12 +42,17 @@ def reflection_block(ws, i):
     return G4 @ G3 @ G2 @ G1
 
 
-def dense_triangle(ws, k):
-    R = np.zeros((2 * k, 2 * k))
-    for j in range(1, 2 * k + 1):
-        for i in range(1, j + 1):
-            R[i - 1, j - 1] = ws.R[_packed_index(i, j)]
+def dense_triangle(columns):
+    """The triangle whose packed columns are ``columns``, as a dense array."""
+    R = np.zeros((len(columns), len(columns)))
+    for j, col in enumerate(columns):
+        R[: j + 1, j] = col
     return R
+
+
+def triangle_columns(dense):
+    """The packed columns of an upper triangle: column j its j upper entries."""
+    return [dense[: j + 1, j].tolist() for j in range(dense.shape[0])]
 
 
 def assemble_projected_matrix(hess, lam, mu, k):
@@ -81,35 +74,27 @@ def assemble_projected_matrix(hess, lam, mu, k):
 # ---------------------------------------------------------------------------
 
 def test_ref_zero_vector_stays_zero():
-    ws = make_workspace()
-    ws.givens_c[:, 0] = [0.3, -0.8, 0.6, 1.0]
-    ws.givens_s[:, 0] = [0.95, 0.6, 0.8, 0.0]
-    assert ref(1, 0.0, 0.0, 0.0, 0.0, ws) == (0.0, 0.0, 0.0, 0.0)
+    c = (0.3, -0.8, 0.6, 1.0)
+    s = (0.95, 0.6, 0.8, 0.0)
+    assert ref(c, s, 0.0, 0.0, 0.0, 0.0) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_ref_identity_coefficients():
-    ws = make_workspace()
-    ws.givens_c[:, 0] = 1.0
-    ws.givens_s[:, 0] = 0.0
-    assert ref(1, 1.0, 2.0, 3.0, 4.0, ws) == (1.0, -2.0, -3.0, 4.0)
+    assert ref((1.0,) * 4, (0.0,) * 4, 1.0, 2.0, 3.0, 4.0) == (1.0, -2.0, -3.0, 4.0)
 
 
 def test_ref_pure_exchange_coefficients():
-    ws = make_workspace()
-    ws.givens_c[:, 0] = 0.0
-    ws.givens_s[:, 0] = 1.0
-    assert ref(1, 1.0, 2.0, 3.0, 4.0, ws) == (2.0, 3.0, 1.0, 4.0)
+    assert ref((0.0,) * 4, (1.0,) * 4, 1.0, 2.0, 3.0, 4.0) == (2.0, 3.0, 1.0, 4.0)
 
 
 def test_ref_matches_explicit_block():
     rng = np.random.default_rng(83)
-    ws = make_workspace()
     for trial in range(50):
         inputs = rng.standard_normal(6)
-        givens(1, *inputs, ws)
-        G = reflection_block(ws, 1)
+        c, s, *_ = givens(*inputs)
+        G = reflection_block(c, s)
         a = rng.standard_normal(4)
-        got = np.array(ref(1, *a, ws))
+        got = np.array(ref(c, s, *a))
         want = G @ a
         assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.linalg.norm(a))
 
@@ -119,22 +104,18 @@ def test_ref_matches_explicit_block():
 # ---------------------------------------------------------------------------
 
 def test_givens_already_triangular():
-    ws = make_workspace()
-    r11, r12, r22 = givens(1, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, ws)
+    c, s, r11, r12, r22 = givens(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
     assert (r11, r12, r22) == (1.0, 0.0, 1.0)
-    assert np.array_equal(ws.givens_s[:, 0], np.zeros(4))
+    assert np.array_equal(s, np.zeros(4))
     # the third reflection sees a negated diagonal and flips its sign
-    assert np.array_equal(ws.givens_c[:, 0], [1.0, 1.0, -1.0, 1.0])
+    assert np.array_equal(c, [1.0, 1.0, -1.0, 1.0])
 
 
 def test_givens_hand_trace():
-    ws = make_workspace()
-    r11, r12, r22 = givens(1, 3.0, 1.0, 0.0, 2.0, 0.0, 4.0, ws)
+    c, s, r11, r12, r22 = givens(3.0, 1.0, 0.0, 2.0, 0.0, 4.0)
     assert r11 == pytest.approx(5.0, abs=1e-15)
     assert r12 == pytest.approx(0.6, abs=1e-15)
     assert r22 == pytest.approx(np.sqrt(4.64), abs=1e-12)
-    c = ws.givens_c[:, 0]
-    s = ws.givens_s[:, 0]
     assert c[0] == pytest.approx(0.6) and s[0] == pytest.approx(0.8)
     assert c[1] == 1.0 and s[1] == 0.0
     assert c[2] == pytest.approx(-0.928477, abs=1e-6)
@@ -142,20 +123,18 @@ def test_givens_hand_trace():
 
 
 def test_givens_zero_norm_convention():
-    ws = make_workspace()
-    r11, r12, r22 = givens(1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, ws)
+    c, s, r11, r12, r22 = givens(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     assert (r11, r12, r22) == (0.0, 0.0, 0.0)
-    assert np.array_equal(ws.givens_c[:, 0], np.ones(4))
-    assert np.array_equal(ws.givens_s[:, 0], np.zeros(4))
+    assert np.array_equal(c, np.ones(4))
+    assert np.array_equal(s, np.zeros(4))
 
 
 def test_givens_reconstruction_oracle():
     rng = np.random.default_rng(89)
-    ws = make_workspace()
     for trial in range(200):
         r11b, r12b, r21b, r22b, h, f = rng.standard_normal(6)
-        out11, out12, out22 = givens(1, r11b, r12b, r21b, r22b, h, f, ws)
-        G = reflection_block(ws, 1)
+        c, s, out11, out12, out22 = givens(r11b, r12b, r21b, r22b, h, f)
+        G = reflection_block(c, s)
         col_a = np.array([r11b, r21b, 0.0, f])
         col_b = np.array([r12b, r22b, h, 0.0])
         assert np.max(np.abs(G.T @ [out11, 0.0, 0.0, 0.0] - col_a)) <= 1e-14
@@ -167,89 +146,58 @@ def test_givens_reconstruction_oracle():
 # backward substitution
 # ---------------------------------------------------------------------------
 
-def set_triangle(ws, dense):
-    k2 = dense.shape[0]
-    for j in range(1, k2 + 1):
-        for i in range(1, j + 1):
-            ws.R[_packed_index(i, j)] = dense[i - 1, j - 1]
-
-
 def test_backward_substitution_identity():
-    ws = make_workspace()
-    set_triangle(ws, np.eye(2))
-    ws.tbar[:2] = [5.0, 7.0]
-    assert np.array_equal(backward_substitution(ws, 1), [5.0, 7.0])
+    columns = triangle_columns(np.eye(2))
+    assert np.array_equal(backward_substitution(columns, [5.0, 7.0]), [5.0, 7.0])
 
 
 def test_backward_substitution_small():
-    ws = make_workspace()
-    set_triangle(ws, np.array([[2.0, 1.0], [0.0, 4.0]]))
-    ws.tbar[:2] = [4.0, 8.0]
-    assert np.array_equal(backward_substitution(ws, 1), [1.0, 2.0])
-
-
-def test_backward_substitution_runs_in_place():
-    ws = make_workspace()
-    set_triangle(ws, np.array([[2.0, 1.0], [0.0, 4.0]]))
-    ws.tbar[:2] = [4.0, 8.0]
-    z = backward_substitution(ws, 1)
-    assert z.base is ws.tbar
-    assert np.array_equal(ws.tbar[:2], [1.0, 2.0])
+    columns = triangle_columns(np.array([[2.0, 1.0], [0.0, 4.0]]))
+    assert np.array_equal(backward_substitution(columns, [4.0, 8.0]), [1.0, 2.0])
 
 
 def test_backward_substitution_residual():
     rng = np.random.default_rng(97)
-    ws = make_workspace(k_max=10)
     R = np.triu(rng.standard_normal((20, 20))) + 5.0 * np.eye(20)
     t = rng.standard_normal(20)
-    set_triangle(ws, R)
-    ws.tbar[:20] = t
-    z = backward_substitution(ws, 10)
+    z = backward_substitution(triangle_columns(R), t.tolist())
     assert np.linalg.norm(R @ z - t) <= 1e-12 * np.linalg.norm(t)
 
 
 def test_backward_substitution_singular_diagonal():
-    ws = make_workspace()
     R = np.array([[1.0, 2.0], [0.0, 0.0]])
-    set_triangle(ws, R)
-    ws.tbar[:2] = [1.0, 1.0]
     with pytest.raises(SingularSubproblemError) as info:
-        backward_substitution(ws, 1)
+        backward_substitution(triangle_columns(R), [1.0, 1.0])
     assert info.value.index == 2
 
 
 def test_backward_substitution_names_lowest_zero_diagonal():
     # of two zero diagonals the later one is reported, the first a
     # substitution from the bottom meets; the right-hand side is untouched
-    ws = make_workspace()
     R = np.triu(np.ones((6, 6)))
     R[2, 2] = R[4, 4] = 0.0
-    set_triangle(ws, R)
-    ws.tbar[:6] = 1.0
-    before = ws.tbar.copy()
+    tbar = [1.0] * 8
+    before = list(tbar)
     with pytest.raises(SingularSubproblemError) as info:
-        backward_substitution(ws, 3)
+        backward_substitution(triangle_columns(R), tbar)
     assert info.value.index == 5
-    assert np.array_equal(ws.tbar, before)
+    assert tbar == before
 
 
 def test_backward_substitution_matches_row_oriented_loop():
-    # the reference is the entry-by-entry row loop over the same packed
+    # the reference is the entry-by-entry row loop over the same
     # triangle; sums run in another order, hence the rounding tolerance
     rng = np.random.default_rng(99)
     k = 12
-    ws = make_workspace(k_max=k)
     R = np.triu(rng.standard_normal((2 * k, 2 * k))) + 4.0 * np.eye(2 * k)
     t = rng.standard_normal(2 * k)
-    set_triangle(ws, R)
     expected = t.copy()
     for i in range(2 * k, 0, -1):
         acc = expected[i - 1]
         for j in range(i + 1, 2 * k + 1):
-            acc -= ws.R[_packed_index(i, j)] * expected[j - 1]
-        expected[i - 1] = acc / ws.R[_packed_index(i, i)]
-    ws.tbar[: 2 * k] = t
-    z = backward_substitution(ws, k)
+            acc -= R[i - 1, j - 1] * expected[j - 1]
+        expected[i - 1] = acc / R[i - 1, i - 1]
+    z = backward_substitution(triangle_columns(R), t.tolist())
     assert np.linalg.norm(z - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
@@ -328,17 +276,17 @@ def test_qr_factorization_matches_projected_matrix():
     k = report.iterations
     assert k == 15
     # the replay is the solve: same history and iterate, bit for bit
-    ws, history = replay_gpmr(system, k)
+    replay, history = replay_gpmr(system, k)
     assert np.array_equal(report.residual_history, history)
-    S = assemble_projected_matrix(ws.hess, system.lam, system.mu, k)
+    S = assemble_projected_matrix(replay.hess, system.lam, system.mu, k)
     Qt = np.eye(2 * k + 2)
-    for i in range(1, k + 1):
+    for i, (c, s) in enumerate(replay.reflections, start=1):
         Gi = np.eye(2 * k + 2)
-        Gi[2 * i - 2:2 * i + 2, 2 * i - 2:2 * i + 2] = reflection_block(ws, i)
+        Gi[2 * i - 2:2 * i + 2, 2 * i - 2:2 * i + 2] = reflection_block(c, s)
         Qt = Gi @ Qt
-    R_stack = np.vstack([dense_triangle(ws, k), np.zeros((2, 2 * k))])
+    R_stack = np.vstack([dense_triangle(replay.columns), np.zeros((2, 2 * k))])
     assert np.linalg.norm(Qt.T @ R_stack - S) <= 1e-12 * np.linalg.norm(S)
-    x, y = replay_iterate(ws, k)
+    x, y = replay_iterate(replay, k)
     assert np.array_equal(report.x, x) and np.array_equal(report.y, y)
 
 
@@ -349,17 +297,17 @@ def test_first_iteration_seeds_lambda_mu():
     lam, mu = 2.0, 3.0
     system, A, B = random_block_system(rng, 4, 4, lam=lam, mu=mu)
     report = gpmr_solve(system, 1e-12, 1e-10, k_max=1)
-    ws, history = replay_gpmr(system, 1)
+    replay, history = replay_gpmr(system, 1)
     assert np.array_equal(report.residual_history, history)
-    S1 = assemble_projected_matrix(ws.hess, lam, mu, 1)
+    S1 = assemble_projected_matrix(replay.hess, lam, mu, 1)
     assert S1[0, 0] == lam and S1[1, 1] == mu
     Q, R = np.linalg.qr(S1)
     for j in range(2):
         if R[j, j] < 0:
             R[j, :] = -R[j, :]
-    got = dense_triangle(ws, 1)
+    got = dense_triangle(replay.columns)
     assert np.allclose(got, R, rtol=0, atol=1e-13)
-    x, y = replay_iterate(ws, 1)
+    x, y = replay_iterate(replay, 1)
     assert np.array_equal(report.x, x) and np.array_equal(report.y, y)
 
 
@@ -402,6 +350,8 @@ def test_every_solver_rejects_bad_tolerances_with_one_message():
     for atol, rtol, k_max, message in ((0.0, 0.0, 4, tolerances),
                                        (-1.0, 1e-10, 4, tolerances),
                                        (1e-12, -1.0, 4, tolerances),
+                                       (np.nan, 1e-10, 4, tolerances),
+                                       (1e-12, np.nan, 4, tolerances),
                                        (1e-12, 1e-10, 0, budget)):
         with pytest.raises(ValueError, match=message):
             gpmr_solve(system, atol, rtol, k_max)
