@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse
-from scipy.sparse.csgraph import breadth_first_order, shortest_path
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .sparse import (
     LUFactors,
@@ -98,18 +98,25 @@ def bisect_graph(C: scipy.sparse.csr_array) -> BlockSplit:
     """Split the symmetrized adjacency graph of ``C`` into two halves.
 
     Vertices are ordered by breadth-first level sets grown from a
-    pseudo-peripheral vertex (components are traversed one after the
-    other, restarting from a minimum-degree unvisited vertex; vertices
-    without neighbors come first, in index order, as one piece). The
-    boundary level is split in discovery order so the parts are balanced
-    to within one vertex, and part-1 vertices come first in ``perm``.
+    pseudo-peripheral vertex of each connected component. The components
+    follow one another in the order of their first vertex in (degree,
+    index) order, so vertices without neighbors come first, in index
+    order. The boundary level is split in discovery order so the parts
+    are balanced to within one vertex, and part-1 vertices come first in
+    ``perm``.
 
     The graph holds every stored entry of ``C``, explicit zeros included,
     and no self loops. ``scipy.sparse.csgraph.breadth_first_order`` walks
     its sorted neighbor lists with ``directed=True``, in index order;
     ``directed=False`` on C's own pattern would walk C's and C^T's
-    neighbors in turn, which changes the order. BFS levels are unweighted
-    distances from ``scipy.sparse.csgraph.shortest_path``.
+    neighbors in turn, which changes the order.
+
+    All components are searched at once: one extra vertex with an edge to
+    each component's root joins them, so each pass of the root search is
+    one traversal of the whole graph whatever the number of components.
+    A first-in first-out traversal from that vertex meets each component's
+    vertices in the order a traversal from its root alone would, and a
+    vertex's level is its depth in the traversal tree less one.
     """
     order_n, ncols = C.shape
     if order_n != ncols:
@@ -122,29 +129,49 @@ def bisect_graph(C: scipy.sparse.csr_array) -> BlockSplit:
     G.sum_duplicates()
     degrees = np.diff(G.indptr)
     by_degree = np.lexsort((np.arange(order_n), degrees))
-    # isolated vertices lead the (degree, index) order and each would be a
-    # one-vertex component, so they are taken in bulk
-    visited = degrees == 0
-    pieces = [np.flatnonzero(visited)]
-    while not visited.all():
-        # each component starts from its first vertex in (degree, index)
-        # order; the root moves to the far end (least degree, then least
-        # index, in the last BFS level) until the eccentricity stops growing
-        root = int(by_degree[np.argmin(visited[by_degree])])
-        ecc = -1
-        for _ in range(64):
-            level = shortest_path(G, directed=True, unweighted=True, indices=root)
-            new_ecc = level[np.isfinite(level)].max()
-            if new_ecc <= ecc:
-                break
-            ecc = new_ecc
-            last = np.flatnonzero(level == new_ecc)
-            root = int(last[np.lexsort((last, degrees[last]))[0]])
-        pieces.append(breadth_first_order(G, root, directed=True,
-                                          return_predecessors=False))
-        visited[pieces[-1]] = True
+    # G is symmetric, so its strong components are its connected components
+    ncomp, labels = connected_components(G, directed=True, connection="strong")
+    # each component starts from its first vertex in (degree, index) order
+    _, start = np.unique(labels[by_degree], return_index=True)
+    roots = by_degree[start]
+
+    def traverse(roots):
+        """Breadth-first order from all of ``roots`` at once, and the level
+        of every vertex (-1 where no root reaches)."""
+        joined = scipy.sparse.csr_array(
+            (np.ones(G.nnz + roots.size), np.concatenate([G.indices, np.sort(roots)]),
+             np.append(G.indptr, G.nnz + roots.size)),
+            shape=(order_n + 1, order_n + 1))
+        order, pred = breadth_first_order(joined, order_n, directed=True)
+        # pointer jumping: depth[v] is the distance from v up to ancestor[v]
+        ancestor = np.where(pred >= 0, pred, np.arange(order_n + 1))
+        depth = (pred >= 0).astype(np.int64)
+        while not np.array_equal(up := ancestor[ancestor], ancestor):
+            depth += depth[ancestor]
+            ancestor = up
+        return order[1:], depth[:order_n] - 1
+
+    # the root moves to the far end (least degree, then least index, in the
+    # last BFS level) until the eccentricity stops growing
+    ecc = np.full(ncomp, -1)
+    searching = np.ones(ncomp, dtype=bool)
+    for _ in range(64):
+        _, level = traverse(roots[searching])
+        new_ecc = np.full(ncomp, -1)
+        np.maximum.at(new_ecc, labels, level)
+        searching &= new_ecc > ecc
+        if not searching.any():
+            break
+        ecc[searching] = new_ecc[searching]
+        last = np.flatnonzero(searching[labels] & (level == ecc[labels]))
+        last = last[np.lexsort((last, degrees[last], labels[last]))]
+        _, first = np.unique(labels[last], return_index=True)
+        roots[labels[last[first]]] = last[first]
+    order, _ = traverse(roots)
+    # the components one after the other, each in its own discovery order
+    perm = order[np.argsort(start[labels[order]], kind="stable")]
     m = (order_n + 1) // 2
-    return BlockSplit(perm=np.concatenate(pieces), m=m, n=order_n - m)
+    return BlockSplit(perm=perm, m=m, n=order_n - m)
 
 
 def extract_blocks(C: scipy.sparse.csr_array, split: BlockSplit):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -96,6 +97,104 @@ def _text_lines(source):
     return data.splitlines()
 
 
+_ENTRY_DTYPES = {
+    2: np.dtype([("row", np.int64), ("col", np.int64)]),
+    3: np.dtype([("row", np.int64), ("col", np.int64), ("val", np.float64)]),
+}
+# loadtxt warns when a section holds no entries and when comment or blank
+# lines fall within ``max_rows``; both are expected here
+_LOADTXT_NOTES = r"(loadtxt: input contained no data|Input line \d+ contained no data)"
+_DECIMAL_INTEGER = re.compile(r"[+-]?[0-9]+")
+# lines the error scan converts at once before it walks a failing block
+# line by line, which costs about 20 us a line
+_SCAN_BLOCK = 1024
+
+
+def _load_entries(lines, fields, max_rows=None) -> np.ndarray:
+    """The first ``fields`` columns of coordinate entry lines, in one C
+    pass: a structured array of int64 ``row`` and ``col`` and, for three
+    fields, float64 ``val``. Blank lines are skipped and ``%`` starts a
+    comment. A line that does not convert raises ``ValueError``."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", _LOADTXT_NOTES, UserWarning)
+        return np.loadtxt(lines, dtype=_ENTRY_DTYPES[fields], comments="%",
+                          usecols=range(fields), max_rows=max_rows, ndmin=1)
+
+
+def _oversized_entry(raw, parts, fields):
+    """``(i, j, v)`` of an entry line whose only fault is an index beyond
+    int64, with Python integer indices; None for any other line."""
+    if not all(_DECIMAL_INTEGER.fullmatch(p) for p in parts[:2]):
+        return None
+    try:
+        # read as floats, the indices can only have failed by their size
+        values = np.loadtxt([raw], comments="%", usecols=range(fields), ndmin=2)[0]
+    except ValueError:
+        return None
+    return int(parts[0]), int(parts[1]), float(values[2]) if fields == 3 else 1.0
+
+
+def _entries_fit(entries, nrows, ncols) -> bool:
+    """Every index of converted entries in range and every value finite."""
+    rows, cols = entries["row"], entries["col"]
+    return bool(np.all((rows >= 1) & (rows <= nrows) & (cols >= 1) & (cols <= ncols))
+                and ("val" not in entries.dtype.names or np.isfinite(entries["val"]).all()))
+
+
+def _raise_first_bad_entry(kept, first_lineno, nrows, ncols, nnz, fields):
+    """Raise the error of the first line among ``kept`` (numbered from
+    ``first_lineno``) that exceeds ``nnz`` entries, fails to convert, or
+    holds a non-finite value or an index out of range; else the count
+    mismatch.
+
+    Blocks of lines that pass are converted at once; the first block that
+    fails is walked line by line. Each line is converted on its own
+    exactly as the whole section was, so a section that failed as a whole
+    fails here too: this never returns.
+    """
+    seen = 0
+    for begin in range(0, len(kept), _SCAN_BLOCK):
+        block = kept[begin:begin + _SCAN_BLOCK]
+        try:
+            entries = _load_entries(block, fields)
+        except ValueError:
+            entries = None
+        if (entries is not None and seen + entries.size <= nnz
+                and _entries_fit(entries, nrows, ncols)):
+            seen += entries.size
+            continue
+        for lineno, raw in enumerate(block, start=first_lineno + begin):
+            try:
+                converted = _load_entries([raw], fields)
+            except ValueError:
+                converted = None
+            else:
+                if not converted.size:
+                    continue  # a blank or comment line
+            if seen >= nnz:
+                raise MalformedEntryError(f"line {lineno}: more entries than declared ({nnz})")
+            stripped = raw.strip()
+            parts = stripped.split()
+            if len(parts) < fields:
+                raise MalformedEntryError(
+                    f"line {lineno}: expected {fields} fields, got {len(parts)}")
+            if converted is not None:
+                i, j = int(converted["row"][0]), int(converted["col"][0])
+                v = float(converted["val"][0]) if fields == 3 else 1.0
+            elif (entry := _oversized_entry(raw, parts, fields)) is not None:
+                i, j, v = entry
+            else:
+                raise MalformedEntryError(f"line {lineno}: unparsable entry {stripped!r}")
+            if not math.isfinite(v):
+                raise MalformedEntryError(f"line {lineno}: non-finite value {parts[2]!r}")
+            if not (1 <= i <= nrows and 1 <= j <= ncols):
+                raise IndexOutOfRangeError(
+                    f"line {lineno}: entry ({i}, {j}) outside {nrows} x {ncols}"
+                )
+            seen += 1
+    raise MalformedEntryError(f"declared {nnz} entries but found {seen}")
+
+
 def parse_matrix_market(source) -> scipy.sparse.csr_array:
     """Read a coordinate Matrix Market matrix from text, bytes or a stream.
 
@@ -104,6 +203,13 @@ def parse_matrix_market(source) -> scipy.sparse.csr_array:
     entries are assigned the value 1.0, duplicate coordinates are summed
     and indices become 0-based. A ``nan`` or ``inf`` value is a
     :class:`MalformedEntryError` naming its line.
+
+    The entry lines are converted in one ``np.loadtxt`` pass and checked
+    as whole arrays; fields past the value are ignored and ``%`` starts a
+    comment. Indices are plain decimal integers and values plain decimal
+    floats: digit separators (``1_0``) are a malformed entry. Only a file
+    that fails is read again, block by block and then line by line, to
+    name the line that fails.
     """
     lines = _text_lines(source)
     it = iter(enumerate(lines, start=1))
@@ -153,39 +259,17 @@ def parse_matrix_market(source) -> scipy.sparse.csr_array:
     if symmetry == "symmetric" and nrows != ncols:
         raise MalformedHeaderError("symmetric matrix must be square")
 
-    is_pattern = field == "pattern"
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz, dtype=np.float64)
-    seen = 0
-    for lineno, raw in it:
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        if seen >= nnz:
-            raise MalformedEntryError(f"line {lineno}: more entries than declared ({nnz})")
-        parts = stripped.split()
-        want = 2 if is_pattern else 3
-        if len(parts) < want:
-            raise MalformedEntryError(f"line {lineno}: expected {want} fields, got {len(parts)}")
-        try:
-            i = int(parts[0])
-            j = int(parts[1])
-            v = 1.0 if is_pattern else float(parts[2])
-        except ValueError as exc:
-            raise MalformedEntryError(f"line {lineno}: unparsable entry {stripped!r}") from exc
-        if not math.isfinite(v):
-            raise MalformedEntryError(f"line {lineno}: non-finite value {parts[2]!r}")
-        if not (1 <= i <= nrows and 1 <= j <= ncols):
-            raise IndexOutOfRangeError(
-                f"line {lineno}: entry ({i}, {j}) outside {nrows} x {ncols}"
-            )
-        rows[seen] = i - 1
-        cols[seen] = j - 1
-        vals[seen] = v
-        seen += 1
-    if seen != nnz:
-        raise MalformedEntryError(f"declared {nnz} entries but found {seen}")
+    fields = 2 if field == "pattern" else 3
+    kept = lines[size_line[0]:]
+    try:
+        entries = _load_entries(kept, fields, max_rows=nnz + 1)
+    except ValueError:
+        entries = None
+    if entries is None or entries.size != nnz or not _entries_fit(entries, nrows, ncols):
+        _raise_first_bad_entry(kept, size_line[0] + 1, nrows, ncols, nnz, fields)
+    rows = entries["row"] - 1
+    cols = entries["col"] - 1
+    vals = np.ones(nnz) if fields == 2 else entries["val"]
 
     if symmetry == "symmetric":
         off = rows != cols

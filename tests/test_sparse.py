@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import structural_rank
@@ -186,6 +188,184 @@ def test_round_trip_survives_extreme_values():
     buf = io.StringIO()
     write_matrix_market(M, buf)
     assert same_csr(parse_matrix_market(buf.getvalue()), M)
+
+
+# a bad entry on physical line 8, behind comment and blank lines, with a
+# valid entry after it so the declared count would otherwise hold
+def entry_file(bad, banner=BANNER, nnz=3):
+    return (banner + "% header comment\n"
+            f"3 3 {nnz}\n"
+            "1 1 1.0\n"
+            "% a comment\n"
+            "\n"
+            "   % an indented comment\n"
+            f"{bad}\n"
+            "3 3 1.0\n")
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    ("2 2", MalformedEntryError, "line 8: expected 3 fields, got 2"),
+    ("2 x 1.0", MalformedEntryError, "line 8: unparsable entry '2 x 1.0'"),
+    ("2.0 2 1.0", MalformedEntryError, "line 8: unparsable entry '2.0 2 1.0'"),
+    ("2 2 abc", MalformedEntryError, "line 8: unparsable entry '2 2 abc'"),
+    ("2 2 nan", MalformedEntryError, "line 8: non-finite value 'nan'"),
+    ("2 2 1e999", MalformedEntryError, "line 8: non-finite value '1e999'"),
+    ("4 1 1.0", IndexOutOfRangeError, "line 8: entry (4, 1) outside 3 x 3"),
+    ("2 0 1.0", IndexOutOfRangeError, "line 8: entry (2, 0) outside 3 x 3"),
+    ("99999999999999999999 1 1.0", IndexOutOfRangeError,
+     "line 8: entry (99999999999999999999, 1) outside 3 x 3"),
+    ("1 -99999999999999999999 2.5", IndexOutOfRangeError,
+     "line 8: entry (1, -99999999999999999999) outside 3 x 3"),
+    # a non-finite value is reported before the index, as for any entry
+    ("99999999999999999999 1 inf", MalformedEntryError, "line 8: non-finite value 'inf'"),
+])
+def test_parse_names_the_physical_line_of_a_bad_entry(bad, error, message):
+    with pytest.raises(error) as info:
+        parse_matrix_market(entry_file(bad))
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def long_entry_file(bad, cut=2500, extra=0):
+    """Over 3000 lines of valid entries, comments and blanks with ``bad``
+    inserted after line ``cut`` of the body; ``nnz`` counts every entry
+    line but ``extra`` of them. Returns the text and the line of ``bad``."""
+    body = []
+    for k in range(3000):
+        body.append(f"{k % 50 + 1} {k % 7 + 1} 1.5")
+        if k % 10 == 0:
+            body += ["% comment", ""]
+    lines = body[:cut] + [bad] + body[cut:]
+    nnz = sum(1 for line in lines if line and not line.startswith("%")) - extra
+    return BANNER + f"50 50 {nnz}\n" + "\n".join(lines) + "\n", cut + 3
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    ("2 2 nan", MalformedEntryError, "non-finite value 'nan'"),
+    ("2 x 1.0", MalformedEntryError, "unparsable entry '2 x 1.0'"),
+    ("51 1 1.0", IndexOutOfRangeError, "entry (51, 1) outside 50 x 50"),
+    ("99999999999999999999 1 1.0", IndexOutOfRangeError,
+     "entry (99999999999999999999, 1) outside 50 x 50"),
+])
+def test_parse_names_the_line_of_a_bad_entry_deep_in_a_long_file(bad, error, message):
+    text, lineno = long_entry_file(bad)
+    with pytest.raises(error) as info:
+        parse_matrix_market(text)
+    assert str(info.value) == f"line {lineno}: {message}"
+
+
+def test_parse_counts_entries_across_a_long_file():
+    text, _ = long_entry_file("2 2 2.0", extra=1)
+    with pytest.raises(MalformedEntryError) as info:
+        parse_matrix_market(text)
+    # the entry past the declared count is on the last line
+    assert str(info.value) == f"line {text.count(chr(10))}: more entries than declared (3000)"
+    text, _ = long_entry_file("% no entry", extra=-1)
+    with pytest.raises(MalformedEntryError) as info:
+        parse_matrix_market(text)
+    assert str(info.value) == "declared 3001 entries but found 3000"
+
+
+def test_parse_names_the_line_of_the_first_extra_entry():
+    with pytest.raises(MalformedEntryError) as info:
+        parse_matrix_market(entry_file("2 2 2.0", nnz=1))
+    assert str(info.value) == "line 8: more entries than declared (1)"
+    # the extra line is not parsed: the count fails first
+    with pytest.raises(MalformedEntryError) as info:
+        parse_matrix_market(entry_file("not an entry", nnz=1))
+    assert str(info.value) == "line 8: more entries than declared (1)"
+
+
+def test_parse_names_the_first_bad_line_of_several():
+    text = entry_file("2 2 nan").replace("3 3 1.0\n", "4 4 1.0\n")
+    with pytest.raises(MalformedEntryError, match="^line 8: non-finite"):
+        parse_matrix_market(text)
+    # too few entries carries no line
+    with pytest.raises(MalformedEntryError) as info:
+        parse_matrix_market(entry_file("% not an entry", nnz=3))
+    assert str(info.value) == "declared 3 entries but found 2"
+
+
+def test_parse_pattern_entry_errors_name_the_line():
+    banner = "%%MatrixMarket matrix coordinate pattern general\n"
+    with pytest.raises(MalformedEntryError) as info:
+        parse_matrix_market(entry_file("2", banner=banner))
+    assert str(info.value) == "line 8: expected 2 fields, got 1"
+    with pytest.raises(IndexOutOfRangeError) as info:
+        parse_matrix_market(entry_file("2 99999999999999999999", banner=banner))
+    assert str(info.value) == "line 8: entry (2, 99999999999999999999) outside 3 x 3"
+    # trailing fields stay accepted, a value on a pattern entry included
+    M = parse_matrix_market(entry_file("2 2 7.5 extra", banner=banner))
+    assert np.array_equal(M.toarray(), np.eye(3))
+
+
+@pytest.mark.parametrize("bad", ["1 1_0 2.5", "1_0 1 2.5", "2 2 2_5.0", "2 2 1.0_1"])
+def test_parse_rejects_digit_separators(bad):
+    # Python's int and float accept ``1_0`` as 10; the reader does not
+    with pytest.raises(MalformedEntryError) as info:
+        parse_matrix_market(entry_file(bad))
+    assert type(info.value) is MalformedEntryError
+    assert str(info.value) == f"line 8: unparsable entry {bad!r}"
+
+
+def test_parse_without_entries_or_with_comments_warns_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        empty = parse_matrix_market(BANNER + "% c\n3 2 0\n% trailing comment\n\n")
+        commented = parse_matrix_market(entry_file("2 2 2.0"))
+    assert empty.shape == (3, 2) and empty.nnz == 0
+    assert np.array_equal(commented.toarray(), np.diag([1.0, 2.0, 1.0]))
+
+
+def oracle_csr(path):
+    return scipy.sparse.csr_array(scipy.io.mmread(path))
+
+
+def test_parse_matches_scipy_mmread_on_a_generated_matrix(tmp_path):
+    rng = np.random.default_rng(14)
+    n = 3000
+    per_row = rng.integers(0, 9, size=n)
+    per_row[rng.choice(n, 300, replace=False)] = 0  # empty rows
+    rows = np.repeat(np.arange(n), per_row)
+    cols = rng.integers(0, n, size=rows.size)
+    vals = rng.standard_normal(rows.size) * 10.0 ** rng.integers(-300, 300, size=rows.size)
+    vals[rng.random(rows.size) < 0.05] = 0.0  # explicit zeros
+    vals[rng.random(rows.size) < 0.01] = -0.0
+    # a CSR with duplicate coordinates, written as it is stored
+    order = np.lexsort((cols, rows))
+    dup = rng.choice(rows.size, 500, replace=False)
+    rows = np.concatenate([rows[order], rows[order][dup]])
+    cols = np.concatenate([cols[order], cols[order][dup]])
+    vals = np.concatenate([vals[order], rng.standard_normal(dup.size)])
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    M = scipy.sparse.csr_array((vals[order], cols[order], indptr), shape=(n, n))
+    assert not M.has_canonical_format
+    path = tmp_path / "generated.mtx"
+    write_matrix_market(M, path)
+    parsed = parse_matrix_market(path.read_text())
+    assert same_csr(parsed, oracle_csr(path))
+    assert np.diff(parsed.indptr).tolist().count(0) >= 300
+    assert (parsed.data == 0).sum() > 0
+
+
+def test_parse_matches_scipy_mmread_on_symmetric_and_pattern_files(tmp_path):
+    texts = {
+        "symmetric": "%%MatrixMarket matrix coordinate real symmetric\n"
+                     "% lower triangle, diagonal included, one explicit zero\n"
+                     "5 5 7\n1 1 4.0\n2 1 -1.25\n3 2 0.0\n3 3 2.5\n"
+                     "5 1 1e-300\n5 4 -7.75\n5 5 3.0\n",
+        "pattern": "%%MatrixMarket matrix coordinate pattern general\n"
+                   "4 6 6\n1 1\n1 6\n3 2\n4 6\n2 5\n1 6\n",
+        "symmetric pattern": "%%MatrixMarket matrix coordinate pattern symmetric\n"
+                             "4 4 4\n1 1\n3 1\n4 2\n4 3\n",
+    }
+    for name, text in texts.items():
+        path = tmp_path / f"{name.replace(' ', '-')}.mtx"
+        path.write_text(text)
+        parsed = parse_matrix_market(text)
+        assert same_csr(parsed, oracle_csr(path)), name
+        assert parsed.data.dtype == np.float64
 
 
 def test_writer_uses_general_banner_and_one_based_indices():
