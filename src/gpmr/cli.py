@@ -198,17 +198,13 @@ def _run_method(method, system, prec, blocks, b_star, c_star, cfg):
     applies = report.matvec_count * (1 if method == "gpmr" else 2)
 
     x_star, y_star = recover_solution(prec, x, y)
-    if cfg.lam == 1.0 and cfg.mu == 1.0:
-        # identity left preconditioner: the original-system residual equals
-        # the solved-system residual, and the raw blocks give an
-        # independent arithmetic path for it
-        residual = np.concatenate([
-            b_star - spmv(M, x_star) - spmv(A, y_star),
-            c_star - spmv(B, x_star) - spmv(N, y_star),
-        ])
-        true_residual = float(np.linalg.norm(residual))
-    else:
-        true_residual = system.residual_norm(x, y)
+    # the right preconditioner leaves the residual unchanged, so the raw
+    # blocks give it on an arithmetic path independent of the solve
+    residual = np.concatenate([
+        b_star - cfg.lam * spmv(M, x_star) - spmv(A, y_star),
+        c_star - spmv(B, x_star) - cfg.mu * spmv(N, y_star),
+    ])
+    true_residual = float(np.linalg.norm(residual))
     return {
         "method": method,
         "iterations": int(report.iterations),
@@ -296,45 +292,43 @@ def _json_safe(report: dict) -> dict:
     return out
 
 
+def _method_list(text: str) -> tuple:
+    return tuple(m.strip() for m in text.split(",") if m.strip())
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Command-line parser. Options left out are absent from the parsed
+    namespace, so :class:`ExperimentConfig` supplies every default; the
+    dests are its field names, plus ``json``."""
     parser = argparse.ArgumentParser(
-        prog="gpmr",
+        prog="gpmr", argument_default=argparse.SUPPRESS,
         description="Solve a partitioned sparse system with GPMR and baselines.")
-    parser.add_argument("--matrix", required=True, help="Matrix Market file")
-    parser.add_argument("--partition", default="auto",
+    parser.add_argument("--matrix", dest="matrix_path", metavar="MATRIX",
+                        required=True, help="Matrix Market file")
+    parser.add_argument("--partition",
                         help="'auto' for built-in bisection or a permutation file")
-    parser.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    parser.add_argument("--mu", type=float, default=1.0)
-    parser.add_argument("--method", default="gpmr,gmres",
+    parser.add_argument("--lambda", dest="lam", type=float)
+    parser.add_argument("--mu", type=float)
+    parser.add_argument("--method", dest="methods", metavar="METHOD", type=_method_list,
                         help="comma-separated subset of gpmr,gmres,block-gmres")
-    parser.add_argument("--atol", type=float, default=1e-12)
-    parser.add_argument("--rtol", type=float, default=1e-10)
-    parser.add_argument("--maxiter", type=int, default=500)
-    parser.add_argument("--history", default=None, help="write residual CSV here")
+    parser.add_argument("--atol", type=float)
+    parser.add_argument("--rtol", type=float)
+    parser.add_argument("--maxiter", dest="k_max", metavar="MAXITER", type=int)
+    parser.add_argument("--history", dest="history_out", metavar="HISTORY",
+                        help="write residual CSV here")
     parser.add_argument("--reorth", action="store_true",
                         help="reorthogonalize the Krylov bases")
-    parser.add_argument("--rhs", default=None,
+    parser.add_argument("--rhs", dest="rhs_path", metavar="RHS",
                         help="override the ones-solution right-hand side")
-    parser.add_argument("--json", default=None, help="write a JSON report here")
+    parser.add_argument("--json", help="write a JSON report here")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    options = vars(build_parser().parse_args(argv))
+    json_path = options.pop("json", None)
     try:
-        cfg = ExperimentConfig(
-            matrix_path=args.matrix,
-            partition=args.partition,
-            lam=args.lam,
-            mu=args.mu,
-            methods=tuple(m.strip() for m in args.method.split(",") if m.strip()),
-            atol=args.atol,
-            rtol=args.rtol,
-            k_max=args.maxiter,
-            history_out=args.history,
-            reorth=args.reorth,
-            rhs_path=args.rhs,
-        )
+        cfg = ExperimentConfig(**options)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -349,8 +343,8 @@ def main(argv=None) -> int:
         return EXIT_SINGULAR_BLOCK
 
     print(format_table(report))
-    if args.json is not None:
-        Path(args.json).write_text(json.dumps(_json_safe(report), indent=2) + "\n")
+    if json_path is not None:
+        Path(json_path).write_text(json.dumps(_json_safe(report), indent=2) + "\n")
     if any(r["status"] == STATUS_NONFINITE for r in report["methods"].values()):
         return EXIT_NONFINITE
     return EXIT_OK if report["all_converged"] else EXIT_NO_CONVERGENCE

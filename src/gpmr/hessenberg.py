@@ -24,10 +24,13 @@ row j + 1 is written by step j, also on saturation, before any read.
 
 A vanishing remainder is a breakdown: the subdiagonal coefficient is set
 to zero and the new basis vector is replaced by an arbitrary unit vector
-orthogonal to the existing columns. Once a side spans its whole space no
-replacement exists; the step then installs a zero column so the
-recurrences above stay valid, which lets the process run past min(m, n)
-up to max(m, n) when m != n.
+orthogonal to the existing columns, the canonical vector e_i whose basis
+row i is shortest, projected out twice. A side is saturated once its
+basis spans the whole space, at step j with j + 1 >= dim; no replacement
+exists and the step installs a zero column so the recurrences above stay
+valid, which lets the process run past min(m, n) up to max(m, n) when
+m != n. Both sides are one recurrence, :func:`_extend`, applied to
+(A, U -> V) and (B, V -> U).
 """
 
 from __future__ import annotations
@@ -62,7 +65,10 @@ class HessenbergState:
             of length k + 1 whose last entry is the subdiagonal.
         beta, gamma: norms of the starting vectors.
         k: number of completed steps.
-        breakdown_flags: one (v_side, u_side) flag pair per step.
+        breakdown_flags: one (v_side, u_side) flag pair per step. A
+            side breaks down when its remainder vanishes and at every step
+            j with j + 1 >= dim, where it is saturated and gets a zero
+            column.
     """
 
     def __init__(self, A: LinearOperator, B: LinearOperator, b, c, capacity: int):
@@ -93,8 +99,6 @@ class HessenbergState:
         self.Hcols: list[np.ndarray] = []
         self.Fcols: list[np.ndarray] = []
         self.breakdown_flags: list[tuple[bool, bool]] = []
-        self.v_saturated = False
-        self.u_saturated = False
 
     @property
     def m(self) -> int:
@@ -140,33 +144,24 @@ def hessenberg_init(A: LinearOperator, B: LinearOperator, b, c,
     return HessenbergState(A, B, b, c, capacity)
 
 
-def _replacement_vector(basis: np.ndarray) -> np.ndarray | None:
-    """Unit vector orthogonal to the given columns, or None if none exists.
+def _replacement_vector(rows: np.ndarray) -> np.ndarray | None:
+    """Unit vector orthogonal to the basis vectors ``rows`` (one per row),
+    or None if none is found.
 
-    Tries canonical basis vectors in index order and takes the first
-    whose orthogonalized remainder has norm above 0.5; if none clears
-    that bar the largest remainder is reorthogonalized and used instead.
+    Takes the canonical vector e_i whose component i is smallest across
+    the basis, so for k < dim orthonormal rows its remainder has norm
+    sqrt(1 - |rows[:, i]|^2) >= sqrt(1 - k/dim), and projects the basis
+    out of it twice. None means a remainder at rounding level, which an
+    orthonormal basis with k < dim rows cannot give.
     """
-    dim = basis.shape[0]
-    best_norm = 0.0
-    best = None
-    for idx in range(dim):
-        r = -basis @ basis[idx, :]
-        r[idx] += 1.0
-        norm = float(np.linalg.norm(r))
-        if norm > 0.5:
-            r -= basis @ (basis.T @ r)
-            return r / np.linalg.norm(r)
-        if norm > best_norm:
-            best_norm = norm
-            best = r
-    if best is None or best_norm <= _REPLACEMENT_MIN_NORM:
-        return None
-    best -= basis @ (basis.T @ best)
-    norm = float(np.linalg.norm(best))
+    idx = int(np.argmin(np.einsum("ij,ij->j", rows, rows)))
+    r = -(rows[:, idx] @ rows)
+    r[idx] += 1.0
+    r -= (rows @ r) @ rows
+    norm = float(np.linalg.norm(r))
     if norm <= _REPLACEMENT_MIN_NORM:
         return None
-    return best / norm
+    return r / norm
 
 
 def orthogonalize(rows: np.ndarray, w: np.ndarray, reorth: bool) -> np.ndarray:
@@ -196,6 +191,28 @@ def orthogonalize(rows: np.ndarray, w: np.ndarray, reorth: bool) -> np.ndarray:
     return coeffs
 
 
+def _extend(rows: np.ndarray, j: int, w: np.ndarray, reorth: bool):
+    """One side of step j: orthogonalize the product ``w`` against basis
+    rows 0..j and write row j + 1 (``w`` normalized, a replacement after
+    a breakdown, zeros on a saturated side). Returns the coefficient
+    column, whose last entry is the subdiagonal, and the breakdown flag.
+    """
+    scale = float(np.linalg.norm(w))
+    col = np.empty(j + 2)
+    col[:-1] = orthogonalize(rows[: j + 1], w, reorth)
+    norm = float(np.linalg.norm(w))
+    saturated = j + 1 >= rows.shape[1]
+    # a NaN norm is no breakdown: it goes on into the column and the row
+    if not saturated and not norm <= BREAKDOWN_RTOL * scale:
+        col[-1] = norm
+        rows[j + 1] = w / norm
+        return col, False
+    col[-1] = 0.0
+    repl = None if saturated else _replacement_vector(rows[: j + 1])
+    rows[j + 1] = 0.0 if repl is None else repl
+    return col, True
+
+
 def hessenberg_step(state: HessenbergState, reorth: bool = False) -> HessenbergState:
     """Advance the reduction by one step, appending one h and one f column.
 
@@ -209,8 +226,7 @@ def hessenberg_step(state: HessenbergState, reorth: bool = False) -> HessenbergS
     :class:`ReductionExhaustedError` once both bases are complete, at
     max(m, n) steps.
     """
-    m, n = state.m, state.n
-    limit = max(m, n)
+    limit = max(state.m, state.n)
     if state.k >= limit:
         raise ReductionExhaustedError(
             f"basis complete after {state.k} steps (limit {limit})")
@@ -222,41 +238,8 @@ def hessenberg_step(state: HessenbergState, reorth: bool = False) -> HessenbergS
     # and an operator may legally return a view of its input
     q = np.array(state.A.apply(state.U[:, j]), dtype=np.float64)
     p = np.array(state.B.apply(state.V[:, j]), dtype=np.float64)
-    scale_q = float(np.linalg.norm(q))
-    scale_p = float(np.linalg.norm(p))
-
-    h = np.empty(j + 2)
-    f = np.empty(j + 2)
-    h[:-1] = orthogonalize(state.V[:, : j + 1].T, q, reorth)
-    f[:-1] = orthogonalize(state.U[:, : j + 1].T, p, reorth)
-
-    hq = float(np.linalg.norm(q))
-    breakdown_v = j + 1 >= m or hq <= BREAKDOWN_RTOL * scale_q
-    if breakdown_v:
-        h[-1] = 0.0
-        repl = None if state.v_saturated else _replacement_vector(state.V[:, : j + 1])
-        if repl is None:
-            state.V[:, j + 1] = 0.0
-            state.v_saturated = True
-        else:
-            state.V[:, j + 1] = repl
-    else:
-        h[-1] = hq
-        state.V[:, j + 1] = q / hq
-
-    fp = float(np.linalg.norm(p))
-    breakdown_u = j + 1 >= n or fp <= BREAKDOWN_RTOL * scale_p
-    if breakdown_u:
-        f[-1] = 0.0
-        repl = None if state.u_saturated else _replacement_vector(state.U[:, : j + 1])
-        if repl is None:
-            state.U[:, j + 1] = 0.0
-            state.u_saturated = True
-        else:
-            state.U[:, j + 1] = repl
-    else:
-        f[-1] = fp
-        state.U[:, j + 1] = p / fp
+    h, breakdown_v = _extend(state.V.T, j, q, reorth)
+    f, breakdown_u = _extend(state.U.T, j, p, reorth)
 
     state.Hcols.append(h)
     state.Fcols.append(f)

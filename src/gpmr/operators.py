@@ -56,7 +56,11 @@ class LinearOperator:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.ncols,):
             raise ValueError(f"operator is {self.nrows}x{self.ncols}, got vector {x.shape}")
-        return np.asarray(self._apply(x), dtype=np.float64)
+        y = np.asarray(self._apply(x), dtype=np.float64)
+        if y.shape != (self.nrows,):
+            raise ValueError(
+                f"operator is {self.nrows}x{self.ncols}, returned vector {y.shape}")
+        return y
 
     @classmethod
     def from_matrix(cls, M: scipy.sparse.csr_array) -> "LinearOperator":

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from gpmr import (
     hessenberg_step,
     orthogonalize,
 )
+from gpmr.hessenberg import _replacement_vector
 from conftest import dense_operator
 
 
@@ -277,6 +280,43 @@ def test_cgs2_keeps_orthogonality_where_mgs_loses_it():
 
 
 # ---------------------------------------------------------------------------
+# replacement vector after a breakdown
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dim,k", [(2, 1), (7, 6), (50, 20), (200, 199)])
+def test_replacement_is_a_unit_vector_orthogonal_to_the_basis(dim, k):
+    rng = np.random.default_rng(dim * 1000 + k)
+    Q, _ = np.linalg.qr(rng.standard_normal((dim, k)))
+    rows = np.ascontiguousarray(Q.T)
+    r = _replacement_vector(rows)
+    assert abs(np.linalg.norm(r) - 1.0) <= 1e-14
+    assert np.max(np.abs(rows @ r)) <= 1e-14
+
+
+def test_replacement_on_leading_canonical_basis_is_next_canonical_vector():
+    # a search trying e_0, e_1, ... in turn pays O(dim k) for each of the
+    # 501 candidates it needs on this basis
+    rows = np.eye(500, 4000)
+    start = time.perf_counter()
+    r = _replacement_vector(rows)
+    elapsed = time.perf_counter() - start
+    assert np.array_equal(r, np.eye(4000)[500])
+    assert elapsed < 0.2
+
+
+def test_nan_product_is_not_a_breakdown():
+    # a NaN remainder goes on into the column, where the solve sees it as
+    # a non-finite residual; it is not replaced like a vanished one
+    nan_op = LinearOperator(3, 3, lambda x: np.full(3, np.nan))
+    state = hessenberg_init(nan_op, LinearOperator.identity(3),
+                            [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    with np.errstate(invalid="ignore"):
+        hessenberg_step(state)
+    assert state.breakdown_flags == [(False, False)]
+    assert np.isnan(state.Hcols[0]).all() and np.isnan(state.V[:, 1]).all()
+
+
+# ---------------------------------------------------------------------------
 # exhaustion
 # ---------------------------------------------------------------------------
 
@@ -287,7 +327,7 @@ def test_padding_mode_continues_to_longer_side():
     hessenberg_step(state)
     hessenberg_step(state)
     assert state.k == 5
-    assert state.u_saturated
+    assert all(u for _, u in state.breakdown_flags[2:])
     # padded u columns are exact zeros, recurrences still hold
     assert np.array_equal(state.U[:, 4], np.zeros(3))
     V = state.V[:, :6]

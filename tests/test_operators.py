@@ -77,6 +77,25 @@ def test_operator_shape_checks():
         op.apply([1.0, 2.0])
 
 
+@pytest.mark.parametrize("length", [2, 4])
+def test_operator_output_of_wrong_length_is_named_by_every_solver(length):
+    bad = LinearOperator(3, 3, lambda x: np.ones(length) * x.sum())
+    message = rf"operator is 3x3, returned vector \({length},\)"
+    rhs = np.array([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=message):
+        gmres_solve(bad, rhs, 0.0, 1e-10, 3)
+    with pytest.raises(ValueError, match=message):
+        block_gmres_solve(bad, np.eye(3)[:, :2], 0.0, 1e-10, 3)
+    with pytest.raises(ValueError, match=message):
+        PartitionedSystem(1.0, 1.0, bad, LinearOperator.identity(3), rhs, rhs)
+    # swapped in after construction, as a counting wrapper would be
+    system = PartitionedSystem(1.0, 1.0, LinearOperator.identity(3),
+                               LinearOperator.identity(3), rhs, rhs)
+    system.A = bad
+    with pytest.raises(ValueError, match=message):
+        gpmr_solve(system, 0.0, 1e-10, k_max=3)
+
+
 # ---------------------------------------------------------------------------
 # graph bisection
 # ---------------------------------------------------------------------------
@@ -319,11 +338,14 @@ def test_preconditioned_solves_match_natural_order_factors():
                 gmres_solve(K, sys_.rhs_full(), 0.0, 1e-10, 200, split=split),
                 *block_gmres_solve(K, starting_block(sys_), 0.0, 1e-10, 200, split=split)]
 
-    for got, want in zip(solve_all(system), solve_all(natural)):
+    reports = solve_all(system)
+    for got, want in zip(reports, solve_all(natural)):
         assert got.status == want.status == "converged"
         assert got.iterations == want.iterations
         scale = want.residual_history[0]
         assert np.all(np.abs(got.residual_history - want.residual_history) <= 1e-10 * scale)
+    # the paper's claim on this case: GPMR needs fewer iterations than GMRES
+    assert reports[0].iterations < reports[1].iterations
 
 
 def test_partitioned_system_rejects_zero_inputs():
