@@ -33,7 +33,6 @@ from .operators import (
     extract_blocks,
     read_permutation,
     recover_solution,
-    write_permutation,
 )
 from .solver import (
     SingularSubproblemError,
@@ -104,5 +103,4 @@ __all__ = [
     "sparse_lu",
     "spmv",
     "write_matrix_market",
-    "write_permutation",
 ]

@@ -9,6 +9,7 @@ Its pairs are stored as two contiguous rows each, and one helper,
 :func:`_project_out`, runs the pairwise block modified Gram-Schmidt pass
 (and, with ``reorth``, the second pass) as two in-place BLAS ``dgemm``
 calls per stored pair.
+GMRES's triangle goes through GPMR's BLAS ``dtpsv`` back-substitution.
 Block-GMRES updates a QR factorization of the block-Hessenberg matrix
 one column pair per iteration with 4x4 orthogonal factors, reads its
 residual norms off the transformed right-hand side and solves for its
@@ -28,13 +29,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dgemm
 
 from .hessenberg import BREAKDOWN_RTOL, orthogonalize
 from .operators import LinearOperator
 from .solver import (
     SolveReport,
+    backward_substitution,
     check_stopping_rule,
     final_status,
     quiet_nonfinite,
@@ -66,10 +67,10 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
     in the report's x and y fields; without it the full vector lands in
     x. The basis is one row per vector of a (cap + 1, dim) array,
     allocated uninitialized: row k + 1 is written by step k before any
-    read. Each Hessenberg column is rotated as a Python list and kept
-    as a float64 array; the triangle is assembled from those once, at
-    the end. The transformed right-hand side is a list. The report's
-    diagnostics are empty.
+    read. Each Hessenberg column is rotated as a Python list and kept as
+    a float64 array of its upper entries; at the end GPMR's packed
+    back-substitution (BLAS ``dtpsv``) solves the triangle they form.
+    The transformed right-hand side is a list; diagnostics are empty.
     """
     check_stopping_rule(atol, rtol, k_max)
     d = np.asarray(d, dtype=np.float64)
@@ -138,11 +139,7 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
     if k == 0:
         sol = np.zeros(dim)
     else:
-        R = np.zeros((k, k))
-        for j, col in enumerate(cols):
-            R[: j + 1, j] = col
-        y = solve_triangular(R, np.array(tbar[:k]), check_finite=False)
-        sol = V[:, :k] @ y
+        sol = V[:, :k] @ backward_substitution(cols, tbar)
     x, yblk = _split_solution(sol, split)
     return SolveReport(x=x, y=yblk, status=status,
                        residual_history=np.asarray(history),
@@ -177,16 +174,6 @@ class BlockArnoldiState:
     def k(self) -> int:
         """The number of steps taken."""
         return len(self.columns)
-
-    @property
-    def S(self) -> np.ndarray:
-        """The (2 k_max + 2) x 2 k_max block-Hessenberg matrix, assembled
-        from ``columns`` with zeros past step k; a new array each read."""
-        k_max = len(self.W) - 1
-        S = np.zeros((2 * k_max + 2, 2 * k_max))
-        for j, col in enumerate(self.columns):
-            S[: 2 * j + 4, 2 * j:2 * j + 2] = col
-        return S
 
 
 def _qr_two_columns(block: np.ndarray, rank_tol: float = 0.0):

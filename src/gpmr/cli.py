@@ -108,22 +108,6 @@ def write_history_csv(histories, target) -> None:
         target.write(text)
 
 
-def read_history_csv(source):
-    """Inverse of :func:`write_history_csv`, for round-trip checks."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text()
-    else:
-        text = source.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "iteration,method,residual_norm":
-        raise ValueError("unrecognized history file")
-    histories: dict[str, list[float]] = {}
-    for ln in lines[1:]:
-        it, method, value = ln.split(",")
-        histories.setdefault(method, []).append(float(value))
-    return {k: np.asarray(v) for k, v in histories.items()}
-
-
 def _load_inputs(cfg: ExperimentConfig):
     try:
         C = load_matrix_market(cfg.matrix_path)
@@ -209,7 +193,7 @@ def _run_method(method, system, prec, blocks, b_star, c_star, cfg):
         "method": method,
         "iterations": int(report.iterations),
         "status": report.status,
-        "converged": report.status == "converged",
+        "converged": report.converged,
         "true_residual": true_residual,
         "matvec_count": int(applies),
         "wall_time": elapsed,

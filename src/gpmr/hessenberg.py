@@ -108,28 +108,6 @@ class HessenbergState:
     def n(self) -> int:
         return self.U.shape[0]
 
-    def basis_v(self, k: int | None = None) -> np.ndarray:
-        """First k columns of V (defaults to the completed count)."""
-        return self.V[:, : self.k if k is None else k]
-
-    def basis_u(self, k: int | None = None) -> np.ndarray:
-        return self.U[:, : self.k if k is None else k]
-
-    def hessenberg_h(self, k: int | None = None) -> np.ndarray:
-        """Dense (k+1) x k matrix assembled from the h columns."""
-        k = self.k if k is None else k
-        H = np.zeros((k + 1, k))
-        for j in range(k):
-            H[: j + 2, j] = self.Hcols[j]
-        return H
-
-    def hessenberg_f(self, k: int | None = None) -> np.ndarray:
-        k = self.k if k is None else k
-        F = np.zeros((k + 1, k))
-        for j in range(k):
-            F[: j + 2, j] = self.Fcols[j]
-        return F
-
 
 def hessenberg_init(A: LinearOperator, B: LinearOperator, b, c,
                     capacity: int | None = None) -> HessenbergState:

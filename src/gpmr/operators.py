@@ -22,6 +22,7 @@ import scipy.sparse
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .sparse import (
+    _DECIMAL_INTEGER,
     LUFactors,
     SingularMatrixError,
     lu_solve,
@@ -65,15 +66,6 @@ class LinearOperator:
     @classmethod
     def from_matrix(cls, M: scipy.sparse.csr_array) -> "LinearOperator":
         return cls(*M.shape, lambda x: spmv(M, x))
-
-    @classmethod
-    def from_dense(cls, arr) -> "LinearOperator":
-        arr = np.asarray(arr, dtype=np.float64)
-        return cls(*arr.shape, lambda x: arr @ x)
-
-    @classmethod
-    def identity(cls, n: int) -> "LinearOperator":
-        return cls(n, n, lambda x: x.copy())
 
 
 @dataclass(frozen=True)
@@ -302,28 +294,31 @@ def recover_solution(prec: BlockJacobiPreconditioner, x, y):
 
 
 def read_permutation(source) -> BlockSplit:
-    """Read a split from text: first line ``m n``, then one index per line."""
+    """Read a split from text: first line ``m n``, then one index per line.
+
+    Blank lines are skipped. Every number is a plain decimal integer, as
+    in :func:`~gpmr.sparse.parse_matrix_market`: digit separators
+    (``1_0``) are rejected. An error names its line, counted from 1 with
+    blank lines included.
+    """
     if isinstance(source, (str, Path)):
         text = Path(source).read_text()
     else:
         text = source.read()
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [(lineno, ln.split()) for lineno, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip()]
     if not lines:
         raise ValueError("empty permutation file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError("first line must contain 'm n'")
-    try:
-        m, n = int(head[0]), int(head[1])
-        perm = np.array([int(ln) for ln in lines[1:]], dtype=np.int64)
-    except ValueError as exc:
-        raise ValueError(f"unreadable permutation file: {exc}") from exc
-    return BlockSplit(perm=perm, m=m, n=n)
-
-
-def write_permutation(split: BlockSplit, target) -> None:
-    text = f"{split.m} {split.n}\n" + "\n".join(str(int(i)) for i in split.perm) + "\n"
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(text)
-    else:
-        target.write(text)
+    (head_no, head), *rest = lines
+    if len(head) != 2 or not all(_DECIMAL_INTEGER.fullmatch(f) for f in head):
+        raise ValueError(f"line {head_no}: expected 'm n', got {' '.join(head)!r}")
+    m, n = int(head[0]), int(head[1])
+    perm = []
+    for lineno, fields in rest:
+        if len(fields) != 1 or not _DECIMAL_INTEGER.fullmatch(fields[0]):
+            raise ValueError(f"line {lineno}: expected one index, got {' '.join(fields)!r}")
+        index = int(fields[0])
+        if not 0 <= index < m + n:
+            raise ValueError(f"line {lineno}: index {index} outside 0..{m + n - 1}")
+        perm.append(index)
+    return BlockSplit(perm=np.array(perm, dtype=np.int64), m=m, n=n)

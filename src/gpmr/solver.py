@@ -28,6 +28,7 @@ solves over a copy of the transformed right-hand side.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,10 +50,13 @@ quiet_nonfinite = np.errstate(over="ignore", invalid="ignore")
 
 def check_stopping_rule(atol: float, rtol: float, k_max: int) -> None:
     """Reject a stopping rule no solve can honour: negative or NaN
-    tolerances, both tolerances zero, or an iteration budget below one."""
+    tolerances, both tolerances zero, or an iteration budget that is not
+    an integer of at least one."""
     # written so that NaN, which fails every comparison, is rejected
     if not atol >= 0 or not rtol >= 0 or (atol == 0 and rtol == 0):
         raise ValueError("tolerances must be nonnegative and not both zero")
+    if not isinstance(k_max, numbers.Integral):
+        raise ValueError(f"k_max must be an integer, got {k_max!r}")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
 
@@ -83,6 +87,8 @@ class SolveReport:
     Every field is plain data: arrays the solve computed, numbers and,
     in ``diagnostics``, lists, dicts and arrays of O(k) entries. No
     solver state (bases, triangles, workspaces) outlives the solve.
+    ``matvec_count`` counts applies of the operators the solver was given:
+    A and B separately for GPMR, K for GMRES and Block-GMRES.
     """
 
     x: np.ndarray

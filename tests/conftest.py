@@ -33,7 +33,25 @@ def stored_entries(M):
 
 
 def dense_operator(arr):
-    return LinearOperator.from_dense(np.asarray(arr, dtype=np.float64))
+    arr = np.asarray(arr, dtype=np.float64)
+    return LinearOperator(*arr.shape, lambda x: arr @ x)
+
+
+def identity_operator(n):
+    return LinearOperator(n, n, lambda x: x.copy())
+
+
+def pad_columns(columns, shape):
+    """A zero matrix of ``shape`` with ``columns[j]`` at the top of its
+    column j, or of columns 2j and 2j + 1 for a two-column block: the
+    dense H and F of a :class:`HessenbergState` from ``Hcols`` and
+    ``Fcols``, and block-Arnoldi's block-Hessenberg S from ``columns``."""
+    M = np.zeros(shape)
+    for j, col in enumerate(columns):
+        col = np.asarray(col).reshape(len(col), -1)
+        width = col.shape[1]
+        M[: len(col), width * j:width * (j + 1)] = col
+    return M
 
 
 def random_block_system(rng, m, n, lam=1.0, mu=1.0, coupling=0.5):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gpmr import (
-    LinearOperator,
     block_arnoldi_init,
     block_arnoldi_step,
     block_gmres_solve,
@@ -15,6 +14,8 @@ from conftest import (
     dense_full_matrix,
     dense_operator,
     gmres_arnoldi,
+    identity_operator,
+    pad_columns,
     random_block_system,
     record_orthogonalize,
     starting_block,
@@ -27,7 +28,7 @@ from conftest import (
 
 def test_gmres_identity_converges_immediately():
     d = np.array([3.0, -1.0, 2.0])
-    report = gmres_solve(LinearOperator.identity(3), d, 1e-12, 1e-10, 5)
+    report = gmres_solve(identity_operator(3), d, 1e-12, 1e-10, 5)
     assert report.converged
     assert report.iterations == 1
     assert np.allclose(report.x, d, rtol=0, atol=1e-14)
@@ -58,7 +59,7 @@ def test_gmres_history_nonincreasing_and_estimate_sharp():
 
 def test_gmres_rejects_zero_rhs():
     with pytest.raises(ValueError):
-        gmres_solve(LinearOperator.identity(2), np.zeros(2), 1e-12, 1e-10, 2)
+        gmres_solve(identity_operator(2), np.zeros(2), 1e-12, 1e-10, 2)
 
 
 def test_gmres_budget_exhaustion():
@@ -170,7 +171,7 @@ def test_block_arnoldi_recurrence_and_pair_orthogonality():
     k = state.k
     W = np.hstack(state.W[:k])
     W_next = np.hstack(state.W[: k + 1])
-    S = state.S[: 2 * k + 2, : 2 * k]
+    S = pad_columns(state.columns, (2 * k + 2, 2 * k))
     assert np.linalg.norm(K @ W - W_next @ S) <= 1e-12 * np.linalg.norm(K)
     for w in state.W[: k + 1]:
         assert np.linalg.norm(w.T @ w - np.eye(2)) <= 1e-12
@@ -202,9 +203,10 @@ def test_block_arnoldi_matches_reduction_pair():
                         np.linalg.norm(got[:, col] + assembled[:, col]))
             assert delta <= 1e-10
 
+    S = pad_columns(state.columns, (2 * k + 2, 2 * k))
     # diagonal blocks carry (lam, mu) plus the reduction coefficients
     for j in range(k):
-        block = state.S[2 * j:2 * j + 2, 2 * j:2 * j + 2]
+        block = S[2 * j:2 * j + 2, 2 * j:2 * j + 2]
         assert block[0, 0] == pytest.approx(system.lam, abs=1e-12)
         assert block[1, 1] == pytest.approx(system.mu, abs=1e-12)
         assert block[0, 1] == pytest.approx(hess.Hcols[j][j], abs=1e-10)
@@ -220,12 +222,13 @@ def test_block_arnoldi_sparsity_and_zero_diagonals():
     state = block_arnoldi_init(starting_block(system), k)
     for _ in range(k):
         block_arnoldi_step(state, dense_operator(K))
+    S = pad_columns(state.columns, (2 * k + 2, 2 * k))
     for w in state.W[:k + 1]:
         assert np.max(np.abs(w[m:, 0])) <= 1e-13
         assert np.max(np.abs(w[:m, 1])) <= 1e-13
     for j in range(k):
         for i in range(j):
-            off = state.S[2 * i:2 * i + 2, 2 * j:2 * j + 2]
+            off = S[2 * i:2 * i + 2, 2 * j:2 * j + 2]
             assert abs(off[0, 0]) <= 1e-13
             assert abs(off[1, 1]) <= 1e-13
 
@@ -238,7 +241,7 @@ def test_block_gmres_identity_converges_immediately():
     D = np.zeros((4, 2))
     D[0, 0] = 2.0
     D[3, 1] = -1.0
-    rep_b, rep_c = block_gmres_solve(LinearOperator.identity(4), D,
+    rep_b, rep_c = block_gmres_solve(identity_operator(4), D,
                                      1e-12, 1e-10, 4)
     assert rep_b.converged and rep_c.converged
     assert rep_b.iterations == 1
@@ -287,7 +290,7 @@ def test_block_gmres_rejects_zero_column():
     D = np.zeros((4, 2))
     D[0, 0] = 1.0
     with pytest.raises(ValueError):
-        block_gmres_solve(LinearOperator.identity(4), D, 1e-12, 1e-10, 4)
+        block_gmres_solve(identity_operator(4), D, 1e-12, 1e-10, 4)
 
 
 def test_block_gmres_survives_full_dimension():

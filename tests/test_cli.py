@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from gpmr.cli import (
     ExperimentConfig,
     generate_rhs,
     main,
-    read_history_csv,
     run_experiment,
     write_history_csv,
 )
@@ -101,6 +101,22 @@ def test_history_csv_single_method():
     lines = buf.getvalue().splitlines()
     assert len(lines) == 3
     assert lines[0] == "iteration,method,residual_norm"
+
+
+def read_history_csv(source):
+    """Inverse of :func:`write_history_csv`, for round-trip checks."""
+    if isinstance(source, (str, Path)):
+        text = Path(source).read_text()
+    else:
+        text = source.read()
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != "iteration,method,residual_norm":
+        raise ValueError("unrecognized history file")
+    histories: dict[str, list[float]] = {}
+    for ln in lines[1:]:
+        it, method, value = ln.split(",")
+        histories.setdefault(method, []).append(float(value))
+    return {k: np.asarray(v) for k, v in histories.items()}
 
 
 def test_history_csv_two_methods_row_count_and_order():
@@ -304,11 +320,11 @@ def test_custom_regularization_reports_solved_system_residual(matrix_file):
 
 
 def test_partition_file_reproduces_auto_run(matrix_file, tmp_path):
-    from gpmr import bisect_graph, load_matrix_market, write_permutation
+    from gpmr import bisect_graph, load_matrix_market
 
     split = bisect_graph(load_matrix_market(matrix_file))
     perm_path = tmp_path / "imported.perm"
-    write_permutation(split, perm_path)
+    perm_path.write_text(f"{split.m} {split.n}\n" + "".join(f"{i}\n" for i in split.perm))
     base = dict(matrix_path=str(matrix_file), methods=("gpmr", "gmres"), k_max=40)
     auto = run_experiment(ExperimentConfig(**base))
     imported = run_experiment(ExperimentConfig(partition=str(perm_path), **base))
@@ -325,3 +341,14 @@ def test_invalid_permutation_is_input_error(matrix_file, tmp_path, capsys):
     code = main(["--matrix", str(matrix_file), "--partition", str(perm)])
     assert code == EXIT_INPUT_ERROR
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text,line", [("1_0 1\n0\n", "line 1: expected 'm n'"),
+                                       ("\n6 6\n0\n1\n2_0\n", "line 5: expected one index")])
+def test_permutation_file_with_bad_line_is_input_error(matrix_file, tmp_path, capsys,
+                                                       text, line):
+    perm = tmp_path / "bad.perm"
+    perm.write_text(text)
+    code = main(["--matrix", str(matrix_file), "--partition", str(perm)])
+    assert code == EXIT_INPUT_ERROR
+    assert line in capsys.readouterr().err

@@ -11,7 +11,7 @@ from gpmr import (
     orthogonalize,
 )
 from gpmr.hessenberg import _replacement_vector
-from conftest import dense_operator
+from conftest import dense_operator, identity_operator, pad_columns
 
 
 def run_steps(A, B, b, c, k, reorth=False, capacity=None):
@@ -35,7 +35,7 @@ def random_pair(rng, m, n):
 # ---------------------------------------------------------------------------
 
 def test_init_three_four_five():
-    state = hessenberg_init(LinearOperator.identity(2), LinearOperator.identity(2),
+    state = hessenberg_init(identity_operator(2), identity_operator(2),
                             [3.0, 4.0], [1.0, 0.0])
     assert state.beta == 5.0
     assert np.allclose(state.V[:, 0], [0.6, 0.8], rtol=0, atol=1e-15)
@@ -44,7 +44,7 @@ def test_init_three_four_five():
 
 
 def test_init_canonical_vector():
-    state = hessenberg_init(LinearOperator.identity(3), LinearOperator.identity(3),
+    state = hessenberg_init(identity_operator(3), identity_operator(3),
                             [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     assert state.beta == 1.0
     assert np.array_equal(state.V[:, 0], [1.0, 0.0, 0.0])
@@ -54,14 +54,14 @@ def test_init_normalization_oracle():
     rng = np.random.default_rng(41)
     b = rng.standard_normal(9)
     c = rng.standard_normal(9)
-    state = hessenberg_init(LinearOperator.identity(9), LinearOperator.identity(9), b, c)
+    state = hessenberg_init(identity_operator(9), identity_operator(9), b, c)
     assert abs(np.linalg.norm(state.V[:, 0]) - 1.0) <= 1e-15
     assert abs(np.linalg.norm(state.U[:, 0]) - 1.0) <= 1e-15
     assert np.all(np.abs(state.beta * state.V[:, 0] - b) <= 1e-15 * (1 + np.abs(b)))
 
 
 def test_init_rejects_zero_vectors():
-    I2 = LinearOperator.identity(2)
+    I2 = identity_operator(2)
     with pytest.raises(ValueError):
         hessenberg_init(I2, I2, [0.0, 0.0], [1.0, 0.0])
     with pytest.raises(ValueError):
@@ -98,8 +98,8 @@ def test_transposed_pair_gives_tridiagonal_mirror():
     b = rng.standard_normal(m)
     c = rng.standard_normal(n)
     state = run_steps(A, A.T, b, c, k=k)
-    H = state.hessenberg_h()[:k, :]
-    F = state.hessenberg_f()[:k, :]
+    H = pad_columns(state.Hcols, (k + 1, k))[:k, :]
+    F = pad_columns(state.Fcols, (k + 1, k))[:k, :]
     assert np.linalg.norm(F - H.T) <= 1e-12 * np.linalg.norm(H)
     band_mask = np.abs(np.subtract.outer(np.arange(k), np.arange(k))) > 1
     assert np.max(np.abs(H[band_mask])) <= 1e-12
@@ -119,8 +119,8 @@ def test_recurrence_relations_hold_without_reorthogonalization():
         state = run_steps(A, B, b, c, k=k)
         V = state.V[:, : k + 1]
         U = state.U[:, : k + 1]
-        res_a = np.linalg.norm(A @ U[:, :k] - V @ state.hessenberg_h())
-        res_b = np.linalg.norm(B @ V[:, :k] - U @ state.hessenberg_f())
+        res_a = np.linalg.norm(A @ U[:, :k] - V @ pad_columns(state.Hcols, (k + 1, k)))
+        res_b = np.linalg.norm(B @ V[:, :k] - U @ pad_columns(state.Fcols, (k + 1, k)))
         assert res_a <= 1e-12 * np.linalg.norm(A) * np.sqrt(k)
         assert res_b <= 1e-12 * np.linalg.norm(B) * np.sqrt(k)
 
@@ -131,8 +131,8 @@ def test_orthogonality_with_reorthogonalization():
     k = 50
     A, B, b, c = random_pair(rng, m, n)
     state = run_steps(A, B, b, c, k=k, reorth=True)
-    V = state.basis_v()
-    U = state.basis_u()
+    V = state.V[:, :k]
+    U = state.U[:, :k]
     assert np.linalg.norm(V.T @ V - np.eye(k)) <= 1e-10
     assert np.linalg.norm(U.T @ U - np.eye(k)) <= 1e-10
 
@@ -142,10 +142,10 @@ def test_projection_identity_with_reorthogonalization():
     m, n, k = 30, 26, 14
     A, B, b, c = random_pair(rng, m, n)
     state = run_steps(A, B, b, c, k=k, reorth=True)
-    V = state.basis_v()
-    U = state.basis_u()
-    H = state.hessenberg_h()[:k, :]
-    F = state.hessenberg_f()[:k, :]
+    V = state.V[:, :k]
+    U = state.U[:, :k]
+    H = pad_columns(state.Hcols, (k + 1, k))[:k, :]
+    F = pad_columns(state.Fcols, (k + 1, k))[:k, :]
     assert np.linalg.norm(V.T @ A @ U - H) <= 1e-10 * np.linalg.norm(A)
     assert np.linalg.norm(U.T @ B @ V - F) <= 1e-10 * np.linalg.norm(B)
 
@@ -270,11 +270,11 @@ def test_cgs2_keeps_orthogonality_where_mgs_loses_it():
     mgs = run_steps(A, B, b, c, k=k)
     cgs2 = run_steps(A, B, b, c, k=k, reorth=True)
     eye = np.eye(k)
-    loss_mgs = max(np.linalg.norm(mgs.basis_v().T @ mgs.basis_v() - eye),
-                   np.linalg.norm(mgs.basis_u().T @ mgs.basis_u() - eye))
+    loss_mgs = max(np.linalg.norm(mgs.V[:, :k].T @ mgs.V[:, :k] - eye),
+                   np.linalg.norm(mgs.U[:, :k].T @ mgs.U[:, :k] - eye))
     assert loss_mgs > 1e-10
-    V = cgs2.basis_v()
-    U = cgs2.basis_u()
+    V = cgs2.V[:, :k]
+    U = cgs2.U[:, :k]
     assert np.linalg.norm(V.T @ V - eye) <= 1e-10
     assert np.linalg.norm(U.T @ U - eye) <= 1e-10
 
@@ -308,7 +308,7 @@ def test_nan_product_is_not_a_breakdown():
     # a NaN remainder goes on into the column, where the solve sees it as
     # a non-finite residual; it is not replaced like a vanished one
     nan_op = LinearOperator(3, 3, lambda x: np.full(3, np.nan))
-    state = hessenberg_init(nan_op, LinearOperator.identity(3),
+    state = hessenberg_init(nan_op, identity_operator(3),
                             [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     with np.errstate(invalid="ignore"):
         hessenberg_step(state)
@@ -332,7 +332,7 @@ def test_padding_mode_continues_to_longer_side():
     assert np.array_equal(state.U[:, 4], np.zeros(3))
     V = state.V[:, :6]
     U = state.U[:, :6]
-    res_a = np.linalg.norm(A @ U[:, :5] - V @ state.hessenberg_h())
+    res_a = np.linalg.norm(A @ U[:, :5] - V @ pad_columns(state.Hcols, (6, 5)))
     assert res_a <= 1e-12 * np.linalg.norm(A) * np.sqrt(5)
     with pytest.raises(ReductionExhaustedError):
         hessenberg_step(state)

@@ -22,9 +22,8 @@ from gpmr import (
     gpmr_solve,
     read_permutation,
     recover_solution,
-    write_permutation,
 )
-from conftest import csr, dense_operator, starting_block
+from conftest import csr, dense_operator, identity_operator, starting_block
 
 
 def assert_linear(op, rng, rel=1e-12, probes=3):
@@ -54,7 +53,7 @@ def test_operator_linearity_probe():
     M = csr(rng.standard_normal((6, 4)))
     assert_linear(LinearOperator.from_matrix(M), rng)
     assert_linear(dense_operator(rng.standard_normal((5, 5))), rng)
-    assert_linear(LinearOperator.identity(7), rng)
+    assert_linear(identity_operator(7), rng)
 
 
 def test_preconditioned_operators_are_linear():
@@ -72,7 +71,7 @@ def test_preconditioned_operators_are_linear():
 
 
 def test_operator_shape_checks():
-    op = LinearOperator.identity(3)
+    op = identity_operator(3)
     with pytest.raises(ValueError):
         op.apply([1.0, 2.0])
 
@@ -87,10 +86,10 @@ def test_operator_output_of_wrong_length_is_named_by_every_solver(length):
     with pytest.raises(ValueError, match=message):
         block_gmres_solve(bad, np.eye(3)[:, :2], 0.0, 1e-10, 3)
     with pytest.raises(ValueError, match=message):
-        PartitionedSystem(1.0, 1.0, bad, LinearOperator.identity(3), rhs, rhs)
+        PartitionedSystem(1.0, 1.0, bad, identity_operator(3), rhs, rhs)
     # swapped in after construction, as a counting wrapper would be
-    system = PartitionedSystem(1.0, 1.0, LinearOperator.identity(3),
-                               LinearOperator.identity(3), rhs, rhs)
+    system = PartitionedSystem(1.0, 1.0, identity_operator(3),
+                               identity_operator(3), rhs, rhs)
     system.A = bad
     with pytest.raises(ValueError, match=message):
         gpmr_solve(system, 0.0, 1e-10, k_max=3)
@@ -377,9 +376,8 @@ def test_partitioned_system_accepts_rows_summing_to_zero():
 
 def test_permutation_file_round_trip():
     split = BlockSplit(np.array([2, 0, 3, 1]), 2, 2)
-    buf = io.StringIO()
-    write_permutation(split, buf)
-    again = read_permutation(io.StringIO(buf.getvalue()))
+    text = f"{split.m} {split.n}\n" + "".join(f"{i}\n" for i in split.perm)
+    again = read_permutation(io.StringIO(text))
     assert again.m == split.m and again.n == split.n
     assert np.array_equal(again.perm, split.perm)
 
@@ -391,3 +389,27 @@ def test_permutation_file_validation():
         read_permutation(io.StringIO("2\n0\n1\n"))
     with pytest.raises(ValueError):
         read_permutation(io.StringIO("1 1\n0\n0\n"))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("\n\n1_0 1\n0\n", r"line 3: expected 'm n', got '1_0 1'"),
+    ("2 two\n0\n1\n2\n3\n", r"line 1: expected 'm n', got '2 two'"),
+    ("2 2 2\n0\n1\n2\n3\n", r"line 1: expected 'm n', got '2 2 2'"),
+    ("2 2\n0\n\n1\n2_0\n3\n", r"line 5: expected one index, got '2_0'"),
+    ("2 2\n0\n1 2\n3\n", r"line 3: expected one index, got '1 2'"),
+    ("2 2\n0\n1.0\n2\n3\n", r"line 3: expected one index, got '1.0'"),
+    ("2 2\n0\n1\n\n4\n3\n", r"line 5: index 4 outside 0..3"),
+    ("2 2\n0\n1\n99999999999999999999\n3\n",
+     r"line 4: index 99999999999999999999 outside 0..3"),
+])
+def test_permutation_file_errors_name_the_line(text, message):
+    # digit separators are rejected as in Matrix Market files, and line
+    # numbers count the blank lines too
+    with pytest.raises(ValueError, match=message):
+        read_permutation(io.StringIO(text))
+
+
+def test_permutation_file_with_blank_lines_and_signs():
+    split = read_permutation(io.StringIO("\n2 +2\n\n3\n-0\n  2 \n1\n\n"))
+    assert (split.m, split.n) == (2, 2)
+    assert np.array_equal(split.perm, [3, 0, 2, 1])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -361,6 +363,31 @@ def test_every_solver_rejects_bad_tolerances_with_one_message():
             block_gmres_solve(K, D, atol, rtol, k_max)
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(matrix_path="x", atol=atol, rtol=rtol, k_max=k_max)
+
+
+@pytest.mark.parametrize("k_max", [2.5, 4.0, "3", np.nan, np.inf, None])
+def test_every_solver_rejects_a_budget_that_is_not_an_integer(k_max):
+    from gpmr import gmres_solve
+    from gpmr.cli import ExperimentConfig
+
+    rng = np.random.default_rng(139)
+    system, _, _ = random_block_system(rng, 4, 4)
+    K = system.full_operator()
+    message = re.escape(f"k_max must be an integer, got {k_max!r}")
+    with pytest.raises(ValueError, match=message):
+        gpmr_solve(system, 1e-12, 1e-10, k_max)
+    with pytest.raises(ValueError, match=message):
+        gmres_solve(K, system.rhs_full(), 1e-12, 1e-10, k_max)
+    with pytest.raises(ValueError, match=message):
+        block_gmres_solve(K, starting_block(system), 1e-12, 1e-10, k_max)
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(matrix_path="x", k_max=k_max)
+
+
+def test_numpy_integer_budget_is_accepted():
+    rng = np.random.default_rng(139)
+    system, _, _ = random_block_system(rng, 4, 4)
+    assert gpmr_solve(system, 1e-12, 1e-10, np.int64(8)).converged
 
 
 def test_cgs2_history_matches_mgs_history():
