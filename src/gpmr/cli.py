@@ -207,10 +207,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute the configured experiment and return a result dictionary.
 
     The dictionary carries matrix metadata, the partition sizes, the
-    entries stored in the LU factors of each diagonal block and one
-    entry per method with iterations, status, true residual in the
-    original system, operator application count, wall time, residual
-    history and the recovered solution. The application count
+    nonzeros of the LU factors of each diagonal block (``lu_fill``) and
+    the entries SuperLU stores for them (``lu_stored``), and one entry
+    per method with iterations, status, true residual in the original
+    system, operator application count, wall time, residual history and
+    the recovered solution. The application count
     ``matvec_count`` is in one unit for every method: applies of A plus
     applies of B (2 per iteration for GPMR and GMRES, 4 for Block-GMRES).
     """
@@ -236,6 +237,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "atol": cfg.atol,
         "rtol": cfg.rtol,
         "lu_fill": {"M": prec.Mfac.fill, "N": prec.Nfac.fill},
+        "lu_stored": {"M": prec.Mfac.stored, "N": prec.Nfac.stored},
         "methods": {r["method"]: r for r in results},
     }
     report["all_converged"] = all(r["converged"] for r in results)
@@ -280,6 +282,23 @@ def _method_list(text: str) -> tuple:
     return tuple(m.strip() for m in text.split(",") if m.strip())
 
 
+def _without_separators(convert):
+    """``convert`` for an option value, rejecting the digit separators
+    Python's ``int`` and ``float`` accept (``1_0`` is 10 to both), so
+    ``1_0`` is the same usage error as ``abc``."""
+    def parse(text: str):
+        if "_" in text:
+            raise ValueError(text)
+        return convert(text)
+    # argparse names the type in its message: "invalid int value"
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_int = _without_separators(int)
+_float = _without_separators(float)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Command-line parser. Options left out are absent from the parsed
     namespace, so :class:`ExperimentConfig` supplies every default; the
@@ -291,13 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
                         required=True, help="Matrix Market file")
     parser.add_argument("--partition",
                         help="'auto' for built-in bisection or a permutation file")
-    parser.add_argument("--lambda", dest="lam", type=float)
-    parser.add_argument("--mu", type=float)
+    parser.add_argument("--lambda", dest="lam", type=_float)
+    parser.add_argument("--mu", type=_float)
     parser.add_argument("--method", dest="methods", metavar="METHOD", type=_method_list,
                         help="comma-separated subset of gpmr,gmres,block-gmres")
-    parser.add_argument("--atol", type=float)
-    parser.add_argument("--rtol", type=float)
-    parser.add_argument("--maxiter", dest="k_max", metavar="MAXITER", type=int)
+    parser.add_argument("--atol", type=_float)
+    parser.add_argument("--rtol", type=_float)
+    parser.add_argument("--maxiter", dest="k_max", metavar="MAXITER", type=_int)
     parser.add_argument("--history", dest="history_out", metavar="HISTORY",
                         help="write residual CSV here")
     parser.add_argument("--reorth", action="store_true",

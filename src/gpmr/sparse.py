@@ -206,10 +206,10 @@ def parse_matrix_market(source) -> scipy.sparse.csr_array:
 
     The entry lines are converted in one ``np.loadtxt`` pass and checked
     as whole arrays; fields past the value are ignored and ``%`` starts a
-    comment. Indices are plain decimal integers and values plain decimal
-    floats: digit separators (``1_0``) are a malformed entry. Only a file
-    that fails is read again, block by block and then line by line, to
-    name the line that fails.
+    comment. Sizes and indices are plain decimal integers and values plain
+    decimal floats: digit separators (``1_0``) are a malformed size line
+    or entry. Only a file that fails is read again, block by block and
+    then line by line, to name the line that fails.
     """
     lines = _text_lines(source)
     it = iter(enumerate(lines, start=1))
@@ -250,10 +250,9 @@ def parse_matrix_market(source) -> scipy.sparse.csr_array:
     parts = size_line[1].split()
     if len(parts) != 3:
         raise MalformedHeaderError(f"size line must have three fields: {size_line[1]!r}")
-    try:
-        nrows, ncols, nnz = (int(p) for p in parts)
-    except ValueError as exc:
-        raise MalformedHeaderError(f"non-integer size line: {size_line[1]!r}") from exc
+    if not all(_DECIMAL_INTEGER.fullmatch(p) for p in parts):
+        raise MalformedHeaderError(f"non-integer size line: {size_line[1]!r}")
+    nrows, ncols, nnz = (int(p) for p in parts)
     if nrows < 0 or ncols < 0 or nnz < 0:
         raise MalformedHeaderError("negative dimension in size line")
     if symmetry == "symmetric" and nrows != ncols:
@@ -324,13 +323,20 @@ class LUFactors:
     ``perm_cols[j]`` the original column eliminated at step ``j``, so
     ``M[perm_rows][:, perm_cols] == L @ U``. ``L`` is unit lower
     triangular with its diagonal stored explicitly and ``U`` is upper
-    triangular with nonzero diagonal; both are scipy CSC matrices
-    extracted from ``superlu`` on each access. ``fill`` is the number of
-    entries stored in ``L`` and ``U`` together.
+    triangular with nonzero diagonal; both are scipy CSC matrices that
+    ``superlu`` builds on first access and keeps as long as it lives.
+    ``fill`` is the number of nonzeros of ``L`` and ``U`` together, the
+    diagonal of each included. ``stored`` is the number of entries
+    SuperLU keeps for them, which every solve reads: the fill plus the
+    explicit zeros its supernodes are padded with.
     """
 
     superlu: SuperLU
     fill: int
+
+    @property
+    def stored(self) -> int:
+        return self.superlu.nnz
 
     @property
     def order(self) -> int:
@@ -382,8 +388,18 @@ def _dense_singular_column(M: scipy.sparse.csr_array) -> int:
 def _checked_splu(csc, permc_spec: str, floor=0.0):
     """``splu`` in the column order ``permc_spec`` with partial pivoting,
     and the steps whose pivots :func:`_weak_pivots` flags; an exactly
-    singular matrix raises SuperLU's ``RuntimeError``."""
-    lu = splu(csc, permc_spec=permc_spec)
+    singular matrix raises SuperLU's ``RuntimeError``.
+
+    ``relax=2`` merges only elimination subtrees of at most two columns
+    into one supernode. SuperLU's default merges larger subtrees and pads
+    them with explicit zeros, which every factorization and solve then
+    works through. Relaxation changes how the factors are stored, not
+    which pivots are picked (short of rounding ties), so the permutations
+    and the fill are those of the default. ``relax=1`` pads a little less
+    but lets a subnormal pivot through in natural order that SuperLU
+    otherwise calls exactly singular.
+    """
+    lu = splu(csc, permc_spec=permc_spec, relax=2)
     L, U = lu.L, lu.U
     # every column of either factor stores its diagonal entry, so each
     # reduceat segment is a whole, nonempty column
@@ -405,7 +421,9 @@ def sparse_lu(M: scipy.sparse.csr_array) -> LUFactors:
     failing pivot there raises :class:`SingularMatrixError` naming column
     ``j`` of ``M``, and otherwise those factors are returned. A
     structurally singular ``M`` raises before SuperLU sees it, naming the
-    column the natural-order factorization would.
+    column the natural-order factorization would. Both factorizations
+    relax supernodes to at most two columns (``relax=2``), so the
+    factors store little more than their fill.
     """
     if M.shape[0] != M.shape[1]:
         raise ValueError("LU factorization requires a square matrix")

@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +31,18 @@ def stored_entries(M):
     """(row, col, value) of every stored entry, in storage order."""
     rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
     return list(zip(rows.tolist(), M.indices.tolist(), M.data.tolist()))
+
+
+def small_reservoir(seed=7):
+    """The benchmark's ``reservoir`` stand-in (``perfbench/workloads.py``)
+    on a 6 x 7 x 3 grid, three coupled unknowns per cell: a CSR matrix of
+    order 378 whose bisection gives diagonal blocks of order 189."""
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    from workloads import reservoir_matrix
+
+    return scipy.sparse.csr_array(reservoir_matrix(seed, grid=(6, 7, 3)))
 
 
 def dense_operator(arr):

@@ -5,8 +5,9 @@ The benchmark builds the ``krylov`` system from coordinate arrays with
 and its ``--trace 1`` run times ``sparse.spmv_us`` by patching
 ``gpmr.operators.spmv``, ``gpmr.solver.hessenberg_step``,
 ``gpmr.solver.backward_substitution`` and
-``gpmr.baselines.block_arnoldi_step``. These tests run that path on a
-small pair.
+``gpmr.baselines.block_arnoldi_step``. It builds the ``reservoir``
+system from a Matrix Market file through the ``gpmr`` command's set-up.
+These tests run those paths on a small pair and a small grid.
 """
 
 import sys
@@ -19,7 +20,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import gpmr.operators  # noqa: E402
 import measure  # noqa: E402
+from conftest import small_reservoir  # noqa: E402
+from gpmr import gpmr_solve, recover_solution  # noqa: E402
 from spans import NullTracer, Tracer  # noqa: E402
+from workloads import WORKLOADS, write_mtx  # noqa: E402
 
 
 def small_pair(m=30, n=20, per_row=3, seed=0):
@@ -86,3 +90,18 @@ def test_traced_solves_record_the_solver_spans():
     pairs = tr.durations("baselines.block_arnoldi_step", under="baselines.block_gmres_solve")
     assert len(pairs) == res["block_gmres"]["iterations"] > 0
     assert tr.total("baselines.gmres_solve") > 0
+
+
+def test_reservoir_setup_solves_to_the_ones_vector(tmp_path):
+    path = tmp_path / "reservoir.mtx"
+    write_mtx(small_reservoir(), path)
+    system, prec, perm = measure.setup_reservoir(path, NullTracer())
+    assert (system.m, system.n) == (189, 189)
+    assert (prec.Mfac.order, prec.Nfac.order) == (189, 189)
+    assert np.array_equal(np.sort(perm), np.arange(378))
+    cfg = WORKLOADS["reservoir"]
+    report = gpmr_solve(system, cfg["atol"], cfg["rtol"], k_max=cfg["k_max"])
+    assert report.status == "converged"
+    z = np.empty(378)
+    z[perm] = np.concatenate(recover_solution(prec, report.x, report.y))
+    assert np.max(np.abs(z - 1.0)) <= cfg["ones_bound"]

@@ -251,7 +251,8 @@ def test_json_report_carries_lu_fill(matrix_file, tmp_path, capsys):
                  "--maxiter", "40", "--json", str(jsonpath)])
     assert code == EXIT_OK
     capsys.readouterr()
-    fill = json.loads(jsonpath.read_text())["lu_fill"]
+    payload = json.loads(jsonpath.read_text())
+    fill = payload["lu_fill"]
     # oracle: the nonzeros of LAPACK's dense factors of the same blocks in
     # the same column order, L's unit diagonal included; in natural column
     # order those factors hold more
@@ -266,6 +267,24 @@ def test_json_report_carries_lu_fill(matrix_file, tmp_path, capsys):
         dense = block.toarray()
         assert fill[name] == lapack_fill(dense[:, sparse_lu(block).perm_cols])
         assert fill[name] <= lapack_fill(dense)
+        # what SuperLU stores, explicit zeros included, holds the fill
+        stored = payload["lu_stored"][name]
+        assert type(stored) is int
+        assert stored == sparse_lu(block).superlu.nnz >= fill[name]
+
+
+@pytest.mark.parametrize("option", ["--lambda", "--mu", "--atol", "--rtol", "--maxiter"])
+def test_digit_separator_in_a_number_is_a_usage_error(matrix_file, capsys, option):
+    # Python's int and float read "1_0" as 10; the options take it as
+    # they take "abc", with the same message
+    errors = []
+    for value in ("1_0", "abc"):
+        with pytest.raises(SystemExit) as info:
+            main(["--matrix", str(matrix_file), option, value])
+        assert info.value.code == 2
+        errors.append(capsys.readouterr().err.replace(repr(value), "VALUE"))
+    assert errors[0] == errors[1]
+    assert f"argument {option}: invalid" in errors[0]
 
 
 def test_matvec_count_is_a_plus_b_applies(matrix_file, tmp_path, capsys):

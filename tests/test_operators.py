@@ -23,7 +23,7 @@ from gpmr import (
     read_permutation,
     recover_solution,
 )
-from conftest import csr, dense_operator, identity_operator, starting_block
+from conftest import csr, dense_operator, identity_operator, small_reservoir, starting_block
 
 
 def assert_linear(op, rng, rel=1e-12, probes=3):
@@ -345,6 +345,41 @@ def test_preconditioned_solves_match_natural_order_factors():
         assert np.all(np.abs(got.residual_history - want.residual_history) <= 1e-10 * scale)
     # the paper's claim on this case: GPMR needs fewer iterations than GMRES
     assert reports[0].iterations < reports[1].iterations
+
+
+def solve_all_methods(system):
+    """GPMR, GMRES and both Block-GMRES reports of one system."""
+    K, split = system.full_operator(), (system.m, system.n)
+    return [gpmr_solve(system, 0.0, 1e-10, k_max=200),
+            gmres_solve(K, system.rhs_full(), 0.0, 1e-10, 200, split=split),
+            *block_gmres_solve(K, starting_block(system), 0.0, 1e-10, 200, split=split)]
+
+
+@pytest.mark.parametrize("make", [lambda: convection_diffusion(24, 20), small_reservoir],
+                         ids=["convection_diffusion", "reservoir"])
+def test_preconditioned_solves_match_default_supernode_factors(make):
+    """Supernodes relaxed to two columns change the preconditioner's
+    rounding only: every method takes the same iterations to the same
+    status as with SuperLU's default supernodes in the same column
+    order, along the same residual history."""
+    C = make()
+    M, A, B, N = extract_blocks(C, bisect_graph(C))
+    rng = np.random.default_rng(47)
+    b, c = rng.standard_normal(M.shape[0]), rng.standard_normal(N.shape[0])
+    system, prec = build_preconditioned_system(M, A, B, N, b, c)
+
+    Mlu, Nlu = (splu(X.tocsc(), permc_spec="MMD_AT_PLUS_A") for X in (M, N))
+    for F, lu in ((prec.Mfac, Mlu), (prec.Nfac, Nlu)):
+        assert F.stored < lu.nnz
+    default = PartitionedSystem(
+        1.0, 1.0, LinearOperator(system.m, system.n, lambda x: spmv(A, Nlu.solve(x))),
+        LinearOperator(system.n, system.m, lambda y: spmv(B, Mlu.solve(y))), b, c)
+
+    for got, want in zip(solve_all_methods(system), solve_all_methods(default)):
+        assert got.status == want.status == "converged"
+        assert got.iterations == want.iterations
+        scale = want.residual_history[0]
+        assert np.all(np.abs(got.residual_history - want.residual_history) <= 1e-10 * scale)
 
 
 def test_partitioned_system_rejects_zero_inputs():

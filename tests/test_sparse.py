@@ -18,9 +18,11 @@ from gpmr import (
     PreconditionerError,
     SingularMatrixError,
     UnsupportedFormatError,
+    bisect_graph,
     build_preconditioned_system,
     csr_from_coo,
     csr_identity,
+    extract_blocks,
     lu_solve,
     parse_matrix_market,
     sparse_lu,
@@ -28,7 +30,7 @@ from gpmr import (
     write_matrix_market,
 )
 from gpmr.sparse import _dense_singular_column, _weak_pivots
-from conftest import csr, stored_entries
+from conftest import csr, small_reservoir, stored_entries
 
 BANNER = "%%MatrixMarket matrix coordinate real general\n"
 
@@ -108,6 +110,19 @@ def test_parse_malformed_header():
         parse_matrix_market(BANNER + "a b c\n")
     with pytest.raises(MalformedHeaderError):
         parse_matrix_market("")
+
+
+@pytest.mark.parametrize("size", ["1_0 1_0 1", "10 1_0 1", "2 2 0_1", "3 3 1.0", "+2 2 -1"])
+def test_parse_size_line_takes_plain_decimal_integers(size):
+    # Python's int reads "1_0" as 10; the size line takes what entry
+    # lines take, and a negative count stays a header error
+    with pytest.raises(MalformedHeaderError):
+        parse_matrix_market(BANNER + size + "\n1 1 1.0\n")
+
+
+def test_parse_size_line_accepts_signs():
+    M = parse_matrix_market(BANNER + "+2 +2 +1\n1 1 3.0\n")
+    assert M.shape == (2, 2) and M.nnz == 1
 
 
 def test_parse_unsupported_kinds():
@@ -544,6 +559,21 @@ def test_lu_subnormal_pivots_keep_the_natural_order_outcome():
     # a subnormal pivot that natural order accepts is still accepted
     F = sparse_lu(csr([[1.0, 0.0], [0.0, 5e-324]]))
     assert np.array_equal(F.U.diagonal(), [1.0, 5e-324])
+
+
+def test_lu_stores_less_than_default_supernodes_for_the_same_factorization():
+    # oracle: SuperLU at its default supernode relaxation, in the same
+    # column order. Relaxing supernodes less only drops the explicit zeros
+    # they are padded with: the pivots, and so the fill, stay the same
+    C = small_reservoir()
+    M, _, _, N = extract_blocks(C, bisect_graph(C))
+    for X in (M, N):
+        F = sparse_lu(X)
+        default = splu(X.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        assert np.array_equal(F.perm_rows, np.argsort(default.perm_r))
+        assert np.array_equal(F.perm_cols, np.argsort(default.perm_c))
+        assert F.fill == default.L.nnz + default.U.nnz
+        assert F.fill <= F.stored < default.nnz
 
 
 def weak_steps(lu):
