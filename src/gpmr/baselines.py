@@ -8,12 +8,19 @@ sparsity appearing in its output is evidence rather than construction.
 Its pairs are stored as two contiguous rows each, and one helper,
 :func:`_project_out`, runs the pairwise block modified Gram-Schmidt pass
 (and, with ``reorth``, the second pass) as two in-place BLAS ``dgemm``
-calls per stored pair.
+calls per stored pair. Each remainder is copied once, columns reversed,
+into the storage of the next pair, where LAPACK ``dgeqrf`` and
+``dorgqr`` (the Householder routines behind ``np.linalg.qr``, with the
+same results bit for bit) factor it in place; the starting block is
+factored the same way in the first pair.
 GMRES's triangle goes through GPMR's BLAS ``dtpsv`` back-substitution.
 Block-GMRES updates a QR factorization of the block-Hessenberg matrix
-one column pair per iteration with 4x4 orthogonal factors, reads its
+one column pair per iteration with 4x4 orthogonal factors, each from one
+``dgeqrf`` and one ``dorgqr`` call and kept as its transpose, reads its
 residual norms off the transformed right-hand side and solves for its
-iterates once, at the end.
+iterates once, at the end. Both columns' targets come from the whole
+2x2 factor Gamma of the starting block, D = w_1 Gamma, off-diagonal
+entry included, so D's columns need not be orthogonal.
 
 The Krylov bases (GMRES's vectors, block-Arnoldi's pairs) are the only
 arrays sized by the iteration budget. Everything else a solve keeps
@@ -30,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import dgeqrf, dorgqr
 
 from .hessenberg import BREAKDOWN_RTOL, orthogonalize
 from .operators import LinearOperator
@@ -176,40 +184,30 @@ class BlockArnoldiState:
         return len(self.columns)
 
 
-def _qr_two_columns(block: np.ndarray, rank_tol: float = 0.0):
-    """Reduced QR of a two-column block with nonnegative diagonal.
+def _qr_in_place(Q: np.ndarray, rank_tol: float = 0.0) -> np.ndarray:
+    """Overwrite the F-contiguous (dim, 2) block ``Q`` with the orthonormal
+    factor of its reduced QR and return the 2x2 R, diagonal nonnegative.
 
-    Diagonal entries at or below ``rank_tol`` flag a rank-deficient
-    remainder: the offending basis column and its coefficients are
-    zeroed rather than normalized.
+    LAPACK ``dgeqrf`` and ``dorgqr``, the Householder routines behind
+    ``np.linalg.qr``, run on ``Q``'s own storage. Diagonal entries at or
+    below ``rank_tol`` flag a rank-deficient remainder: the offending
+    basis column and its coefficients are zeroed rather than normalized.
     """
-    Q, R = np.linalg.qr(block)
+    qr, tau, _, _ = dgeqrf(Q, overwrite_a=1)
+    R = np.zeros((2, 2))
+    R[0] = qr[0]
+    R[1, 1] = qr[1, 1]
+    dorgqr(qr, tau, overwrite_a=1)
     for j in range(2):
         if R[j, j] < 0:
             R[j, :] = -R[j, :]
-            Q[:, j] = -Q[:, j]
+            Q[:, j] *= -1.0
     if rank_tol > 0.0:
         for j in range(2):
             if R[j, j] <= rank_tol:
                 R[j, j:] = 0.0
                 Q[:, j] = 0.0
-    return Q, R
-
-
-def _normalize_remainder(G: np.ndarray, rank_tol: float):
-    """Factor the remainder pair as G = Q Psi with an anti-triangular Psi.
-
-    On a partitioned operator the remainder's first column carries the
-    new y-space direction and its second column the new x-space
-    direction, so the QR runs on the reversed columns; this keeps every
-    basis pair in the (x-block, y-block) orientation of the starting
-    pair, with the two nonnegative QR diagonal entries landing on the
-    anti-diagonal of Psi.
-    """
-    Q, R_rev = _qr_two_columns(G[:, ::-1], rank_tol=rank_tol)
-    Psi = np.array([[R_rev[0, 1], R_rev[0, 0]],
-                    [R_rev[1, 1], 0.0]])
-    return Q, Psi
+    return R
 
 
 def block_arnoldi_init(D: np.ndarray, k_max: int) -> BlockArnoldiState:
@@ -217,12 +215,13 @@ def block_arnoldi_init(D: np.ndarray, k_max: int) -> BlockArnoldiState:
     D = np.asarray(D, dtype=np.float64)
     if D.ndim != 2 or D.shape[1] != 2:
         raise ValueError("starting block must have exactly two columns")
+    if D.shape[0] < 2:
+        raise ValueError("a two-column starting block needs at least two rows")
     if not np.any(D[:, 0]) or not np.any(D[:, 1]):
         raise ValueError("starting block columns must be nonzero")
-    Q, Gamma = _qr_two_columns(D)
     W = np.empty((k_max + 1, 2, D.shape[0])).transpose(0, 2, 1)
-    W[0] = Q
-    return BlockArnoldiState(W=W, Gamma=Gamma)
+    W[0] = D
+    return BlockArnoldiState(W=W, Gamma=_qr_in_place(W[0]))
 
 
 def _project_out(W: np.ndarray, G: np.ndarray):
@@ -263,10 +262,39 @@ def block_arnoldi_step(state: BlockArnoldiState, K: LinearOperator,
     if reorth:
         G, again = _project_out(state.W[: k + 1], G)
         coeffs += again
-    Q, Psi_next = _normalize_remainder(G, rank_tol=BREAKDOWN_RTOL * scale)
-    state.W[k + 1] = Q
+    # G = w_{k+1} Psi with an anti-triangular Psi: on a partitioned
+    # operator the remainder's first column carries the new y-space
+    # direction and its second the new x-space one, so the QR runs on the
+    # reversed columns. That keeps every pair in the (x-block, y-block)
+    # orientation of the starting pair, with the two nonnegative QR
+    # diagonal entries on the anti-diagonal of Psi.
+    w_next = state.W[k + 1]
+    w_next[...] = G[:, ::-1]
+    R_rev = _qr_in_place(w_next, rank_tol=BREAKDOWN_RTOL * scale)
+    Psi_next = [[R_rev[0, 1], R_rev[0, 0]], [R_rev[1, 1], 0.0]]
     state.columns.append(np.vstack([coeffs, Psi_next]))
     return state
+
+
+def _step_factor(stack: np.ndarray):
+    """Complete QR of a 4x2 stack: the transpose of its 4x4 orthogonal
+    factor, C-contiguous, and its 4x2 triangle.
+
+    ``dgeqrf`` factors the stack in the first two columns of the
+    factor's F-ordered transpose and ``dorgqr`` expands the whole of it
+    into the orthogonal factor in place, as ``np.linalg.qr(stack,
+    "complete")`` does on copies; ``dorgqr`` sets the last two columns
+    before reading them.
+    """
+    Qt = np.empty((4, 4))
+    Q = Qt.T
+    Q[:, :2] = stack
+    qr, tau, _, _ = dgeqrf(Q[:, :2], overwrite_a=1)
+    R = np.zeros((4, 2))
+    R[0] = qr[0]
+    R[1, 1] = qr[1, 1]
+    dorgqr(Q, tau, overwrite_a=1)
+    return Qt, R
 
 
 def _block_iterates(W: np.ndarray, cols: list, g):
@@ -293,7 +321,8 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
                       k_max: int, *, reorth: bool = False, split=None):
     """Solve K X = D for a two-column D by block minimum residual.
 
-    Both reduced subproblems (targets beta e_1 and gamma e_2) share one
+    Both reduced subproblems, whose targets are the two columns of the
+    starting block's 2x2 factor Gamma (D = w_1 Gamma), share one
     block-Hessenberg matrix, whose QR factorization is updated one column
     pair per iteration: the stored 4x4 orthogonal factors of the earlier
     steps are applied to the new pair, a new one reduces its 4x2
@@ -321,17 +350,17 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
     cap = min(k_max, dim)
 
     state = block_arnoldi_init(D, cap)
-    beta = state.Gamma[0, 0]
-    gamma = state.Gamma[1, 1]
-    norm_d = float(np.hypot(beta, gamma))
+    (g11, g12), (_, g22) = state.Gamma.tolist()
+    # |D e_1|, |D e_2| and |D (e_1 + e_2)|, read off D = w_1 Gamma
+    norm_d = float(np.hypot(g11 + g12, g22))
     threshold = atol + rtol * norm_d
 
-    factors = []  # the 4x4 orthogonal factor of each step
+    factors = []  # the transpose of each step's 4x4 orthogonal factor
     cols = []  # column pairs of S after the accumulated factors
-    g = [[beta, 0.0], [0.0, gamma]]  # rows of the transformed right-hand side
+    g = [[g11, g12], [0.0, g22]]  # rows of the transformed right-hand side
 
-    hist_b = [abs(beta)]
-    hist_c = [abs(gamma)]
+    hist_b = [abs(g11)]
+    hist_c = [float(np.hypot(g12, g22))]
     hist_sum = [norm_d]
 
     res_sum = norm_d
@@ -346,14 +375,14 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
             # the QR of step k came from finite columns
             nonfinite = True
             break
-        for i, Qi in enumerate(factors):
-            col[2 * i:2 * i + 4] = Qi.T @ col[2 * i:2 * i + 4]
-        Q, top = np.linalg.qr(col[2 * k:2 * k + 4], mode="complete")
+        for i, Qt in enumerate(factors):
+            col[2 * i:2 * i + 4] = Qt @ col[2 * i:2 * i + 4]
+        Qt, top = _step_factor(col[2 * k:2 * k + 4])
         col[2 * k:2 * k + 4] = top
-        factors.append(Q)
+        factors.append(Qt)
         cols.append(col[: 2 * k + 2])
         # the two new rows of g start at zero
-        g[2 * k:] = (Q.T @ (g[2 * k:] + [[0.0, 0.0], [0.0, 0.0]])).tolist()
+        g[2 * k:] = (Qt @ (g[2 * k:] + [[0.0, 0.0], [0.0, 0.0]])).tolist()
         k = state.k
         (tb, tc), (ub, uc) = g[2 * k:]
         hist_b.append(math.hypot(tb, ub))

@@ -306,3 +306,47 @@ def test_block_gmres_survives_full_dimension():
     assert np.linalg.norm(sol - direct) <= 1e-8 * np.linalg.norm(direct)
     assert np.isfinite(rep_b.residual_history).all()
     assert np.isfinite(rep_c.residual_history).all()
+
+
+def coupled_starting_block_case(rows):
+    rng = np.random.default_rng(0)
+    K = np.diag(np.arange(1.0, rows + 1)) + 0.1 * rng.standard_normal((rows, rows))
+    return K, rng
+
+
+def check_block_gmres_against_solve(K, D):
+    rep_b, rep_c = block_gmres_solve(dense_operator(K), D, 1e-14, 1e-12,
+                                     K.shape[0])
+    assert rep_b.converged and rep_c.converged
+    X = np.linalg.solve(K, D)
+    for j, rep in enumerate((rep_b, rep_c)):
+        # each history starts at its column's norm and ends at its true
+        # residual, up to rounding
+        norm_j = np.linalg.norm(D[:, j])
+        assert rep.residual_history[0] == pytest.approx(norm_j, rel=1e-15)
+        residual = np.linalg.norm(D[:, j] - K @ rep.x)
+        assert abs(rep.residual_history[-1] - residual) <= 1e-13 * norm_j
+        assert np.linalg.norm(rep.x - X[:, j]) <= 1e-11 * np.linalg.norm(X[:, j])
+    summed = rep_b.diagnostics["summed_history"]
+    assert summed[0] == pytest.approx(np.linalg.norm(D[:, 0] + D[:, 1]), rel=1e-15)
+
+
+def test_block_gmres_solves_a_starting_block_with_coupled_columns():
+    # D's columns are not orthogonal, so Gamma has an off-diagonal entry
+    K, rng = coupled_starting_block_case(4)
+    check_block_gmres_against_solve(K, rng.standard_normal((4, 2)))
+
+
+def test_block_gmres_solves_a_starting_block_with_parallel_columns():
+    # Gamma's second diagonal entry vanishes: column c is Gamma_12 w_1[:, 0]
+    K, _ = coupled_starting_block_case(3)
+    D = np.column_stack([np.ones(3), 2.0 * np.ones(3)])
+    check_block_gmres_against_solve(K, D)
+
+
+def test_block_arnoldi_rejects_a_single_row():
+    with pytest.raises(ValueError, match="at least two rows"):
+        block_arnoldi_init(np.array([[1.0, 2.0]]), 1)
+    with pytest.raises(ValueError, match="at least two rows"):
+        block_gmres_solve(identity_operator(1), np.array([[1.0, 2.0]]),
+                          1e-12, 1e-10, 1)

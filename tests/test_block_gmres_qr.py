@@ -5,10 +5,12 @@ matrix ``S[:2k+2, :2k]`` at every iteration, which is what
 ``block_gmres_solve`` ran before it updated a QR factorization column
 pair by column pair. ``reference_block_arnoldi`` is block-Arnoldi's
 pairwise modified Gram-Schmidt on pairs held in a Python list, with the
-same two ``dgemm`` calls per stored pair; the preallocated storage must
-agree with it bit for bit. ``interleaved_block_arnoldi`` is the same
-process on C-ordered (dim, 2) pairs with numpy products, as it ran before
-each pair became two contiguous rows; the two agree to rounding.
+same two ``dgemm`` calls per stored pair, each pair normalized by
+``np.linalg.qr`` on a copy; the preallocated storage, factored in place by
+LAPACK, must agree with it bit for bit. ``interleaved_block_arnoldi`` is
+the same process on C-ordered (dim, 2) pairs with numpy products, as it
+ran before each pair became two contiguous rows; the two agree to
+rounding.
 """
 
 import numpy as np
@@ -146,10 +148,104 @@ def test_block_gmres_calls_lstsq_once(monkeypatch):
     assert calls == [(2 * k, 2 * k)]
 
 
+def numpy_qr_two_columns(block, rank_tol=0.0):
+    """Reduced QR with nonnegative diagonal by ``np.linalg.qr``; diagonal
+    entries at or below ``rank_tol`` zero their basis column and row."""
+    Q, R = np.linalg.qr(block)
+    for j in range(2):
+        if R[j, j] < 0:
+            R[j, :] = -R[j, :]
+            Q[:, j] = -Q[:, j]
+    if rank_tol > 0.0:
+        for j in range(2):
+            if R[j, j] <= rank_tol:
+                R[j, j:] = 0.0
+                Q[:, j] = 0.0
+    return Q, R
+
+
+def numpy_normalize_remainder(G, rank_tol):
+    """G = Q Psi, the QR on G's reversed columns, Psi anti-triangular."""
+    Q, R_rev = numpy_qr_two_columns(G[:, ::-1], rank_tol=rank_tol)
+    Psi = np.array([[R_rev[0, 1], R_rev[0, 0]],
+                    [R_rev[1, 1], 0.0]])
+    return Q, Psi
+
+
+def same_bits(got, want):
+    return (got.shape == want.shape and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 60), st.sampled_from(["generic", "dependent", "zero"]),
+       st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0]),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_in_place_qr_matches_numpy_bit_for_bit(dim, kind, sign0, sign1,
+                                               deflate, seed):
+    # the signs of the leading entries set the signs of LAPACK's diagonal;
+    # a dependent or zero second column, with a rank tolerance, takes the
+    # zeroing path
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((dim, 2)) * 10.0 ** rng.integers(-8, 8)
+    if kind == "dependent":
+        block[:, 1] = 3.0 * block[:, 0] + 1e-17 * block[:, 1]
+    elif kind == "zero":
+        block[:, 1] = 0.0
+    block[0, 0] = sign0 * abs(block[0, 0])
+    block[0, 1] = sign1 * abs(block[0, 1])
+    rank_tol = baselines.BREAKDOWN_RTOL * np.linalg.norm(block) if deflate else 0.0
+    want_Q, want_R = numpy_qr_two_columns(block, rank_tol)
+    # in a pair slot of the storage block-Arnoldi keeps
+    storage = np.full((3, 2, dim), np.nan).transpose(0, 2, 1)
+    storage[1] = block
+    R = baselines._qr_in_place(storage[1], rank_tol)
+    assert same_bits(storage[1], want_Q)
+    assert same_bits(R, want_R)
+    assert np.isnan(storage[[0, 2]]).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["generic", "remainder", "zero rows"]),
+       st.integers(0, 2**32 - 1))
+def test_step_factor_matches_numpy_bit_for_bit(kind, seed):
+    # Block-GMRES's stacks: a triangle's diagonal pair over the
+    # anti-triangular Psi of the next pair, or a breakdown's zeros
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((4, 2))
+    if kind == "remainder":
+        stack[3, 1] = 0.0
+    elif kind == "zero rows":
+        stack[2:] = 0.0
+    want_Q, want_R = np.linalg.qr(stack, mode="complete")
+    Qt, R = baselines._step_factor(stack)
+    assert Qt.flags.c_contiguous
+    assert same_bits(Qt, want_Q.T)
+    assert same_bits(R, want_R)
+
+
+def test_block_gmres_calls_no_numpy_qr(monkeypatch):
+    rng = np.random.default_rng(613)
+    system, A, B = random_block_system(rng, 40, 30, coupling=1.0)
+    K = dense_full_matrix(system, A, B)
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    rep_b, _ = block_gmres_solve(dense_operator(K), starting_block(system),
+                                 1e-300, 1e-300, 30, split=(40, 30))
+    assert rep_b.iterations == 30
+    assert calls == []
+
+
 def reference_block_arnoldi(K, D, steps):
     """Pairs in a Python list, each two contiguous rows, and S grown in
     place: pairwise MGS as two dgemm calls per stored pair."""
-    Q, _ = baselines._qr_two_columns(np.asarray(D, dtype=np.float64))
+    Q, _ = numpy_qr_two_columns(np.asarray(D, dtype=np.float64))
     W = [np.asfortranarray(Q)]
     S = np.zeros((2 * (steps + 1), 2 * steps))
     for k in range(steps):
@@ -162,7 +258,7 @@ def reference_block_arnoldi(K, D, steps):
             Psi = dgemm(1.0, W[i], G, trans_a=1)
             G = dgemm(-1.0, W[i], Psi, beta=1.0, c=G, overwrite_c=1)
             S[2 * i:2 * i + 2, 2 * k:2 * k + 2] = Psi
-        Q, Psi_next = baselines._normalize_remainder(
+        Q, Psi_next = numpy_normalize_remainder(
             G, rank_tol=baselines.BREAKDOWN_RTOL * scale)
         W.append(np.asfortranarray(Q))
         S[2 * k + 2:2 * k + 4, 2 * k:2 * k + 2] = Psi_next
@@ -172,7 +268,7 @@ def reference_block_arnoldi(K, D, steps):
 def interleaved_block_arnoldi(K, D, steps):
     """Pairs as C-ordered (dim, 2) blocks in a Python list, pairwise MGS
     by numpy products."""
-    Q, _ = baselines._qr_two_columns(np.asarray(D, dtype=np.float64))
+    Q, _ = numpy_qr_two_columns(np.asarray(D, dtype=np.float64))
     W = [Q]
     S = np.zeros((2 * (steps + 1), 2 * steps))
     for k in range(steps):
@@ -183,7 +279,7 @@ def interleaved_block_arnoldi(K, D, steps):
             Psi = W[i].T @ G
             G -= W[i] @ Psi
             S[2 * i:2 * i + 2, 2 * k:2 * k + 2] = Psi
-        Q, Psi_next = baselines._normalize_remainder(
+        Q, Psi_next = numpy_normalize_remainder(
             G, rank_tol=baselines.BREAKDOWN_RTOL * scale)
         W.append(Q)
         S[2 * k + 2:2 * k + 4, 2 * k:2 * k + 2] = Psi_next
