@@ -44,7 +44,6 @@ from .solver import (
 )
 from .sparse import (
     IndexOutOfRangeError,
-    LUFactors,
     MalformedEntryError,
     MalformedHeaderError,
     MatrixMarketError,
@@ -53,7 +52,6 @@ from .sparse import (
     csr_from_coo,
     csr_identity,
     load_matrix_market,
-    lu_solve,
     parse_matrix_market,
     sparse_lu,
     spmv,
@@ -67,7 +65,6 @@ __all__ = [
     "GraphPartitionError",
     "HessenbergState",
     "IndexOutOfRangeError",
-    "LUFactors",
     "LinearOperator",
     "MalformedEntryError",
     "MalformedHeaderError",
@@ -94,7 +91,6 @@ __all__ = [
     "hessenberg_init",
     "hessenberg_step",
     "load_matrix_market",
-    "lu_solve",
     "orthogonalize",
     "parse_matrix_market",
     "read_permutation",

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dgeqrf, dorgqr
 
-from .hessenberg import BREAKDOWN_RTOL, orthogonalize
+from .hessenberg import BREAKDOWN_RTOL, arnoldi_step, check_step_budget
 from .operators import LinearOperator
 from .solver import (
     SolveReport,
@@ -64,7 +64,7 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
                 *, reorth: bool = False, split=None) -> SolveReport:
     """Minimum-residual solve of K x = d over growing Krylov subspaces.
 
-    Arnoldi with :func:`~gpmr.hessenberg.orthogonalize` (modified
+    Arnoldi through :func:`~gpmr.hessenberg.arnoldi_step` (modified
     Gram-Schmidt, or CGS2 with ``reorth``) plus one Givens reflection
     per column; stopping rule |r_k| <= atol + rtol * |d|. A residual
     norm that is not finite ends the solve with ``nonfinite`` and the
@@ -107,15 +107,8 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
     while not nonfinite and rnorm > threshold and k < cap and not saturated:
         w = np.array(K.apply(V[:, k]), dtype=np.float64)
         matvecs += 1
-        scale = float(np.linalg.norm(w))
-        col = orthogonalize(V[:, : k + 1].T, w, reorth).tolist()
-        hnext = float(np.linalg.norm(w))
-        if hnext <= BREAKDOWN_RTOL * scale:
-            saturated = True
-            col.append(0.0)
-        else:
-            col.append(hnext)
-            V[:, k + 1] = w / hnext
+        col, saturated = arnoldi_step(V.T, k, w, reorth)
+        col = col.tolist()
         # the earlier rotations run on Python floats
         for i in range(k):
             ri, rj = col[i], col[i + 1]
@@ -211,7 +204,9 @@ def _qr_in_place(Q: np.ndarray, rank_tol: float = 0.0) -> np.ndarray:
 
 
 def block_arnoldi_init(D: np.ndarray, k_max: int) -> BlockArnoldiState:
-    """Start the process from a two-column block: w_1 Gamma = D."""
+    """Start the process from a two-column block: w_1 Gamma = D, with
+    storage for ``k_max`` steps."""
+    check_step_budget("k_max", k_max)
     D = np.asarray(D, dtype=np.float64)
     if D.ndim != 2 or D.shape[1] != 2:
         raise ValueError("starting block must have exactly two columns")

@@ -7,11 +7,11 @@ right-hand side so the exact solution is the vector of ones, then run
 the selected solvers with an absolute/relative residual stopping rule
 and report iteration counts, true residuals and timings.
 
-Exit codes: 0 all selected methods converged, 1 unreadable input,
-2 singular diagonal block, 3 at least one method did not converge,
-4 at least one method met a non-finite residual norm (status
-``nonfinite``, for example after an overflow); 4 takes precedence
-over 3.
+Exit codes: 0 all selected methods converged, 1 unreadable or unusable
+input or an output directory that does not exist, 2 singular diagonal
+block, 3 at least one method did not converge, 4 at least one method
+met a non-finite residual norm (status ``nonfinite``, for example after
+an overflow); 4 takes precedence over 3.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,6 +28,7 @@ import numpy as np
 
 from .baselines import block_gmres_solve, gmres_solve
 from .operators import (
+    GraphPartitionError,
     PreconditionerError,
     bisect_graph,
     build_preconditioned_system,
@@ -35,7 +37,7 @@ from .operators import (
     recover_solution,
 )
 from .solver import STATUS_NONFINITE, check_stopping_rule, gpmr_solve
-from .sparse import MatrixMarketError, load_matrix_market, spmv
+from .sparse import _LOADTXT_NOTES, MatrixMarketError, load_matrix_market, spmv
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -47,7 +49,7 @@ KNOWN_METHODS = ("gpmr", "gmres", "block-gmres")
 
 
 class ExperimentInputError(Exception):
-    """Unreadable or inconsistent input files."""
+    """Unreadable, inconsistent or unusable input files."""
 
 
 @dataclass
@@ -119,7 +121,10 @@ def _load_inputs(cfg: ExperimentConfig):
         raise ExperimentInputError("experiment needs a square matrix")
 
     if cfg.partition == "auto":
-        split = bisect_graph(C)
+        try:
+            split = bisect_graph(C)
+        except GraphPartitionError as exc:
+            raise ExperimentInputError(f"cannot partition matrix: {exc}") from exc
     else:
         try:
             split = read_permutation(cfg.partition)
@@ -135,20 +140,29 @@ def _load_inputs(cfg: ExperimentConfig):
 
 def _load_rhs(cfg, m, n, blocks):
     if cfg.rhs_path is None:
-        return generate_rhs(*blocks)
-    try:
-        values = np.loadtxt(cfg.rhs_path, dtype=np.float64).ravel()
-    except OSError as exc:
-        raise ExperimentInputError(f"cannot read rhs file: {exc}") from exc
-    except ValueError as exc:
-        raise ExperimentInputError(f"bad rhs file: {exc}") from exc
-    if values.size != m + n:
-        raise ExperimentInputError(
-            f"rhs file has {values.size} values, system order is {m + n}")
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise ExperimentInputError(f"rhs file value {bad[0]} is not finite: {values[bad[0]]}")
-    return values[:m], values[m:]
+        b, c = generate_rhs(*blocks)
+        source, why = "generated right-hand side", ": its rows of the matrix sum to zero"
+    else:
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", _LOADTXT_NOTES, UserWarning)
+                values = np.loadtxt(cfg.rhs_path, dtype=np.float64).ravel()
+        except OSError as exc:
+            raise ExperimentInputError(f"cannot read rhs file: {exc}") from exc
+        except ValueError as exc:
+            raise ExperimentInputError(f"bad rhs file: {exc}") from exc
+        if values.size != m + n:
+            raise ExperimentInputError(
+                f"rhs file has {values.size} values, system order is {m + n}")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ExperimentInputError(
+                f"rhs file value {bad[0]} is not finite: {values[bad[0]]}")
+        b, c, source, why = values[:m], values[m:], "rhs file", ""
+    for name, half in (("b", b), ("c", c)):
+        if not np.any(half):
+            raise ExperimentInputError(f"block {name} of the {source} is zero{why}")
+    return b, c
 
 
 def _run_method(method, system, prec, blocks, b_star, c_star, cfg):
@@ -218,6 +232,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     C, split = _load_inputs(cfg)
     blocks = extract_blocks(C, split)
     M, A, B, N = blocks
+    for name, X in (("A", A), ("B", B)):
+        if not np.any(X.data):
+            raise ExperimentInputError(
+                f"off-diagonal block {name} is zero: the partition leaves its "
+                f"two parts uncoupled")
     b_star, c_star = _load_rhs(cfg, split.m, split.n, blocks)
     system, prec = build_preconditioned_system(M, A, B, N, b_star, c_star,
                                                lam=cfg.lam, mu=cfg.mu)
@@ -236,8 +255,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "mu": cfg.mu,
         "atol": cfg.atol,
         "rtol": cfg.rtol,
-        "lu_fill": {"M": prec.Mfac.fill, "N": prec.Nfac.fill},
-        "lu_stored": {"M": prec.Mfac.stored, "N": prec.Nfac.stored},
+        "lu_fill": {"M": prec.Mfac.L.nnz + prec.Mfac.U.nnz,
+                    "N": prec.Nfac.L.nnz + prec.Nfac.U.nnz},
+        "lu_stored": {"M": prec.Mfac.nnz, "N": prec.Nfac.nnz},
         "methods": {r["method"]: r for r in results},
     }
     report["all_converged"] = all(r["converged"] for r in results)
@@ -335,6 +355,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    # outputs are written after every solve, so a missing directory is
+    # reported before the first
+    for option, path in (("--history", cfg.history_out), ("--json", json_path)):
+        if path is not None and not Path(path).parent.is_dir():
+            print(f"error: cannot write {option} file {path}: "
+                  f"no directory {Path(path).parent}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
 
     try:
         report = run_experiment(cfg)

@@ -14,7 +14,8 @@ modified Gram-Schmidt (MGS); with ``reorth`` it is classical
 Gram-Schmidt run twice (CGS2), which keeps the bases orthonormal to
 working precision ("twice is enough": Giraud, Langou and Rozložník,
 Comput. Math. Appl. 2005). :func:`orthogonalize` is the one kernel for
-both, shared with GMRES.
+both, and :func:`arnoldi_step`, the step built on it, is shared with
+GMRES.
 
 The bases are stored row-major: basis vector j is one contiguous row of
 a (capacity + 1, dim) array, exposed through its transpose so that
@@ -25,15 +26,18 @@ row j + 1 is written by step j, also on saturation, before any read.
 A vanishing remainder is a breakdown: the subdiagonal coefficient is set
 to zero and the new basis vector is replaced by an arbitrary unit vector
 orthogonal to the existing columns, the canonical vector e_i whose basis
-row i is shortest, projected out twice. A side is saturated once its
+row i is shortest, projected out by CGS2. A side is saturated once its
 basis spans the whole space, at step j with j + 1 >= dim; no replacement
 exists and the step installs a zero column so the recurrences above stay
 valid, which lets the process run past min(m, n) up to max(m, n) when
-m != n. Both sides are one recurrence, :func:`_extend`, applied to
-(A, U -> V) and (B, V -> U).
+m != n. Both sides are one recurrence, :func:`_extend` (the Arnoldi step
+plus saturation and replacement), applied to (A, U -> V) and
+(B, V -> U).
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 from scipy.linalg.blas import daxpy, ddot
@@ -51,6 +55,15 @@ _REPLACEMENT_MIN_NORM = 1e-8
 
 class ReductionExhaustedError(RuntimeError):
     """No further reduction step is possible for this state."""
+
+
+def check_step_budget(name: str, value) -> None:
+    """Reject a number of steps that is not an integer of at least one,
+    naming it ``name`` in the ``ValueError``."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
 
 
 class HessenbergState:
@@ -83,8 +96,7 @@ class HessenbergState:
         gamma = float(np.linalg.norm(c))
         if beta == 0.0 or gamma == 0.0:
             raise ValueError("starting vectors b and c must both be nonzero")
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
+        check_step_budget("capacity", capacity)
         self.A = A
         self.B = B
         self.capacity = int(capacity)
@@ -129,13 +141,14 @@ def _replacement_vector(rows: np.ndarray) -> np.ndarray | None:
     Takes the canonical vector e_i whose component i is smallest across
     the basis, so for k < dim orthonormal rows its remainder has norm
     sqrt(1 - |rows[:, i]|^2) >= sqrt(1 - k/dim), and projects the basis
-    out of it twice. None means a remainder at rounding level, which an
-    orthonormal basis with k < dim rows cannot give.
+    out of it by :func:`orthogonalize` with ``reorth``. None means a
+    remainder at rounding level, which an orthonormal basis with k < dim
+    rows cannot give.
     """
     idx = int(np.argmin(np.einsum("ij,ij->j", rows, rows)))
-    r = -(rows[:, idx] @ rows)
-    r[idx] += 1.0
-    r -= (rows @ r) @ rows
+    r = np.zeros(rows.shape[1])
+    r[idx] = 1.0
+    orthogonalize(rows, r, reorth=True)
     norm = float(np.linalg.norm(r))
     if norm <= _REPLACEMENT_MIN_NORM:
         return None
@@ -169,26 +182,39 @@ def orthogonalize(rows: np.ndarray, w: np.ndarray, reorth: bool) -> np.ndarray:
     return coeffs
 
 
-def _extend(rows: np.ndarray, j: int, w: np.ndarray, reorth: bool):
-    """One side of step j: orthogonalize the product ``w`` against basis
-    rows 0..j and write row j + 1 (``w`` normalized, a replacement after
-    a breakdown, zeros on a saturated side). Returns the coefficient
-    column, whose last entry is the subdiagonal, and the breakdown flag.
+def arnoldi_step(rows: np.ndarray, j: int, w: np.ndarray, reorth: bool):
+    """Step j of an Arnoldi process on the basis ``rows``, one vector per
+    row: orthogonalize the product ``w`` in place against rows 0..j and,
+    unless its remainder is at most ``BREAKDOWN_RTOL`` times its norm on
+    entry, normalize it into row j + 1. Returns the coefficient column,
+    whose last entry is the subdiagonal (zero on a breakdown, when row
+    j + 1 is left as it was), and the breakdown flag.
     """
     scale = float(np.linalg.norm(w))
     col = np.empty(j + 2)
     col[:-1] = orthogonalize(rows[: j + 1], w, reorth)
     norm = float(np.linalg.norm(w))
-    saturated = j + 1 >= rows.shape[1]
     # a NaN norm is no breakdown: it goes on into the column and the row
-    if not saturated and not norm <= BREAKDOWN_RTOL * scale:
+    if not norm <= BREAKDOWN_RTOL * scale:
         col[-1] = norm
         rows[j + 1] = w / norm
         return col, False
     col[-1] = 0.0
-    repl = None if saturated else _replacement_vector(rows[: j + 1])
-    rows[j + 1] = 0.0 if repl is None else repl
     return col, True
+
+
+def _extend(rows: np.ndarray, j: int, w: np.ndarray, reorth: bool):
+    """One side of step j: :func:`arnoldi_step`, then zeros in row j + 1
+    and the subdiagonal on a saturated side, or a replacement row after a
+    breakdown. Returns the coefficient column and the breakdown flag.
+    """
+    col, breakdown = arnoldi_step(rows, j, w, reorth)
+    saturated = j + 1 >= rows.shape[1]
+    if saturated or breakdown:
+        col[-1] = 0.0
+        repl = None if saturated else _replacement_vector(rows[: j + 1])
+        rows[j + 1] = 0.0 if repl is None else repl
+    return col, saturated or breakdown
 
 
 def hessenberg_step(state: HessenbergState, reorth: bool = False) -> HessenbergState:

@@ -20,15 +20,9 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse
 from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.linalg import SuperLU
 
-from .sparse import (
-    _DECIMAL_INTEGER,
-    LUFactors,
-    SingularMatrixError,
-    lu_solve,
-    sparse_lu,
-    spmv,
-)
+from .sparse import _DECIMAL_INTEGER, SingularMatrixError, sparse_lu, spmv
 
 
 class GraphPartitionError(ValueError):
@@ -248,13 +242,14 @@ class PartitionedSystem:
 
 @dataclass(frozen=True)
 class BlockJacobiPreconditioner:
-    """LU factors of the two diagonal blocks, applied as blkdiag(M, N)^{-1}."""
+    """SuperLU factors of the two diagonal blocks, applied as
+    blkdiag(M, N)^{-1} to float64 arrays of the blocks' orders."""
 
-    Mfac: LUFactors
-    Nfac: LUFactors
+    Mfac: SuperLU
+    Nfac: SuperLU
 
     def apply(self, x, y):
-        return lu_solve(self.Mfac, x), lu_solve(self.Nfac, y)
+        return self.Mfac.solve(x), self.Nfac.solve(y)
 
 
 def build_preconditioned_system(M, A, B, N, b_star, c_star, lam=1.0, mu=1.0):
@@ -280,8 +275,8 @@ def build_preconditioned_system(M, A, B, N, b_star, c_star, lam=1.0, mu=1.0):
     except SingularMatrixError as exc:
         raise PreconditionerError("N", exc) from exc
 
-    A_op = LinearOperator(m, n, lambda x: spmv(A, lu_solve(Nfac, x)))
-    B_op = LinearOperator(n, m, lambda y: spmv(B, lu_solve(Mfac, y)))
+    A_op = LinearOperator(m, n, lambda x: spmv(A, Nfac.solve(x)))
+    B_op = LinearOperator(n, m, lambda y: spmv(B, Mfac.solve(y)))
     system = PartitionedSystem(lam=lam, mu=mu, A=A_op, B=B_op,
                                b=np.asarray(b_star, dtype=np.float64),
                                c=np.asarray(c_star, dtype=np.float64))
@@ -289,8 +284,14 @@ def build_preconditioned_system(M, A, B, N, b_star, c_star, lam=1.0, mu=1.0):
 
 
 def recover_solution(prec: BlockJacobiPreconditioner, x, y):
-    """Map a preconditioned-system solution back to the original unknowns."""
-    return prec.apply(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
+    """Map a preconditioned-system solution back to the original unknowns.
+    ``x`` and ``y`` must be vectors of the two blocks' orders."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != (prec.Mfac.shape[0],) or y.shape != (prec.Nfac.shape[0],):
+        raise ValueError(f"solution shapes {x.shape}, {y.shape} do not match the "
+                         f"block orders {prec.Mfac.shape[0]}, {prec.Nfac.shape[0]}")
+    return prec.apply(x, y)
 
 
 def read_permutation(source) -> BlockSplit:

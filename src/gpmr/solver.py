@@ -28,13 +28,12 @@ solves over a copy of the transformed right-hand side.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.blas import dtpsv
 
-from .hessenberg import hessenberg_init, hessenberg_step
+from .hessenberg import check_step_budget, hessenberg_init, hessenberg_step
 from .operators import PartitionedSystem
 
 STATUS_CONVERGED = "converged"
@@ -55,10 +54,7 @@ def check_stopping_rule(atol: float, rtol: float, k_max: int) -> None:
     # written so that NaN, which fails every comparison, is rejected
     if not atol >= 0 or not rtol >= 0 or (atol == 0 and rtol == 0):
         raise ValueError("tolerances must be nonnegative and not both zero")
-    if not isinstance(k_max, numbers.Integral):
-        raise ValueError(f"k_max must be an integer, got {k_max!r}")
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+    check_step_budget("k_max", k_max)
 
 
 def final_status(nonfinite: bool, converged: bool, exhausted: bool) -> str:

@@ -9,7 +9,8 @@ block-Jacobi preconditioners, is SuperLU's in a minimum-degree column
 order with this package's relative zero-pivot test on top. A block that
 fails in that order is factored again in natural column order, so a
 singular block names the column that natural order numbers. It never
-builds a dense copy of a block that factors.
+builds a dense copy of a block that factors, and hands back scipy's
+``SuperLU`` object itself.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import io
 import math
 import re
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -315,52 +315,6 @@ PIVOT_RTOL = 1e-13
 _SMALLEST_NORMAL = np.finfo(np.float64).tiny
 
 
-@dataclass(frozen=True)
-class LUFactors:
-    """SuperLU factors of ``P @ M @ Q = L @ U``.
-
-    ``perm_rows[i]`` is the original row placed at position ``i`` and
-    ``perm_cols[j]`` the original column eliminated at step ``j``, so
-    ``M[perm_rows][:, perm_cols] == L @ U``. ``L`` is unit lower
-    triangular with its diagonal stored explicitly and ``U`` is upper
-    triangular with nonzero diagonal; both are scipy CSC matrices that
-    ``superlu`` builds on first access and keeps as long as it lives.
-    ``fill`` is the number of nonzeros of ``L`` and ``U`` together, the
-    diagonal of each included. ``stored`` is the number of entries
-    SuperLU keeps for them, which every solve reads: the fill plus the
-    explicit zeros its supernodes are padded with.
-    """
-
-    superlu: SuperLU
-    fill: int
-
-    @property
-    def stored(self) -> int:
-        return self.superlu.nnz
-
-    @property
-    def order(self) -> int:
-        return self.superlu.shape[0]
-
-    @property
-    def perm_rows(self) -> np.ndarray:
-        # SuperLU's perm_r maps an original row to its position
-        return np.argsort(self.superlu.perm_r)
-
-    @property
-    def perm_cols(self) -> np.ndarray:
-        # and perm_c an original column to its step
-        return np.argsort(self.superlu.perm_c)
-
-    @property
-    def L(self):
-        return self.superlu.L
-
-    @property
-    def U(self):
-        return self.superlu.U
-
-
 def _weak_pivots(absdiag, u_colmax, l_colmax, floor=0.0) -> np.ndarray:
     """Columns whose pivot is at most ``PIVOT_RTOL`` times the largest
     magnitude in the working column at pivot time, which the factors give
@@ -406,10 +360,10 @@ def _checked_splu(csc, permc_spec: str, floor=0.0):
     bad = _weak_pivots(np.abs(U.diagonal()),
                        np.maximum.reduceat(np.abs(U.data), U.indptr[:-1]),
                        np.maximum.reduceat(np.abs(L.data), L.indptr[:-1]), floor)
-    return LUFactors(lu, L.nnz + U.nnz), bad
+    return lu, bad
 
 
-def sparse_lu(M: scipy.sparse.csr_array) -> LUFactors:
+def sparse_lu(M: scipy.sparse.csr_array) -> SuperLU:
     """Factor a square matrix as ``P @ M @ Q = L @ U`` with SuperLU.
 
     The columns are eliminated in SuperLU's minimum-degree order of the
@@ -424,6 +378,14 @@ def sparse_lu(M: scipy.sparse.csr_array) -> LUFactors:
     column the natural-order factorization would. Both factorizations
     relax supernodes to at most two columns (``relax=2``), so the
     factors store little more than their fill.
+
+    Returns scipy's ``SuperLU`` object. ``perm_r`` maps an original row
+    to its position and ``perm_c`` an original column to its step, so
+    ``M[argsort(perm_r)][:, argsort(perm_c)] == L @ U``. ``L`` (unit
+    diagonal stored) and ``U`` are CSC copies the pivot test has already
+    built; the object keeps them as long as it lives. ``L.nnz + U.nnz``
+    is the fill and ``nnz`` the entries every ``solve`` reads: the fill
+    plus the explicit zeros the supernodes are padded with.
     """
     if M.shape[0] != M.shape[1]:
         raise ValueError("LU factorization requires a square matrix")
@@ -432,26 +394,17 @@ def sparse_lu(M: scipy.sparse.csr_array) -> LUFactors:
         raise SingularMatrixError(_dense_singular_column(M))
     csc = M.tocsc()
     try:
-        F, bad = _checked_splu(csc, "MMD_AT_PLUS_A", _SMALLEST_NORMAL)
+        lu, bad = _checked_splu(csc, "MMD_AT_PLUS_A", _SMALLEST_NORMAL)
         if not bad.size:
-            return F
+            return lu
     except RuntimeError:
         pass  # whatever SuperLU reports, natural order decides
     try:
-        F, bad = _checked_splu(csc, "NATURAL")
+        lu, bad = _checked_splu(csc, "NATURAL")
     except RuntimeError as exc:
         if "exactly singular" not in str(exc):
             raise
         raise SingularMatrixError(_dense_singular_column(M)) from exc
     if bad.size:
         raise SingularMatrixError(int(bad[0]))
-    return F
-
-
-def lu_solve(F: LUFactors, rhs) -> np.ndarray:
-    """Solve ``M @ x = rhs`` with the factors of ``M``."""
-    rhs = np.asarray(rhs, dtype=np.float64)
-    n = F.order
-    if rhs.shape != (n,):
-        raise ValueError(f"rhs length {rhs.shape} does not match order {n}")
-    return F.superlu.solve(rhs)
+    return lu

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-import gpmr.baselines as baselines
+import gpmr.hessenberg as hessenberg
 from gpmr import (
     HessenbergState,
     LinearOperator,
@@ -145,14 +145,15 @@ def replay_iterate(replay, k):
 
 
 def record_orthogonalize(monkeypatch):
-    """Record every ``orthogonalize`` call GMRES makes.
+    """Record every ``orthogonalize`` call the shared Arnoldi step makes;
+    under a GMRES solve alone, those are GMRES's.
 
     Call j appends (rows, coeffs, scale, remainder): the basis rows it
     projected against (the solve's own storage, rows 0..j), the
     coefficients, the product norm on entry and a copy of the remainder.
     """
     calls = []
-    real = baselines.orthogonalize
+    real = hessenberg.orthogonalize
 
     def recorded(rows, w, reorth):
         scale = float(np.linalg.norm(w))
@@ -160,7 +161,7 @@ def record_orthogonalize(monkeypatch):
         calls.append((rows, coeffs.copy(), scale, w.copy()))
         return coeffs
 
-    monkeypatch.setattr(baselines, "orthogonalize", recorded)
+    monkeypatch.setattr(hessenberg, "orthogonalize", recorded)
     return calls
 
 

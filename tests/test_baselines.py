@@ -107,6 +107,33 @@ def test_gmres_basis_columns_are_contiguous(monkeypatch):
             assert row.flags.c_contiguous
 
 
+@pytest.mark.parametrize("reorth", [False, True])
+def test_gmres_and_gpmr_take_one_shared_arnoldi_step_per_basis_vector(monkeypatch, reorth):
+    # GMRES extends one basis per iteration, GPMR two
+    import gpmr.baselines as baselines
+    import gpmr.hessenberg as hessenberg
+
+    assert baselines.arnoldi_step is hessenberg.arnoldi_step
+    real = hessenberg.arnoldi_step
+    calls = []
+
+    def counted(rows, j, *rest):
+        calls.append(j)
+        return real(rows, j, *rest)
+
+    monkeypatch.setattr(baselines, "arnoldi_step", counted)
+    monkeypatch.setattr(hessenberg, "arnoldi_step", counted)
+    rng = np.random.default_rng(172)
+    system, _, _ = random_block_system(rng, 12, 9)
+    gmres = gmres_solve(system.full_operator(), system.rhs_full(), 1e-12, 1e-6, 21,
+                        reorth=reorth)
+    assert 0 < gmres.iterations and calls == list(range(gmres.iterations))
+    calls.clear()
+    gpmr = gpmr_solve(system, 1e-12, 1e-6, k_max=12, reorth=reorth)
+    assert 0 < gpmr.iterations
+    assert calls == [j for j in range(gpmr.iterations) for _ in range(2)]
+
+
 def test_gmres_cgs2_history_matches_mgs_history():
     rng = np.random.default_rng(173)
     system, A, B = random_block_system(rng, 60, 48)

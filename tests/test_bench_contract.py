@@ -97,7 +97,7 @@ def test_reservoir_setup_solves_to_the_ones_vector(tmp_path):
     write_mtx(small_reservoir(), path)
     system, prec, perm = measure.setup_reservoir(path, NullTracer())
     assert (system.m, system.n) == (189, 189)
-    assert (prec.Mfac.order, prec.Nfac.order) == (189, 189)
+    assert (prec.Mfac.shape[0], prec.Nfac.shape[0]) == (189, 189)
     assert np.array_equal(np.sort(perm), np.arange(378))
     cfg = WORKLOADS["reservoir"]
     report = gpmr_solve(system, cfg["atol"], cfg["rtol"], k_max=cfg["k_max"])

@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -265,12 +266,12 @@ def test_json_report_carries_lu_fill(matrix_file, tmp_path, capsys):
 
     for name, block in (("M", M), ("N", N)):
         dense = block.toarray()
-        assert fill[name] == lapack_fill(dense[:, sparse_lu(block).perm_cols])
+        assert fill[name] == lapack_fill(dense[:, np.argsort(sparse_lu(block).perm_c)])
         assert fill[name] <= lapack_fill(dense)
         # what SuperLU stores, explicit zeros included, holds the fill
         stored = payload["lu_stored"][name]
         assert type(stored) is int
-        assert stored == sparse_lu(block).superlu.nnz >= fill[name]
+        assert stored == sparse_lu(block).nnz >= fill[name]
 
 
 @pytest.mark.parametrize("option", ["--lambda", "--mu", "--atol", "--rtol", "--maxiter"])
@@ -371,3 +372,68 @@ def test_permutation_file_with_bad_line_is_input_error(matrix_file, tmp_path, ca
     code = main(["--matrix", str(matrix_file), "--partition", str(perm)])
     assert code == EXIT_INPUT_ERROR
     assert line in capsys.readouterr().err
+
+
+def single_error(capsys) -> str:
+    """The one ``error:`` line a rejected run prints, nothing else."""
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+def write_mtx(tmp_path, dense) -> str:
+    path = tmp_path / "m.mtx"
+    write_matrix_market(csr(dense), path)
+    return str(path)
+
+
+def test_one_by_one_matrix_is_input_error(tmp_path, capsys):
+    code = main(["--matrix", write_mtx(tmp_path, [[2.0]])])
+    assert code == EXIT_INPUT_ERROR
+    assert "cannot partition matrix: need at least two vertices" in single_error(capsys)
+
+
+def test_split_without_coupling_is_input_error(tmp_path, capsys):
+    code = main(["--matrix", write_mtx(tmp_path, 2.0 * np.eye(4))])
+    assert code == EXIT_INPUT_ERROR
+    assert "off-diagonal block A is zero" in single_error(capsys)
+
+
+def test_zero_generated_rhs_is_input_error(tmp_path, capsys):
+    # rows summing to zero make the ones-solution right-hand side zero
+    laplacian = [[1.0, -1.0, 0.0, 0.0], [-1.0, 2.0, -1.0, 0.0],
+                 [0.0, -1.0, 2.0, -1.0], [0.0, 0.0, -1.0, 1.0]]
+    code = main(["--matrix", write_mtx(tmp_path, laplacian)])
+    assert code == EXIT_INPUT_ERROR
+    assert ("block b of the generated right-hand side is zero: its rows of the matrix"
+            " sum to zero") in single_error(capsys)
+
+
+def test_rhs_file_with_a_zero_block_is_input_error(matrix_file, tmp_path, capsys):
+    rhs_path = tmp_path / "rhs.txt"
+    rhs_path.write_text("\n".join(["1.0"] * 9 + ["0.0"] * 9))
+    code = main(["--matrix", str(matrix_file), "--rhs", str(rhs_path)])
+    assert code == EXIT_INPUT_ERROR
+    assert "block c of the rhs file is zero" in single_error(capsys)
+
+
+def test_empty_rhs_file_is_one_error_line(matrix_file, tmp_path, capsys):
+    rhs_path = tmp_path / "rhs.txt"
+    rhs_path.write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["--matrix", str(matrix_file), "--rhs", str(rhs_path)])
+    assert code == EXIT_INPUT_ERROR
+    assert "rhs file has 0 values" in single_error(capsys)
+
+
+@pytest.mark.parametrize("option", ["--history", "--json"])
+def test_output_under_a_missing_directory_fails_before_any_solve(matrix_file, tmp_path,
+                                                                 capsys, option):
+    target = tmp_path / "absent" / "out"
+    code = main(["--matrix", str(matrix_file), option, str(target)])
+    assert code == EXIT_INPUT_ERROR
+    line = single_error(capsys)  # no table: nothing was solved
+    assert f"cannot write {option} file {target}" in line

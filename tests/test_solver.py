@@ -384,6 +384,21 @@ def test_every_solver_rejects_a_budget_that_is_not_an_integer(k_max):
         ExperimentConfig(matrix_path="x", k_max=k_max)
 
 
+@pytest.mark.parametrize("budget, message", [
+    (2.5, "must be an integer, got 2.5"), (4.0, "must be an integer, got 4.0"),
+    ("3", "must be an integer, got '3'"), (0, "must be at least 1"),
+])
+def test_both_processes_reject_storage_that_is_not_a_positive_integer(budget, message):
+    from gpmr import block_arnoldi_init, hessenberg_init
+
+    rng = np.random.default_rng(141)
+    system, _, _ = random_block_system(rng, 4, 4)
+    with pytest.raises(ValueError, match=re.escape(f"capacity {message}")):
+        hessenberg_init(system.A, system.B, system.b, system.c, capacity=budget)
+    with pytest.raises(ValueError, match=re.escape(f"k_max {message}")):
+        block_arnoldi_init(starting_block(system), budget)
+
+
 def test_numpy_integer_budget_is_accepted():
     rng = np.random.default_rng(139)
     system, _, _ = random_block_system(rng, 4, 4)
