@@ -2,13 +2,12 @@
 
 The package implements GPMR, the orthogonal Hessenberg reduction it is
 built on, GMRES and Block-GMRES baselines, block-Jacobi preconditioning,
-Matrix Market I/O and a command-line harness for convergence
+a Matrix Market reader and a command-line harness for convergence
 experiments. Matrices are ``scipy.sparse.csr_array`` throughout;
 ``csr_from_coo``, ``csr_identity`` and ``spmv`` build and apply them.
 """
 
 from .baselines import (
-    BlockArnoldiState,
     block_arnoldi_init,
     block_arnoldi_step,
     block_gmres_solve,
@@ -19,7 +18,6 @@ from .hessenberg import (
     ReductionExhaustedError,
     hessenberg_init,
     hessenberg_step,
-    orthogonalize,
 )
 from .operators import (
     BlockJacobiPreconditioner,
@@ -38,9 +36,7 @@ from .solver import (
     SingularSubproblemError,
     SolveReport,
     backward_substitution,
-    givens,
     gpmr_solve,
-    ref,
 )
 from .sparse import (
     IndexOutOfRangeError,
@@ -55,11 +51,9 @@ from .sparse import (
     parse_matrix_market,
     sparse_lu,
     spmv,
-    write_matrix_market,
 )
 
 __all__ = [
-    "BlockArnoldiState",
     "BlockJacobiPreconditioner",
     "BlockSplit",
     "GraphPartitionError",
@@ -85,18 +79,14 @@ __all__ = [
     "csr_from_coo",
     "csr_identity",
     "extract_blocks",
-    "givens",
     "gmres_solve",
     "gpmr_solve",
     "hessenberg_init",
     "hessenberg_step",
     "load_matrix_market",
-    "orthogonalize",
     "parse_matrix_market",
     "read_permutation",
     "recover_solution",
-    "ref",
     "sparse_lu",
     "spmv",
-    "write_matrix_market",
 ]

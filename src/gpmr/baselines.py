@@ -45,7 +45,7 @@ from .solver import (
     SolveReport,
     backward_substitution,
     check_stopping_rule,
-    final_status,
+    end_solve,
     quiet_nonfinite,
     reflection_coefficients,
 )
@@ -135,16 +135,13 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
         rnorm = abs(tbar[k])
         history.append(rnorm)
 
-    status = final_status(nonfinite, rnorm <= threshold, saturated or k >= dim)
-
     if k == 0:
         sol = np.zeros(dim)
     else:
         sol = V[:, :k] @ backward_substitution(cols, tbar)
-    x, yblk = _split_solution(sol, split)
-    return SolveReport(x=x, y=yblk, status=status,
-                       residual_history=np.asarray(history),
-                       iterations=k, matvec_count=matvecs)
+    return end_solve([(*_split_solution(sol, split), history)], k, matvecs,
+                     nonfinite=nonfinite, converged=rnorm <= threshold,
+                     exhausted=saturated or k >= dim, diagnostics={})[0]
 
 
 # ---------------------------------------------------------------------------
@@ -385,23 +382,13 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
         res_sum = math.hypot(tb + tc, ub + uc)
         hist_sum.append(res_sum)
 
-    status = final_status(nonfinite, res_sum <= threshold, 2 * k >= dim)
-
     if k == 0:
         sol = np.zeros((2, dim))
     else:
         sol = _block_iterates(state.W, cols, g)
-
-    summed = np.asarray(hist_sum)
     # a copy per column, so that one report kept alone holds one iterate
-    xb, yb = _split_solution(sol[0].copy(), split)
-    xc, yc = _split_solution(sol[1].copy(), split)
-    report_b = SolveReport(x=xb, y=yb, status=status,
-                           residual_history=np.asarray(hist_b),
-                           iterations=k, matvec_count=matvecs,
-                           diagnostics={"summed_history": summed})
-    report_c = SolveReport(x=xc, y=yc, status=status,
-                           residual_history=np.asarray(hist_c),
-                           iterations=k, matvec_count=matvecs,
-                           diagnostics={"summed_history": summed})
-    return report_b, report_c
+    ends = [(*_split_solution(row.copy(), split), history)
+            for row, history in zip(sol, (hist_b, hist_c))]
+    return end_solve(ends, k, matvecs, nonfinite=nonfinite,
+                     converged=res_sum <= threshold, exhausted=2 * k >= dim,
+                     diagnostics={"summed_history": np.asarray(hist_sum)})

@@ -8,7 +8,7 @@ the selected solvers with an absolute/relative residual stopping rule
 and report iteration counts, true residuals and timings.
 
 Exit codes: 0 all selected methods converged, 1 unreadable or unusable
-input or an output directory that does not exist, 2 singular diagonal
+input or an output that cannot be written, 2 singular diagonal
 block, 3 at least one method did not converge, 4 at least one method
 met a non-finite residual norm (status ``nonfinite``, for example after
 an overflow); 4 takes precedence over 3.
@@ -355,12 +355,15 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    # outputs are written after every solve, so a missing directory is
-    # reported before the first
+    # outputs are written after every solve, so a path that cannot be a
+    # file is reported before the first
     for option, path in (("--history", cfg.history_out), ("--json", json_path)):
-        if path is not None and not Path(path).parent.is_dir():
-            print(f"error: cannot write {option} file {path}: "
-                  f"no directory {Path(path).parent}", file=sys.stderr)
+        if path is None:
+            continue
+        if Path(path).is_dir() or not Path(path).parent.is_dir():
+            why = ("it is a directory" if Path(path).is_dir()
+                   else f"no directory {Path(path).parent}")
+            print(f"error: cannot write {option} file {path}: {why}", file=sys.stderr)
             return EXIT_INPUT_ERROR
 
     try:
@@ -371,10 +374,19 @@ def main(argv=None) -> int:
     except PreconditionerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR_BLOCK
+    except OSError as exc:
+        # the reads raise ExperimentInputError, so the history write failed
+        print(f"error: cannot write --history file {cfg.history_out}: {exc}",
+              file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
     print(format_table(report))
     if json_path is not None:
-        Path(json_path).write_text(json.dumps(_json_safe(report), indent=2) + "\n")
+        try:
+            Path(json_path).write_text(json.dumps(_json_safe(report), indent=2) + "\n")
+        except OSError as exc:
+            print(f"error: cannot write --json file {json_path}: {exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
     if any(r["status"] == STATUS_NONFINITE for r in report["methods"].values()):
         return EXIT_NONFINITE
     return EXIT_OK if report["all_converged"] else EXIT_NO_CONVERGENCE

@@ -57,15 +57,22 @@ def check_stopping_rule(atol: float, rtol: float, k_max: int) -> None:
     check_step_budget("k_max", k_max)
 
 
-def final_status(nonfinite: bool, converged: bool, exhausted: bool) -> str:
-    """The status a solve ends with; earlier conditions take precedence."""
-    if nonfinite:
-        return STATUS_NONFINITE
-    if converged:
-        return STATUS_CONVERGED
-    if exhausted:
-        return STATUS_EXHAUSTED
-    return STATUS_MAX_ITERATIONS
+def end_solve(ends, k: int, matvecs: int, *, nonfinite: bool, converged: bool,
+              exhausted: bool, diagnostics: dict) -> tuple:
+    """The reports a solve ends with after ``k`` iterations and
+    ``matvecs`` applies, one per ``(x, y, history)`` in ``ends``, each
+    with its own copy of ``diagnostics`` and all with one status. The
+    first condition that holds decides it: a non-finite residual norm
+    (``nonfinite``), the recurrence residual within the threshold
+    (``converged``), the solver's dimension cap reached or a zero column
+    met (``exhausted``); when none holds, the budget ran out
+    (``max_iterations``)."""
+    status = (STATUS_NONFINITE if nonfinite else STATUS_CONVERGED if converged
+              else STATUS_EXHAUSTED if exhausted else STATUS_MAX_ITERATIONS)
+    return tuple(SolveReport(x=x, y=y, status=status,
+                             residual_history=np.asarray(history), iterations=k,
+                             matvec_count=matvecs, diagnostics=dict(diagnostics))
+                 for x, y, history in ends)
 
 
 class SingularSubproblemError(RuntimeError):
@@ -273,8 +280,6 @@ def gpmr_solve(system: PartitionedSystem, atol: float, rtol: float,
         k += 1
         history.append(rnorm)
 
-    status = final_status(nonfinite, rnorm <= threshold, stalled or k >= min(m, n))
-
     if k == 0:
         x = np.zeros(m)
         y = np.zeros(n)
@@ -286,8 +291,7 @@ def gpmr_solve(system: PartitionedSystem, atol: float, rtol: float,
     storage = {"basis": hess.V[:, :k].size + hess.U[:, :k].size, "qp": m + n,
                "t": len(columns), "z": len(columns), "t_z_shared": True,
                "givens": 8 * len(reflections), "r": sum(map(len, columns))}
-    diagnostics = {"breakdowns": list(hess.breakdown_flags), "storage": storage}
-    return SolveReport(x=x, y=y, status=status,
-                       residual_history=np.asarray(history),
-                       iterations=k, matvec_count=matvecs,
-                       diagnostics=diagnostics)
+    return end_solve([(x, y, history)], k, matvecs, nonfinite=nonfinite,
+                     converged=rnorm <= threshold, exhausted=stalled or k >= min(m, n),
+                     diagnostics={"breakdowns": list(hess.breakdown_flags),
+                                  "storage": storage})[0]

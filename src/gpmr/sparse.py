@@ -1,4 +1,4 @@
-"""Sparse matrices, Matrix Market I/O and the LU the preconditioner needs.
+"""Sparse matrices, a Matrix Market reader and the LU the preconditioner needs.
 
 Every matrix in this package is a ``scipy.sparse.csr_array`` of float64
 values with sorted column indices and explicitly stored zeros kept.
@@ -15,7 +15,6 @@ builds a dense copy of a block that factors, and hands back scipy's
 
 from __future__ import annotations
 
-import io
 import math
 import re
 import warnings
@@ -77,7 +76,7 @@ def spmv(M: scipy.sparse.csr_array, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Matrix Market I/O
+# Matrix Market reader
 # ---------------------------------------------------------------------------
 
 _SUPPORTED_FIELDS = {"real", "integer", "pattern"}
@@ -278,25 +277,6 @@ def parse_matrix_market(source) -> scipy.sparse.csr_array:
             np.concatenate([vals, vals[off]]),
         )
     return csr_from_coo(nrows, ncols, rows, cols, vals)
-
-
-def write_matrix_market(M: scipy.sparse.csr_array, target) -> None:
-    """Write ``M`` in coordinate format with 17 significant digits.
-
-    Output always uses the ``real general`` banner and 1-based indices,
-    regardless of how the matrix was produced.
-    """
-    buf = io.StringIO()
-    buf.write("%%MatrixMarket matrix coordinate real general\n")
-    buf.write(f"{M.shape[0]} {M.shape[1]} {M.nnz}\n")
-    rows = np.repeat(np.arange(1, M.shape[0] + 1), np.diff(M.indptr))
-    buf.writelines(f"{i} {j + 1} {v:.16e}\n" for i, j, v in
-                   zip(rows.tolist(), M.indices.tolist(), M.data.tolist()))
-    text = buf.getvalue()
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(text)
-    else:
-        target.write(text)
 
 
 def load_matrix_market(path) -> scipy.sparse.csr_array:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse
 
 import gpmr.hessenberg as hessenberg
@@ -16,15 +17,20 @@ from gpmr import (
     backward_substitution,
     hessenberg_init,
     hessenberg_step,
-    ref,
 )
 from gpmr.hessenberg import BREAKDOWN_RTOL
-from gpmr.solver import _qr_update
+from gpmr.solver import _qr_update, ref
 
 
 def csr(dense):
     """CSR copy of a dense array with its exact zeros dropped."""
     return scipy.sparse.csr_array(np.asarray(dense, dtype=np.float64))
+
+
+def write_general_mtx(target, M):
+    """Write ``M`` to a path or binary stream as a coordinate ``real
+    general`` Matrix Market file, every stored entry as it is stored."""
+    scipy.io.mmwrite(target, M, symmetry="general")
 
 
 def stored_entries(M):

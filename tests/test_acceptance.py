@@ -16,14 +16,13 @@ from gpmr import (
     block_arnoldi_init,
     block_arnoldi_step,
     block_gmres_solve,
-    givens,
     gmres_solve,
     gpmr_solve,
     hessenberg_init,
     hessenberg_step,
-    ref,
 )
 from gpmr.cli import ExperimentConfig, run_experiment
+from gpmr.solver import givens, ref
 from conftest import dense_full_matrix, dense_operator, pad_columns, random_block_system
 
 from test_solver import reflection_block

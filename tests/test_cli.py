@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gpmr import csr_identity, write_matrix_market
+from gpmr import csr_identity
 from gpmr.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NO_CONVERGENCE,
@@ -18,7 +18,7 @@ from gpmr.cli import (
     run_experiment,
     write_history_csv,
 )
-from conftest import csr
+from conftest import csr, write_general_mtx
 
 
 def make_test_matrix(rng, order, density=0.3):
@@ -38,7 +38,7 @@ def matrix_file(tmp_path):
     rng = np.random.default_rng(211)
     dense = make_test_matrix(rng, 18)
     path = tmp_path / "system.mtx"
-    write_matrix_market(csr(dense), path)
+    write_general_mtx(path, csr(dense))
     return path
 
 
@@ -69,7 +69,7 @@ def test_two_dim_toy_system(tmp_path):
     # eigenvector of the preconditioned operator, so every method
     # converges in a single iteration to the same recovered solution
     path = tmp_path / "toy.mtx"
-    write_matrix_market(csr([[2.0, 1.0], [1.0, 2.0]]), path)
+    write_general_mtx(path, csr([[2.0, 1.0], [1.0, 2.0]]))
     cfg = ExperimentConfig(matrix_path=str(path), methods=("gpmr", "gmres"),
                            k_max=4)
     report = run_experiment(cfg)
@@ -385,7 +385,7 @@ def single_error(capsys) -> str:
 
 def write_mtx(tmp_path, dense) -> str:
     path = tmp_path / "m.mtx"
-    write_matrix_market(csr(dense), path)
+    write_general_mtx(path, csr(dense))
     return str(path)
 
 
@@ -429,11 +429,30 @@ def test_empty_rhs_file_is_one_error_line(matrix_file, tmp_path, capsys):
     assert "rhs file has 0 values" in single_error(capsys)
 
 
-@pytest.mark.parametrize("option", ["--history", "--json"])
+@pytest.mark.parametrize("option, where", [
+    ("--history", "absent/out"), ("--json", "absent/out"),
+    ("--history", "."), ("--json", "."),  # the output is a directory
+], ids=["--history", "--json", "--history-directory", "--json-directory"])
 def test_output_under_a_missing_directory_fails_before_any_solve(matrix_file, tmp_path,
-                                                                 capsys, option):
-    target = tmp_path / "absent" / "out"
+                                                                 capsys, option, where):
+    target = tmp_path / where
     code = main(["--matrix", str(matrix_file), option, str(target)])
     assert code == EXIT_INPUT_ERROR
     line = single_error(capsys)  # no table: nothing was solved
     assert f"cannot write {option} file {target}" in line
+
+
+@pytest.mark.parametrize("option", ["--history", "--json"])
+def test_an_output_write_that_fails_after_the_solves_is_one_error_line(
+        matrix_file, tmp_path, capsys, monkeypatch, option):
+    def refuse(path, text):
+        raise PermissionError(f"Permission denied: '{path}'")
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    target = tmp_path / "out"
+    code = main(["--matrix", str(matrix_file), option, str(target)])
+    assert code == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: cannot write {option} file {target}: ")
+    assert "Permission denied" in err

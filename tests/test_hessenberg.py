@@ -8,9 +8,8 @@ from gpmr import (
     ReductionExhaustedError,
     hessenberg_init,
     hessenberg_step,
-    orthogonalize,
 )
-from gpmr.hessenberg import _replacement_vector
+from gpmr.hessenberg import _replacement_vector, orthogonalize
 from conftest import dense_operator, identity_operator, pad_columns
 
 

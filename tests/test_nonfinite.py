@@ -9,11 +9,16 @@ from gpmr import (
     block_gmres_solve,
     gmres_solve,
     gpmr_solve,
-    write_matrix_market,
 )
 from gpmr.cli import EXIT_NONFINITE, main
 from gpmr.solver import STATUS_NONFINITE
-from conftest import csr, dense_full_matrix, dense_operator, random_block_system
+from conftest import (
+    csr,
+    dense_full_matrix,
+    dense_operator,
+    random_block_system,
+    write_general_mtx,
+)
 
 METHODS = ("gpmr", "gmres", "block-gmres")
 
@@ -91,7 +96,7 @@ def test_cli_exit_code_for_overflow(tmp_path, capsys):
     # the preconditioned coupling 1e10 * (1e-300)^-1 overflows in the
     # first operator apply; the right-hand side itself is finite
     path = tmp_path / "overflow.mtx"
-    write_matrix_market(csr([[1e-300, 1e10], [1e10, 1e-300]]), path)
+    write_general_mtx(path, csr([[1e-300, 1e10], [1e10, 1e-300]]))
     perm = tmp_path / "split.perm"
     perm.write_text("1 1\n0\n1\n")
     code = main(["--matrix", str(path), "--partition", str(perm),

@@ -11,10 +11,10 @@ from gpmr import (
     SingularSubproblemError,
     backward_substitution,
     block_gmres_solve,
-    givens,
+    gmres_solve,
     gpmr_solve,
-    ref,
 )
+from gpmr.solver import givens, ref
 from conftest import (
     dense_full_matrix,
     dense_operator,
@@ -324,6 +324,26 @@ def test_statuses_max_iterations_and_exhausted():
     report = gpmr_solve(rect, 1e-12, 1e-10, k_max=8)
     assert report.status == "exhausted"
     assert report.iterations == 8
+
+
+@pytest.mark.parametrize("method", ["gpmr", "gmres", "block-gmres"])
+def test_a_solve_meeting_the_threshold_at_its_dimension_cap_is_converged(method):
+    # with m = n = 2, GPMR and Block-GMRES need both of their steps and
+    # GMRES all four of the order-4 operator; the last step leaves no room
+    # to grow the subspace, and "converged" takes precedence over that
+    rng = np.random.default_rng(151)
+    system, A, B = random_block_system(rng, 2, 2, coupling=1.0)
+    K = dense_operator(dense_full_matrix(system, A, B))
+    if method == "gpmr":
+        report, cap = gpmr_solve(system, 0.0, 1e-10, k_max=4), 2
+    elif method == "gmres":
+        report, cap = gmres_solve(K, system.rhs_full(), 0.0, 1e-10, 4), 4
+    else:
+        report, cap = block_gmres_solve(K, starting_block(system), 0.0, 1e-10, 4)[0], 2
+    history = report.diagnostics.get("summed_history", report.residual_history)
+    assert report.iterations == cap
+    assert history[-2] > 1e-10 * history[0] >= history[-1]
+    assert report.status == "converged"
 
 
 def test_invalid_arguments():

@@ -26,10 +26,9 @@ from gpmr import (
     parse_matrix_market,
     sparse_lu,
     spmv,
-    write_matrix_market,
 )
 from gpmr.sparse import _dense_singular_column, _weak_pivots
-from conftest import csr, small_reservoir, stored_entries
+from conftest import csr, small_reservoir, stored_entries, write_general_mtx
 
 BANNER = "%%MatrixMarket matrix coordinate real general\n"
 
@@ -169,12 +168,12 @@ def test_write_parse_round_trip_is_bit_exact():
     # explicit zeros (one negative) and empty rows 0, 2 and 4
     Z = csr_from_coo(5, 4, [1, 1, 3, 3, 3], [3, 0, 2, 1, 3], [0.0, 2.5, -0.0, 1e-3, 0.0])
     for X in (M, Z):
-        buf = io.StringIO()
-        write_matrix_market(X, buf)
+        buf = io.BytesIO()
+        write_general_mtx(buf, X)
         again = parse_matrix_market(buf.getvalue())
         assert same_csr(again, X)
-        buf2 = io.StringIO()
-        write_matrix_market(again, buf2)
+        buf2 = io.BytesIO()
+        write_general_mtx(buf2, again)
         assert buf2.getvalue() == buf.getvalue()
     assert Z.nnz == 5
 
@@ -197,10 +196,10 @@ def test_parse_tolerates_real_world_formatting():
 
 def test_round_trip_survives_extreme_values():
     vals = [1e-308, -2.2250738585072014e-308, 1.7976931348623157e308,
-            3.141592653589793, -0.0]
+            3.141592653589793, -0.0, 5e-324]
     M = csr(np.diag(vals))
-    buf = io.StringIO()
-    write_matrix_market(M, buf)
+    buf = io.BytesIO()
+    write_general_mtx(buf, M)
     assert same_csr(parse_matrix_market(buf.getvalue()), M)
 
 
@@ -356,7 +355,7 @@ def test_parse_matches_scipy_mmread_on_a_generated_matrix(tmp_path):
     M = scipy.sparse.csr_array((vals[order], cols[order], indptr), shape=(n, n))
     assert not M.has_canonical_format
     path = tmp_path / "generated.mtx"
-    write_matrix_market(M, path)
+    write_general_mtx(path, M)
     parsed = parse_matrix_market(path.read_text())
     assert same_csr(parsed, oracle_csr(path))
     assert np.diff(parsed.indptr).tolist().count(0) >= 300
@@ -380,16 +379,6 @@ def test_parse_matches_scipy_mmread_on_symmetric_and_pattern_files(tmp_path):
         parsed = parse_matrix_market(text)
         assert same_csr(parsed, oracle_csr(path)), name
         assert parsed.data.dtype == np.float64
-
-
-def test_writer_uses_general_banner_and_one_based_indices():
-    M = csr_from_coo(2, 3, [1], [2], [0.5])
-    buf = io.StringIO()
-    write_matrix_market(M, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "%%MatrixMarket matrix coordinate real general"
-    assert lines[1] == "2 3 1"
-    assert lines[2].startswith("2 3 ")
 
 
 # ---------------------------------------------------------------------------
