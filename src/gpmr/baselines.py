@@ -33,6 +33,7 @@ right-hand sides.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,13 +51,18 @@ from .solver import (
     reflection_coefficients,
 )
 
-def _split_solution(sol: np.ndarray, split):
+
+def _split_point(split, dim: int) -> int:
+    """Where ``split=(m, n)`` cuts a solution of length ``dim`` into x and
+    y, at ``dim`` without one; anything but two integers >= 0 summing to
+    ``dim`` is a ValueError."""
     if split is None:
-        return sol, np.zeros(0)
-    m, n = split
-    if m + n != sol.size:
-        raise ValueError("split does not match solution length")
-    return sol[:m], sol[m:]
+        return dim
+    if (len(split) != 2
+            or not all(isinstance(p, numbers.Integral) and p >= 0 for p in split)
+            or sum(split) != dim):
+        raise ValueError(f"split {split!r} is not two integers >= 0 summing to {dim}")
+    return split[0]
 
 
 @quiet_nonfinite
@@ -79,12 +85,14 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
     a float64 array of its upper entries; at the end GPMR's packed
     back-substitution (BLAS ``dtpsv``) solves the triangle they form.
     The transformed right-hand side is a list; diagnostics are empty.
+    A bad ``split`` is a ValueError before the first apply.
     """
     check_stopping_rule(atol, rtol, k_max)
     d = np.asarray(d, dtype=np.float64)
     dim = K.nrows
     if d.shape != (dim,):
         raise ValueError("right-hand side length does not match the operator")
+    cut = _split_point(split, dim)
     norm_d = float(np.linalg.norm(d))
     if norm_d == 0.0:
         raise ValueError("right-hand side must be nonzero")
@@ -101,12 +109,10 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
     history = [norm_d]
     rnorm = norm_d
     k = 0
-    matvecs = 0
     saturated = False
     nonfinite = not math.isfinite(norm_d)
     while not nonfinite and rnorm > threshold and k < cap and not saturated:
         w = np.array(K.apply(V[:, k]), dtype=np.float64)
-        matvecs += 1
         col, saturated = arnoldi_step(V.T, k, w, reorth)
         col = col.tolist()
         # the earlier rotations run on Python floats
@@ -139,7 +145,7 @@ def gmres_solve(K: LinearOperator, d, atol: float, rtol: float, k_max: int,
         sol = np.zeros(dim)
     else:
         sol = V[:, :k] @ backward_substitution(cols, tbar)
-    return end_solve([(*_split_solution(sol, split), history)], k, matvecs,
+    return end_solve([(sol[:cut], sol[cut:], history)], k,
                      nonfinite=nonfinite, converged=rnorm <= threshold,
                      exhausted=saturated or k >= dim, diagnostics={})[0]
 
@@ -339,6 +345,7 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
     dim = K.nrows
     if D.shape != (dim, 2):
         raise ValueError("starting block shape does not match the operator")
+    cut = _split_point(split, dim)
     cap = min(k_max, dim)
 
     state = block_arnoldi_init(D, cap)
@@ -357,11 +364,9 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
 
     res_sum = norm_d
     k = 0
-    matvecs = 0
     nonfinite = not math.isfinite(norm_d)
     while not nonfinite and res_sum > threshold and k < cap:
         block_arnoldi_step(state, K, reorth=reorth)
-        matvecs += 2
         col = state.columns[k].copy()
         if not np.isfinite(col).all():
             # the QR of step k came from finite columns
@@ -387,8 +392,8 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
     else:
         sol = _block_iterates(state.W, cols, g)
     # a copy per column, so that one report kept alone holds one iterate
-    ends = [(*_split_solution(row.copy(), split), history)
-            for row, history in zip(sol, (hist_b, hist_c))]
-    return end_solve(ends, k, matvecs, nonfinite=nonfinite,
+    ends = [(row[:cut], row[cut:], history)
+            for row, history in zip(map(np.copy, sol), (hist_b, hist_c))]
+    return end_solve(ends, k, nonfinite=nonfinite,
                      converged=res_sum <= threshold, exhausted=2 * k >= dim,
                      diagnostics={"summed_history": np.asarray(hist_sum)})

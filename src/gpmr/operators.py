@@ -38,19 +38,22 @@ class PreconditionerError(RuntimeError):
 
 
 class LinearOperator:
-    """Matrix-free linear map between real coordinate spaces."""
+    """Matrix-free linear map between real coordinate spaces; ``applies``
+    counts the calls of :meth:`apply` that reach the map."""
 
-    __slots__ = ("nrows", "ncols", "_apply")
+    __slots__ = ("nrows", "ncols", "_apply", "applies")
 
     def __init__(self, nrows, ncols, apply):
         self.nrows = int(nrows)
         self.ncols = int(ncols)
         self._apply = apply
+        self.applies = 0
 
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.ncols,):
             raise ValueError(f"operator is {self.nrows}x{self.ncols}, got vector {x.shape}")
+        self.applies += 1
         y = np.asarray(self._apply(x), dtype=np.float64)
         if y.shape != (self.nrows,):
             raise ValueError(
@@ -234,10 +237,6 @@ class PartitionedSystem:
 
     def full_operator(self) -> LinearOperator:
         return LinearOperator(self.order, self.order, self.apply_full)
-
-    def residual_norm(self, x, y) -> float:
-        r = self.rhs_full() - self.apply_full(np.concatenate([x, y]))
-        return float(np.linalg.norm(r))
 
 
 @dataclass(frozen=True)

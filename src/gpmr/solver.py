@@ -57,21 +57,20 @@ def check_stopping_rule(atol: float, rtol: float, k_max: int) -> None:
     check_step_budget("k_max", k_max)
 
 
-def end_solve(ends, k: int, matvecs: int, *, nonfinite: bool, converged: bool,
+def end_solve(ends, k: int, *, nonfinite: bool, converged: bool,
               exhausted: bool, diagnostics: dict) -> tuple:
-    """The reports a solve ends with after ``k`` iterations and
-    ``matvecs`` applies, one per ``(x, y, history)`` in ``ends``, each
-    with its own copy of ``diagnostics`` and all with one status. The
-    first condition that holds decides it: a non-finite residual norm
-    (``nonfinite``), the recurrence residual within the threshold
-    (``converged``), the solver's dimension cap reached or a zero column
-    met (``exhausted``); when none holds, the budget ran out
-    (``max_iterations``)."""
+    """The reports a solve ends with after ``k`` iterations, one per
+    ``(x, y, history)`` in ``ends``, each with its own copy of
+    ``diagnostics`` and all with one status. The first condition that
+    holds decides it: a non-finite residual norm (``nonfinite``), the
+    recurrence residual within the threshold (``converged``), the
+    solver's dimension cap reached or a zero column met (``exhausted``);
+    when none holds, the budget ran out (``max_iterations``)."""
     status = (STATUS_NONFINITE if nonfinite else STATUS_CONVERGED if converged
               else STATUS_EXHAUSTED if exhausted else STATUS_MAX_ITERATIONS)
     return tuple(SolveReport(x=x, y=y, status=status,
                              residual_history=np.asarray(history), iterations=k,
-                             matvec_count=matvecs, diagnostics=dict(diagnostics))
+                             diagnostics=dict(diagnostics))
                  for x, y, history in ends)
 
 
@@ -89,9 +88,8 @@ class SolveReport:
 
     Every field is plain data: arrays the solve computed, numbers and,
     in ``diagnostics``, lists, dicts and arrays of O(k) entries. No
-    solver state (bases, triangles, workspaces) outlives the solve.
-    ``matvec_count`` counts applies of the operators the solver was given:
-    A and B separately for GPMR, K for GMRES and Block-GMRES.
+    solver state (bases, triangles, workspaces) outlives the solve. The
+    operators count their own applies (``LinearOperator.applies``).
     """
 
     x: np.ndarray
@@ -99,7 +97,6 @@ class SolveReport:
     status: str
     residual_history: np.ndarray
     iterations: int
-    matvec_count: int
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -253,13 +250,11 @@ def gpmr_solve(system: PartitionedSystem, atol: float, rtol: float,
     threshold = atol + rtol * rnorm
 
     history = [rnorm]
-    matvecs = 0
     stalled = False
     nonfinite = not math.isfinite(rnorm)
     k = 0
     while not nonfinite and rnorm > threshold and k < cap:
         hessenberg_step(hess, reorth=reorth)
-        matvecs += 2
         col_a, col_b, (c, s) = _qr_update(reflections, lam, mu, hess.Hcols[k],
                                           hess.Fcols[k])
         if col_a[-1] == 0.0 or col_b[-1] == 0.0:
@@ -291,7 +286,7 @@ def gpmr_solve(system: PartitionedSystem, atol: float, rtol: float,
     storage = {"basis": hess.V[:, :k].size + hess.U[:, :k].size, "qp": m + n,
                "t": len(columns), "z": len(columns), "t_z_shared": True,
                "givens": 8 * len(reflections), "r": sum(map(len, columns))}
-    return end_solve([(x, y, history)], k, matvecs, nonfinite=nonfinite,
+    return end_solve([(x, y, history)], k, nonfinite=nonfinite,
                      converged=rnorm <= threshold, exhausted=stalled or k >= min(m, n),
                      diagnostics={"breakdowns": list(hess.breakdown_flags),
                                   "storage": storage})[0]

@@ -73,6 +73,12 @@ def pad_columns(columns, shape):
     return M
 
 
+def residual_norm(system, x, y) -> float:
+    """The true residual norm of the iterate (x, y) of ``system``."""
+    r = system.rhs_full() - system.apply_full(np.concatenate([x, y]))
+    return float(np.linalg.norm(r))
+
+
 def random_block_system(rng, m, n, lam=1.0, mu=1.0, coupling=0.5):
     """Well-conditioned random system in preconditioned form.
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gpmr import (
+    LinearOperator,
     block_arnoldi_init,
     block_arnoldi_step,
     block_gmres_solve,
@@ -77,6 +78,21 @@ def test_gmres_split_places_blocks():
     K = system.full_operator()
     report = gmres_solve(K, system.rhs_full(), 1e-12, 1e-10, 12, split=(7, 5))
     assert report.x.shape == (7,) and report.y.shape == (5,)
+
+
+@pytest.mark.parametrize("solver", ["gmres", "block_gmres"])
+@pytest.mark.parametrize("order, split",
+                         [(2000, (3, 5)), (6, (2.5, 3.5)), (6, (-1, 7)), (6, (2, 2, 2))],
+                         ids=["wrong-sum", "not-integers", "negative", "three-parts"])
+def test_bad_split_is_rejected_before_the_first_apply(solver, order, split):
+    K = LinearOperator(order, order, lambda x: np.arange(1.0, order + 1) * x)
+    D = np.ones((order, 2))
+    with pytest.raises(ValueError, match="split"):
+        if solver == "gmres":
+            gmres_solve(K, D[:, 0], 1e-12, 1e-10, order, split=split)
+        else:
+            block_gmres_solve(K, D, 1e-12, 1e-10, order, split=split)
+    assert K.applies == 0
 
 
 def test_gmres_arnoldi_state_invariants(monkeypatch):

@@ -74,6 +74,10 @@ def test_operator_shape_checks():
     op = identity_operator(3)
     with pytest.raises(ValueError):
         op.apply([1.0, 2.0])
+    # a rejected input never reaches the map, so it is not counted
+    assert op.applies == 0
+    op.apply([1.0, 2.0, 3.0])
+    assert op.applies == 1
 
 
 @pytest.mark.parametrize("length", [2, 4])

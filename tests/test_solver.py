@@ -21,6 +21,7 @@ from conftest import (
     random_block_system,
     replay_gpmr,
     replay_iterate,
+    residual_norm,
     starting_block,
 )
 
@@ -243,7 +244,7 @@ def test_true_residual_meets_documented_slack():
         atol, rtol = 1e-12, 1e-10
         report = gpmr_solve(system, atol, rtol, k_max=40)
         assert report.converged
-        true_res = system.residual_norm(report.x, report.y)
+        true_res = residual_norm(system, report.x, report.y)
         norm_d = np.linalg.norm(system.rhs_full())
         assert true_res <= 10.0 * (atol + rtol * norm_d)
 
@@ -257,7 +258,7 @@ def test_residual_history_matches_recurrence_and_truth():
     assert hist[0] == pytest.approx(norm_d, rel=1e-15)
     for k in range(1, report.iterations + 1):
         rep_k = gpmr_solve(system, 1e-12, 1e-10, k_max=k)
-        true_res = system.residual_norm(rep_k.x, rep_k.y)
+        true_res = residual_norm(system, rep_k.x, rep_k.y)
         assert abs(hist[k] - true_res) <= 1e-8 * norm_d
 
 
@@ -439,11 +440,23 @@ def test_cgs2_history_matches_mgs_history():
         assert np.max(gap) <= 1e-10 * mgs.residual_history[0]
 
 
-def test_matvec_count_is_two_per_iteration():
+@pytest.mark.parametrize("method, per_iteration",
+                         [("gpmr", 1), ("gmres", 1), ("block_gmres", 2)])
+def test_operators_count_a_and_b_applies_per_iteration(method, per_iteration):
     rng = np.random.default_rng(139)
     system, _, _ = random_block_system(rng, 10, 10)
-    report = gpmr_solve(system, 1e-12, 1e-10, k_max=10)
-    assert report.matvec_count == 2 * report.iterations
+    # the build probes A and B once each
+    assert (system.A.applies, system.B.applies) == (1, 1)
+    if method == "gpmr":
+        report = gpmr_solve(system, 1e-12, 1e-10, k_max=10)
+    elif method == "gmres":
+        report = gmres_solve(system.full_operator(), system.rhs_full(), 1e-12, 1e-10, 20)
+    else:
+        report, _ = block_gmres_solve(system.full_operator(), starting_block(system),
+                                      1e-12, 1e-10, 10)
+    assert report.converged and report.iterations > 1
+    applies = per_iteration * report.iterations
+    assert (system.A.applies - 1, system.B.applies - 1) == (applies, applies)
 
 
 def test_storage_report_formulas():
@@ -564,10 +577,10 @@ def test_breakdown_mid_solve_keeps_recurrence_valid():
     norm_d = np.linalg.norm(system.rhs_full())
     for k in range(1, report.iterations + 1):
         rep_k = gpmr_solve(system, 1e-12, 1e-10, k_max=k)
-        gap = abs(report.residual_history[k] - system.residual_norm(rep_k.x, rep_k.y))
+        gap = abs(report.residual_history[k] - residual_norm(system, rep_k.x, rep_k.y))
         assert gap <= 1e-10 * norm_d
     assert report.converged
-    true_res = system.residual_norm(report.x, report.y)
+    true_res = residual_norm(system, report.x, report.y)
     assert true_res <= 10.0 * (1e-12 + 1e-10 * norm_d)
 
 
