@@ -188,6 +188,9 @@ def _qr_in_place(Q: np.ndarray, rank_tol: float = 0.0) -> np.ndarray:
     ``np.linalg.qr``, run on ``Q``'s own storage. Diagonal entries at or
     below ``rank_tol`` flag a rank-deficient remainder: the offending
     basis column and its coefficients are zeroed rather than normalized.
+    When that is the first column, the direction its reflection took is
+    noise, so the second column is normalized on its own instead of
+    against it.
     """
     qr, tau, _, _ = dgeqrf(Q, overwrite_a=1)
     R = np.zeros((2, 2))
@@ -199,10 +202,17 @@ def _qr_in_place(Q: np.ndarray, rank_tol: float = 0.0) -> np.ndarray:
             R[j, :] = -R[j, :]
             Q[:, j] *= -1.0
     if rank_tol > 0.0:
-        for j in range(2):
-            if R[j, j] <= rank_tol:
-                R[j, j:] = 0.0
-                Q[:, j] = 0.0
+        if R[0, 0] <= rank_tol:
+            # the second input column again
+            Q[:, 1] = Q[:, 0] * R[0, 1] + Q[:, 1] * R[1, 1]
+            Q[:, 0] = 0.0
+            R[:] = 0.0
+            R[1, 1] = np.linalg.norm(Q[:, 1])
+            if R[1, 1] > rank_tol:
+                Q[:, 1] /= R[1, 1]
+        if R[1, 1] <= rank_tol:
+            R[1, 1] = 0.0
+            Q[:, 1] = 0.0
     return R
 
 

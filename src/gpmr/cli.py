@@ -8,10 +8,12 @@ the selected solvers with an absolute/relative residual stopping rule
 and report iteration counts, true residuals and timings.
 
 Exit codes: 0 all selected methods converged, 1 unreadable or unusable
-input or an output that cannot be written, 2 singular diagonal
-block, 3 at least one method did not converge, 4 at least one method
-met a non-finite residual norm (status ``nonfinite``, for example after
-an overflow); 4 takes precedence over 3.
+input, invalid settings (among them an infinite tolerance and a NaN or
+infinite ``--lambda`` or ``--mu``) or an output that cannot be written,
+2 singular diagonal block or an argparse usage error (such as
+``--maxiter abc``), 3 at least one method did not converge, 4 at least
+one method met a non-finite residual norm (status ``nonfinite``, for
+example after an overflow); 4 takes precedence over 3.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .operators import (
     PreconditionerError,
     bisect_graph,
     build_preconditioned_system,
+    check_shifts,
     extract_blocks,
     read_permutation,
     recover_solution,
@@ -77,6 +80,7 @@ class ExperimentConfig:
         repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
         if repeated:
             raise ValueError(f"repeated methods: {repeated}")
+        check_shifts(self.lam, self.mu)
         check_stopping_rule(self.atol, self.rtol, self.k_max)
 
 

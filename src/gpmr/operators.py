@@ -14,6 +14,7 @@ cut into blocks are scipy sparse indexing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -184,9 +185,20 @@ def extract_blocks(C: scipy.sparse.csr_array, split: BlockSplit):
     return blocks
 
 
+def check_shifts(lam: float, mu: float) -> None:
+    """Reject a diagonal shift that is infinite or NaN: every solve with it
+    would end ``nonfinite``."""
+    for name, value in (("lam", lam), ("mu", mu)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass
 class PartitionedSystem:
-    """Preconditioned block system (lam, A, B, mu) with right-hand sides b, c."""
+    """Preconditioned block system (lam, A, B, mu) with right-hand sides b, c.
+
+    Any A and B of the right shapes are accepted, zero operators included;
+    only b and c must be nonzero, and lam and mu finite."""
 
     lam: float
     mu: float
@@ -205,14 +217,7 @@ class PartitionedSystem:
             raise ValueError("right-hand side lengths do not match the blocks")
         if not np.any(self.b) or not np.any(self.c):
             raise ValueError("b and c must both be nonzero")
-        # a fixed random probe: a ones vector lies in the null space of nonzero
-        # operators whose rows sum to zero; an overflow counts as nonzero
-        rng = np.random.default_rng(0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            nonzero = (np.any(self.A.apply(rng.standard_normal(n)))
-                       and np.any(self.B.apply(rng.standard_normal(m))))
-        if not nonzero:
-            raise ValueError("A and B must be nonzero operators")
+        check_shifts(self.lam, self.mu)
 
     @property
     def m(self) -> int:

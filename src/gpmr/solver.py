@@ -48,12 +48,15 @@ quiet_nonfinite = np.errstate(over="ignore", invalid="ignore")
 
 
 def check_stopping_rule(atol: float, rtol: float, k_max: int) -> None:
-    """Reject a stopping rule no solve can honour: negative or NaN
-    tolerances, both tolerances zero, or an iteration budget that is not
-    an integer of at least one."""
+    """Reject a stopping rule no solve can honour: negative, NaN or
+    infinite tolerances (an infinite one passes the zero iterate),
+    both tolerances zero, or an iteration budget that is not an integer
+    of at least one."""
     # written so that NaN, which fails every comparison, is rejected
     if not atol >= 0 or not rtol >= 0 or (atol == 0 and rtol == 0):
         raise ValueError("tolerances must be nonnegative and not both zero")
+    if math.isinf(atol) or math.isinf(rtol):
+        raise ValueError("tolerances must be finite")
     check_step_budget("k_max", k_max)
 
 

@@ -19,6 +19,7 @@ from conftest import (
     pad_columns,
     random_block_system,
     record_orthogonalize,
+    residual_norm,
     starting_block,
 )
 
@@ -349,6 +350,21 @@ def test_block_gmres_survives_full_dimension():
     assert np.linalg.norm(sol - direct) <= 1e-8 * np.linalg.norm(direct)
     assert np.isfinite(rep_b.residual_history).all()
     assert np.isfinite(rep_c.residual_history).all()
+
+
+def test_block_gmres_recurrence_residual_describes_the_iterate_at_full_dimension():
+    # with m != n the pairs turn rank-deficient before the dimension cap;
+    # a remainder whose first column is rounding noise must leave the
+    # second column whole, or the summed history stops describing the
+    # returned iterate by more than rounding
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        system, _, _ = random_block_system(rng, 4, 12)
+        rep_b, rep_c = block_gmres_solve(system.full_operator(), starting_block(system),
+                                         1e-300, 1e-300, 16, split=(4, 12))
+        true = residual_norm(system, rep_b.x + rep_c.x, rep_b.y + rep_c.y)
+        recurrence = rep_b.diagnostics["summed_history"][-1]
+        assert true - recurrence <= 1e-13 * np.linalg.norm(system.rhs_full())
 
 
 def coupled_starting_block_case(rows):

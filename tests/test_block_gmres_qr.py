@@ -150,17 +150,23 @@ def test_block_gmres_calls_lstsq_once(monkeypatch):
 
 def numpy_qr_two_columns(block, rank_tol=0.0):
     """Reduced QR with nonnegative diagonal by ``np.linalg.qr``; diagonal
-    entries at or below ``rank_tol`` zero their basis column and row."""
+    entries at or below ``rank_tol`` zero their basis column and row;
+    after a zeroed first column the second input column is normalized
+    alone."""
     Q, R = np.linalg.qr(block)
     for j in range(2):
         if R[j, j] < 0:
             R[j, :] = -R[j, :]
             Q[:, j] = -Q[:, j]
     if rank_tol > 0.0:
-        for j in range(2):
-            if R[j, j] <= rank_tol:
-                R[j, j:] = 0.0
-                Q[:, j] = 0.0
+        if R[0, 0] <= rank_tol:
+            second = Q[:, 0] * R[0, 1] + Q[:, 1] * R[1, 1]
+            norm = np.linalg.norm(second)
+            R = np.array([[0.0, 0.0], [0.0, norm]])
+            Q = np.column_stack([np.zeros(len(second)), second / norm])
+        if R[1, 1] <= rank_tol:
+            R[1, 1] = 0.0
+            Q[:, 1] = 0.0
     return Q, R
 
 
@@ -178,20 +184,25 @@ def same_bits(got, want):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(2, 60), st.sampled_from(["generic", "dependent", "zero"]),
+@given(st.integers(2, 60),
+       st.sampled_from(["generic", "dependent", "zero", "noise first", "zero first"]),
        st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0]),
        st.booleans(), st.integers(0, 2**32 - 1))
 def test_in_place_qr_matches_numpy_bit_for_bit(dim, kind, sign0, sign1,
                                                deflate, seed):
     # the signs of the leading entries set the signs of LAPACK's diagonal;
-    # a dependent or zero second column, with a rank tolerance, takes the
-    # zeroing path
+    # a dependent or zero column, with a rank tolerance, takes the zeroing
+    # path
     rng = np.random.default_rng(seed)
     block = rng.standard_normal((dim, 2)) * 10.0 ** rng.integers(-8, 8)
     if kind == "dependent":
         block[:, 1] = 3.0 * block[:, 0] + 1e-17 * block[:, 1]
     elif kind == "zero":
         block[:, 1] = 0.0
+    elif kind == "noise first":
+        block[:, 0] *= 1e-17
+    elif kind == "zero first":
+        block[:, 0] = 0.0
     block[0, 0] = sign0 * abs(block[0, 0])
     block[0, 1] = sign1 * abs(block[0, 1])
     rank_tol = baselines.BREAKDOWN_RTOL * np.linalg.norm(block) if deflate else 0.0

@@ -193,6 +193,26 @@ def test_nan_tolerance_is_input_error(matrix_file, capsys, flag):
     assert "tolerances must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--atol", "--rtol"])
+def test_infinite_tolerance_is_input_error(matrix_file, capsys, flag):
+    # every residual meets an infinite threshold, the zero iterate's too
+    code = main(["--matrix", str(matrix_file), flag, "inf"])
+    assert code == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: tolerances must be finite\n"
+
+
+@pytest.mark.parametrize("options, name, value", [
+    (["--lambda", "nan"], "lam", "nan"), (["--lambda", "inf"], "lam", "inf"),
+    (["--mu=-inf"], "mu", "-inf"),
+])
+def test_non_finite_shift_is_input_error_before_the_matrix_is_read(
+        tmp_path, capsys, options, name, value):
+    # the matrix does not exist: reading it would be a different error
+    code = main(["--matrix", str(tmp_path / "missing.mtx"), *options])
+    assert code == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"error: {name} must be finite, got {value}\n"
+
+
 def test_repeated_method_is_input_error(matrix_file, capsys):
     # results are keyed by name: a second gpmr run would be reported once
     with pytest.raises(ValueError, match="repeated methods"):

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,14 @@ from gpmr import (
     read_permutation,
     recover_solution,
 )
-from conftest import csr, dense_operator, identity_operator, small_reservoir, starting_block
+from conftest import (
+    csr,
+    dense_operator,
+    identity_operator,
+    residual_norm,
+    small_reservoir,
+    starting_block,
+)
 
 
 def assert_linear(op, rng, rel=1e-12, probes=3):
@@ -89,12 +97,8 @@ def test_operator_output_of_wrong_length_is_named_by_every_solver(length):
         gmres_solve(bad, rhs, 0.0, 1e-10, 3)
     with pytest.raises(ValueError, match=message):
         block_gmres_solve(bad, np.eye(3)[:, :2], 0.0, 1e-10, 3)
-    with pytest.raises(ValueError, match=message):
-        PartitionedSystem(1.0, 1.0, bad, identity_operator(3), rhs, rhs)
-    # swapped in after construction, as a counting wrapper would be
-    system = PartitionedSystem(1.0, 1.0, identity_operator(3),
-                               identity_operator(3), rhs, rhs)
-    system.A = bad
+    # the build applies neither operator, so the first solve names it
+    system = PartitionedSystem(1.0, 1.0, bad, identity_operator(3), rhs, rhs)
     with pytest.raises(ValueError, match=message):
         gpmr_solve(system, 0.0, 1e-10, k_max=3)
 
@@ -402,13 +406,67 @@ def test_preconditioned_solves_match_default_supernode_factors(make):
 
 def test_partitioned_system_rejects_zero_inputs():
     A = dense_operator(np.ones((2, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="b and c must both be nonzero"):
         PartitionedSystem(1.0, 1.0, A, A, np.zeros(2), np.ones(2))
-    zero_op = LinearOperator(2, 2, lambda x: np.zeros(2))
-    with pytest.raises(ValueError):
-        PartitionedSystem(1.0, 1.0, zero_op, A, np.ones(2), np.ones(2))
-    with pytest.raises(ValueError):
-        PartitionedSystem(1.0, 1.0, A, zero_op, np.ones(2), np.ones(2))
+    with pytest.raises(ValueError, match="b and c must both be nonzero"):
+        PartitionedSystem(1.0, 1.0, A, A, np.ones(2), np.zeros(2))
+
+
+@pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (2.0, -1.0)])
+@pytest.mark.parametrize("zero", ["A", "B", "both"])
+def test_zero_coupling_is_a_valid_system_every_solver_solves(zero, lam, mu):
+    # GPMR needs only nonzero b and c: with A = 0 or B = 0, K is block
+    # triangular and nonsingular for these shifts. With A = 0 and lam =
+    # mu = 1 the block Krylov space is rank-deficient from the first
+    # step, which Block-GMRES must handle.
+    rng = np.random.default_rng(23)
+    atol, rtol = 1e-12, 1e-10
+    for _ in range(10):
+        m, n = rng.integers(2, 12, 2)
+        A = np.zeros((m, n)) if zero in ("A", "both") else rng.standard_normal((m, n))
+        B = np.zeros((n, m)) if zero in ("B", "both") else rng.standard_normal((n, m))
+        system = PartitionedSystem(lam, mu, dense_operator(A), dense_operator(B),
+                                   rng.standard_normal(m), rng.standard_normal(n))
+        assert (system.A.applies, system.B.applies) == (0, 0)
+        threshold = atol + rtol * np.linalg.norm(system.rhs_full())
+        gpmr = gpmr_solve(system, atol, rtol, k_max=m + n)
+        gmres = gmres_solve(system.full_operator(), system.rhs_full(), atol, rtol,
+                            m + n, split=(m, n))
+        rep_b, rep_c = block_gmres_solve(system.full_operator(), starting_block(system),
+                                         atol, rtol, m + n, split=(m, n))
+        for report, x, y in ((gpmr, gpmr.x, gpmr.y), (gmres, gmres.x, gmres.y),
+                             (rep_b, rep_b.x + rep_c.x, rep_b.y + rep_c.y)):
+            assert report.status == "converged"
+            assert residual_norm(system, x, y) <= threshold
+
+
+def test_partitioned_system_accepts_an_operator_a_random_probe_misses():
+    # A is rank one, zero exactly on the draw of default_rng(0) that a
+    # probe of A would make, yet A e_0 is nonzero
+    r = np.random.default_rng(0).standard_normal(2)
+    A = LinearOperator(3, 2, lambda x: np.full(3, float(r[1]) * float(x[0])
+                                                  - float(r[0]) * float(x[1])))
+    B = dense_operator(np.ones((2, 3)))
+    assert np.all(A.apply(np.array([1.0, 0.0])) != 0)
+    system = PartitionedSystem(1.0, 1.0, A, B, np.ones(3), np.ones(2))
+    report = gpmr_solve(system, 1e-12, 1e-10, k_max=5)
+    assert report.status == "converged"
+    threshold = 1e-12 + 1e-10 * np.linalg.norm(system.rhs_full())
+    assert residual_norm(system, report.x, report.y) <= threshold
+
+
+@pytest.mark.parametrize("name", ["lam", "mu"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_shift_that_is_not_finite_is_named(name, value):
+    from gpmr.cli import ExperimentConfig
+
+    shifts = {"lam": 1.0, "mu": 1.0, name: value}
+    op = dense_operator(np.ones((2, 2)))
+    message = re.escape(f"{name} must be finite, got {value!r}")
+    with pytest.raises(ValueError, match=message):
+        PartitionedSystem(shifts["lam"], shifts["mu"], op, op, np.ones(2), np.ones(2))
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(matrix_path="x", **shifts)
 
 
 def test_partitioned_system_accepts_rows_summing_to_zero():
