@@ -16,7 +16,6 @@ from .baselines import (
 from .hessenberg import (
     HessenbergState,
     ReductionExhaustedError,
-    hessenberg_init,
     hessenberg_step,
 )
 from .operators import (
@@ -81,7 +80,6 @@ __all__ = [
     "extract_blocks",
     "gmres_solve",
     "gpmr_solve",
-    "hessenberg_init",
     "hessenberg_step",
     "load_matrix_market",
     "parse_matrix_market",

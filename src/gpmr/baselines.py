@@ -25,9 +25,8 @@ entry included, so D's columns need not be orthogonal.
 The Krylov bases (GMRES's vectors, block-Arnoldi's pairs) are the only
 arrays sized by the iteration budget. Everything else a solve keeps
 grows by one entry per iteration in Python lists: GMRES's rotated
-columns and rotations, block-Arnoldi's coefficient column pairs,
-Block-GMRES's QR factors and triangle columns, and the transformed
-right-hand sides.
+columns and rotations, block-Arnoldi's coefficient column pairs (reduced
+in place by Block-GMRES), its QR factors and transformed right-hand sides.
 """
 
 from __future__ import annotations
@@ -167,7 +166,7 @@ class BlockArnoldiState:
     ``W[k + 1]`` before any read, and later pairs are never touched.
     ``columns[j]`` is the (2j+4) x 2 coefficient column pair of step
     j+1: rows 2i:2i+2 couple pair i+1 to it (0-based storage of 1-based
-    math). Only the pairs are sized by k_max.
+    math); Block-GMRES reduces them in place. Only W is sized by k_max.
     """
 
     W: np.ndarray
@@ -308,8 +307,10 @@ def _step_factor(stack: np.ndarray):
 def _block_iterates(W: np.ndarray, cols: list, g):
     """Both columns' minimum-norm iterates, as rows of a (2, dim) array.
 
-    ``cols[j]`` is column pair j of the triangle, rows 0..2j+1, and
-    ``g`` the transformed right-hand side, one two-entry row each. The
+    ``cols[j]`` is the reduced (2j+4) x 2 column pair of step j+1, whose
+    rows 0..2j+1 are column pair j of the triangle (its last two rows
+    are zeros), and ``g`` the transformed right-hand side, one two-entry
+    row each. The
     solutions of the triangle R Z = g[:2k] in the least-squares sense are
     those of the block-Hessenberg problem, so one ``lstsq`` on the
     triangle keeps the minimum-norm rule on a rank-deficient one. The
@@ -319,7 +320,7 @@ def _block_iterates(W: np.ndarray, cols: list, g):
     k = len(cols)
     R = np.zeros((2 * k, 2 * k))
     for j, col in enumerate(cols):
-        R[: 2 * j + 2, 2 * j:2 * j + 2] = col
+        R[: 2 * j + 2, 2 * j:2 * j + 2] = col[: 2 * j + 2]
     Z, *_ = np.linalg.lstsq(R, g[:2 * k], rcond=None)
     return Z.T @ W[:k].transpose(0, 2, 1).reshape(2 * k, -1)
 
@@ -342,10 +343,12 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
     least-squares solution is linear in the right-hand side; on a
     rank-deficient block-Hessenberg matrix it leaves out what the
     singular triangle cannot fit, a rounding-level amount. The iterates
-    come from one least-squares solve on the triangle at the end. A
-    non-finite starting block or block-Hessenberg column ends the solve
-    with ``nonfinite`` and the last iterates computed from finite data
-    (zeros if the starting block is not finite). Returns one report per
+    come from one least-squares solve on the triangle at the end. Each
+    block-Arnoldi column pair is reduced in place, as GMRES rotates its
+    Arnoldi column, so the pairs are kept once. A non-finite starting
+    block or block-Hessenberg column ends the solve with ``nonfinite``
+    and the last iterates computed from finite data (zeros if the
+    starting block is not finite). Returns one report per
     column; each report's diagnostics hold only ``summed_history``, the
     summed residual history. The block-Arnoldi pairs and the QR factors
     are dropped when the solve returns.
@@ -365,7 +368,6 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
     threshold = atol + rtol * norm_d
 
     factors = []  # the transpose of each step's 4x4 orthogonal factor
-    cols = []  # column pairs of S after the accumulated factors
     g = [[g11, g12], [0.0, g22]]  # rows of the transformed right-hand side
 
     hist_b = [abs(g11)]
@@ -377,7 +379,7 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
     nonfinite = not math.isfinite(norm_d)
     while not nonfinite and res_sum > threshold and k < cap:
         block_arnoldi_step(state, K, reorth=reorth)
-        col = state.columns[k].copy()
+        col = state.columns[k]
         if not np.isfinite(col).all():
             # the QR of step k came from finite columns
             nonfinite = True
@@ -387,7 +389,6 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
         Qt, top = _step_factor(col[2 * k:2 * k + 4])
         col[2 * k:2 * k + 4] = top
         factors.append(Qt)
-        cols.append(col[: 2 * k + 2])
         # the two new rows of g start at zero
         g[2 * k:] = (Qt @ (g[2 * k:] + [[0.0, 0.0], [0.0, 0.0]])).tolist()
         k = state.k
@@ -400,7 +401,8 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
     if k == 0:
         sol = np.zeros((2, dim))
     else:
-        sol = _block_iterates(state.W, cols, g)
+        # after a non-finite step the state holds one pair more than k
+        sol = _block_iterates(state.W, state.columns[:k], g)
     # a copy per column, so that one report kept alone holds one iterate
     ends = [(row[:cut], row[cut:], history)
             for row, history in zip(map(np.copy, sol), (hist_b, hist_c))]

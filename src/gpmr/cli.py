@@ -142,6 +142,25 @@ def _load_inputs(cfg: ExperimentConfig):
     return C, split
 
 
+def _rhs_fault(path) -> str | None:
+    """``line N: ...`` for the first line of the rhs file at ``path`` that
+    ``np.loadtxt`` rejects, counted from 1 with blank and comment lines;
+    None if no single line is at fault."""
+    width = first = None
+    with open(path, errors="replace") as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", _LOADTXT_NOTES, UserWarning)
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                size = np.loadtxt([line]).size
+            except ValueError:
+                return f"line {lineno}: {line.strip()!r} is not a row of numbers"
+            if size and width is None:
+                width, first = size, lineno
+            elif size and size != width:
+                return f"line {lineno}: {size} values, but line {first} has {width}"
+    return None
+
+
 def _load_rhs(cfg, m, n, blocks):
     if cfg.rhs_path is None:
         b, c = generate_rhs(*blocks)
@@ -154,7 +173,9 @@ def _load_rhs(cfg, m, n, blocks):
         except OSError as exc:
             raise ExperimentInputError(f"cannot read rhs file: {exc}") from exc
         except ValueError as exc:
-            raise ExperimentInputError(f"bad rhs file: {exc}") from exc
+            # only a failing file is read again, line by line
+            raise ExperimentInputError(
+                f"bad rhs file: {_rhs_fault(cfg.rhs_path) or exc}") from exc
         if values.size != m + n:
             raise ExperimentInputError(
                 f"rhs file has {values.size} values, system order is {m + n}")

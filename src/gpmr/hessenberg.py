@@ -69,6 +69,9 @@ def check_step_budget(name: str, value) -> None:
 class HessenbergState:
     """Running bases and coefficient columns of the reduction process.
 
+    ``capacity``, the steps the state can hold, defaults to min(m, n),
+    where the shorter side of the basis is complete.
+
     Attributes:
         V, U: basis arrays of shape (m, capacity + 1), (n, capacity + 1);
             after k steps columns 0..k are populated and later ones
@@ -84,7 +87,8 @@ class HessenbergState:
             column.
     """
 
-    def __init__(self, A: LinearOperator, B: LinearOperator, b, c, capacity: int):
+    def __init__(self, A: LinearOperator, B: LinearOperator, b, c,
+                 capacity: int | None = None):
         b = np.asarray(b, dtype=np.float64)
         c = np.asarray(c, dtype=np.float64)
         m, n = A.nrows, A.ncols
@@ -96,6 +100,7 @@ class HessenbergState:
         gamma = float(np.linalg.norm(c))
         if beta == 0.0 or gamma == 0.0:
             raise ValueError("starting vectors b and c must both be nonzero")
+        capacity = min(m, n) if capacity is None else capacity
         check_step_budget("capacity", capacity)
         self.A = A
         self.B = B
@@ -119,19 +124,6 @@ class HessenbergState:
     @property
     def n(self) -> int:
         return self.U.shape[0]
-
-
-def hessenberg_init(A: LinearOperator, B: LinearOperator, b, c,
-                    capacity: int | None = None) -> HessenbergState:
-    """Normalize the starting vectors and allocate basis storage.
-
-    ``capacity`` bounds the number of steps the state can hold; it
-    defaults to min(m, n), the point at which the shorter side of the
-    basis is complete.
-    """
-    if capacity is None:
-        capacity = min(A.nrows, A.ncols)
-    return HessenbergState(A, B, b, c, capacity)
 
 
 def _replacement_vector(rows: np.ndarray) -> np.ndarray | None:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.blas import dtpsv
 
-from .hessenberg import check_step_budget, hessenberg_init, hessenberg_step
+from .hessenberg import HessenbergState, check_step_budget, hessenberg_step
 from .operators import PartitionedSystem
 
 STATUS_CONVERGED = "converged"
@@ -234,18 +234,14 @@ def gpmr_solve(system: PartitionedSystem, atol: float, rtol: float,
     iterate whose residual norm was finite (zeros if the initial one is
     not). The solve is nested: the first k iterations of a longer solve
     are those of ``k_max=k``. The diagnostics hold ``breakdowns``, one
-    (v_side, u_side) flag pair per step, and ``storage``, the number of
-    reals of each piece of state the last iteration kept: ``basis``
-    k(m+n), ``qp`` the in-flight pair's m+n, ``t`` and ``z`` 2k (the
-    substitution overwrites t with z, so ``t_z_shared``), ``givens`` 8k
-    and ``r`` k(2k+1), the last two counted off the kept lists.
+    (v_side, u_side) flag pair per step.
     """
     check_stopping_rule(atol, rtol, k_max)
     m, n = system.m, system.n
     lam, mu = float(system.lam), float(system.mu)
     cap = min(k_max, max(m, n))
 
-    hess = hessenberg_init(system.A, system.B, system.b, system.c, capacity=cap)
+    hess = HessenbergState(system.A, system.B, system.b, system.c, capacity=cap)
     reflections = []  # the (c, s) coefficient 4-tuples of each step
     columns = []  # the triangle's packed columns as arrays, two per step
     tbar = [hess.beta, hess.gamma]
@@ -286,10 +282,6 @@ def gpmr_solve(system: PartitionedSystem, atol: float, rtol: float,
         x = hess.V[:, :k] @ z[0::2]
         y = hess.U[:, :k] @ z[1::2]
 
-    storage = {"basis": hess.V[:, :k].size + hess.U[:, :k].size, "qp": m + n,
-               "t": len(columns), "z": len(columns), "t_z_shared": True,
-               "givens": 8 * len(reflections), "r": sum(map(len, columns))}
     return end_solve([(x, y, history)], k, nonfinite=nonfinite,
                      converged=rnorm <= threshold, exhausted=stalled or k >= min(m, n),
-                     diagnostics={"breakdowns": list(hess.breakdown_flags),
-                                  "storage": storage})[0]
+                     diagnostics={"breakdowns": list(hess.breakdown_flags)})[0]

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -50,12 +49,9 @@ class MalformedEntryError(MatrixMarketError):
 class SingularMatrixError(RuntimeError):
     """LU factorization hit a zero pivot; ``column`` is the failing column."""
 
-    def __init__(self, column: int, detail: str = ""):
+    def __init__(self, column: int):
         self.column = column
-        msg = f"singular matrix: zero pivot in column {column}"
-        if detail:
-            msg = f"{msg} ({detail})"
-        super().__init__(msg)
+        super().__init__(f"singular matrix: zero pivot in column {column}")
 
 
 def csr_from_coo(nrows, ncols, rows, cols, values) -> scipy.sparse.csr_array:
@@ -84,8 +80,6 @@ _SUPPORTED_SYMMETRIES = {"general", "symmetric"}
 
 
 def _text_lines(source):
-    if isinstance(source, Path):
-        return source.read_text().splitlines()
     if isinstance(source, bytes):
         return source.decode("utf-8", errors="replace").splitlines()
     if isinstance(source, str):

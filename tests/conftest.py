@@ -15,7 +15,6 @@ from gpmr import (
     LinearOperator,
     PartitionedSystem,
     backward_substitution,
-    hessenberg_init,
     hessenberg_step,
 )
 from gpmr.hessenberg import BREAKDOWN_RTOL
@@ -49,6 +48,17 @@ def small_reservoir(seed=7):
     from workloads import reservoir_matrix
 
     return scipy.sparse.csr_array(reservoir_matrix(seed, grid=(6, 7, 3)))
+
+
+def convection_diffusion(nx, ny, wind=(20.0, 5.0)):
+    """Upwind five-point -lap(u) + w . grad(u) on an nx by ny grid, scaled
+    by h^2: unsymmetric and nonsingular."""
+    def one_dim(n, w):
+        h = 1.0 / (n + 1)
+        return scipy.sparse.diags_array([-1.0 - h * w, 2.0 + h * w, -1.0], offsets=[-1, 0, 1],
+                                        shape=(n, n))
+    return scipy.sparse.csr_array(scipy.sparse.kronsum(one_dim(nx, wind[0]),
+                                                       one_dim(ny, wind[1])))
 
 
 def dense_operator(arr):
@@ -133,7 +143,7 @@ def replay_gpmr(system, steps, reorth=False):
     solve that ran k <= steps iterations on the same system must
     reproduce ``history[:k + 1]`` bit for bit.
     """
-    hess = hessenberg_init(system.A, system.B, system.b, system.c, capacity=steps)
+    hess = HessenbergState(system.A, system.B, system.b, system.c, capacity=steps)
     replay = GpmrReplay(hess, tbar=[hess.beta, hess.gamma])
     history = [math.hypot(hess.beta, hess.gamma)]
     for k in range(1, steps + 1):

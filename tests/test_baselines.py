@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from gpmr import (
+    HessenbergState,
     LinearOperator,
     block_arnoldi_init,
     block_arnoldi_step,
     block_gmres_solve,
     gmres_solve,
     gpmr_solve,
-    hessenberg_init,
     hessenberg_step,
 )
 from conftest import (
@@ -228,7 +228,7 @@ def test_block_arnoldi_matches_reduction_pair():
     K = dense_full_matrix(system, A, B)
     k = 6
 
-    hess = hessenberg_init(dense_operator(A), dense_operator(B),
+    hess = HessenbergState(dense_operator(A), dense_operator(B),
                            system.b, system.c, capacity=k)
     for _ in range(k):
         hessenberg_step(hess)

@@ -349,6 +349,20 @@ def test_rhs_file_with_non_finite_value_is_input_error(matrix_file, tmp_path, ca
     assert "not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, line", [
+    ("1\n2\n\n3\nx1\n", "line 5: 'x1' is not a row of numbers"),
+    ("# note\n1 2\n3\n", "line 3: 1 values, but line 2 has 2"),
+    ("x 1\n2\n", "line 1: 'x 1' is not a row of numbers"),
+], ids=["bad-value", "ragged-row", "bad-first-line"])
+def test_rhs_file_error_names_its_line(matrix_file, tmp_path, capsys, text, line):
+    # numpy's own message counts data rows only, from 0 for a bad value
+    rhs_path = tmp_path / "rhs.txt"
+    rhs_path.write_text(text)
+    code = main(["--matrix", str(matrix_file), "--rhs", str(rhs_path)])
+    assert code == EXIT_INPUT_ERROR
+    assert f"bad rhs file: {line}" in single_error(capsys)
+
+
 def test_custom_regularization_reports_solved_system_residual(matrix_file):
     cfg = ExperimentConfig(matrix_path=str(matrix_file), methods=("gpmr",),
                            lam=1.5, mu=0.5, k_max=40)
@@ -407,6 +421,40 @@ def write_mtx(tmp_path, dense) -> str:
     path = tmp_path / "m.mtx"
     write_general_mtx(path, csr(dense))
     return str(path)
+
+
+UNUSABLE_INPUTS = {
+    "unparsable-entry": "cannot parse matrix file: line 3: unparsable entry '1 1 x'",
+    "non-square": "experiment needs a square matrix",
+    "permutation-order": "permutation covers 3 vertices, matrix has 18",
+    "permutation-directory": "cannot read permutation file",
+    "missing-rhs": "cannot read rhs file",
+}
+
+
+def _bad_input_options(case, tmp_path, matrix_file):
+    if case == "unparsable-entry":
+        path = tmp_path / "bad.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "2 2 2\n1 1 x\n2 2 1.0\n")
+        return ["--matrix", str(path)]
+    if case == "non-square":
+        return ["--matrix", write_mtx(tmp_path, np.ones((2, 3)))]
+    options = ["--matrix", str(matrix_file)]
+    if case == "permutation-order":
+        perm = tmp_path / "short.perm"
+        perm.write_text("1 2\n0\n1\n2\n")
+        return options + ["--partition", str(perm)]
+    if case == "permutation-directory":
+        return options + ["--partition", str(tmp_path)]
+    return options + ["--rhs", str(tmp_path / "absent.txt")]
+
+
+@pytest.mark.parametrize("case", UNUSABLE_INPUTS)
+def test_unusable_input_is_one_error_line(matrix_file, tmp_path, capsys, case):
+    code = main(_bad_input_options(case, tmp_path, matrix_file))
+    assert code == EXIT_INPUT_ERROR
+    assert UNUSABLE_INPUTS[case] in single_error(capsys)
 
 
 def test_one_by_one_matrix_is_input_error(tmp_path, capsys):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from gpmr import (
+    HessenbergState,
     LinearOperator,
     ReductionExhaustedError,
-    hessenberg_init,
     hessenberg_step,
 )
 from gpmr.hessenberg import _replacement_vector, orthogonalize
@@ -14,7 +14,7 @@ from conftest import dense_operator, identity_operator, pad_columns
 
 
 def run_steps(A, B, b, c, k, reorth=False, capacity=None):
-    state = hessenberg_init(dense_operator(A), dense_operator(B), b, c,
+    state = HessenbergState(dense_operator(A), dense_operator(B), b, c,
                             capacity=capacity or k)
     for _ in range(k):
         hessenberg_step(state, reorth=reorth)
@@ -34,7 +34,7 @@ def random_pair(rng, m, n):
 # ---------------------------------------------------------------------------
 
 def test_init_three_four_five():
-    state = hessenberg_init(identity_operator(2), identity_operator(2),
+    state = HessenbergState(identity_operator(2), identity_operator(2),
                             [3.0, 4.0], [1.0, 0.0])
     assert state.beta == 5.0
     assert np.allclose(state.V[:, 0], [0.6, 0.8], rtol=0, atol=1e-15)
@@ -43,7 +43,7 @@ def test_init_three_four_five():
 
 
 def test_init_canonical_vector():
-    state = hessenberg_init(identity_operator(3), identity_operator(3),
+    state = HessenbergState(identity_operator(3), identity_operator(3),
                             [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     assert state.beta == 1.0
     assert np.array_equal(state.V[:, 0], [1.0, 0.0, 0.0])
@@ -53,7 +53,7 @@ def test_init_normalization_oracle():
     rng = np.random.default_rng(41)
     b = rng.standard_normal(9)
     c = rng.standard_normal(9)
-    state = hessenberg_init(identity_operator(9), identity_operator(9), b, c)
+    state = HessenbergState(identity_operator(9), identity_operator(9), b, c)
     assert abs(np.linalg.norm(state.V[:, 0]) - 1.0) <= 1e-15
     assert abs(np.linalg.norm(state.U[:, 0]) - 1.0) <= 1e-15
     assert np.all(np.abs(state.beta * state.V[:, 0] - b) <= 1e-15 * (1 + np.abs(b)))
@@ -62,9 +62,9 @@ def test_init_normalization_oracle():
 def test_init_rejects_zero_vectors():
     I2 = identity_operator(2)
     with pytest.raises(ValueError):
-        hessenberg_init(I2, I2, [0.0, 0.0], [1.0, 0.0])
+        HessenbergState(I2, I2, [0.0, 0.0], [1.0, 0.0])
     with pytest.raises(ValueError):
-        hessenberg_init(I2, I2, [1.0, 0.0], [0.0, 0.0])
+        HessenbergState(I2, I2, [1.0, 0.0], [0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +307,7 @@ def test_nan_product_is_not_a_breakdown():
     # a NaN remainder goes on into the column, where the solve sees it as
     # a non-finite residual; it is not replaced like a vanished one
     nan_op = LinearOperator(3, 3, lambda x: np.full(3, np.nan))
-    state = hessenberg_init(nan_op, identity_operator(3),
+    state = HessenbergState(nan_op, identity_operator(3),
                             [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     with np.errstate(invalid="ignore"):
         hessenberg_step(state)

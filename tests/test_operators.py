@@ -3,7 +3,6 @@ import re
 
 import numpy as np
 import pytest
-import scipy.sparse
 from scipy.sparse.linalg import splu
 
 from gpmr import (
@@ -25,6 +24,7 @@ from gpmr import (
     recover_solution,
 )
 from conftest import (
+    convection_diffusion,
     csr,
     dense_operator,
     identity_operator,
@@ -323,17 +323,6 @@ def test_identity_preconditioner_reproduces_raw_system_bit_exactly():
     rep_raw = gpmr_solve(raw, 1e-12, 1e-10, k_max=m)
     rep_prec = gpmr_solve(prec_sys, 1e-12, 1e-10, k_max=m)
     assert np.array_equal(rep_raw.residual_history, rep_prec.residual_history)
-
-
-def convection_diffusion(nx, ny, wind=(20.0, 5.0)):
-    """Upwind five-point -lap(u) + w . grad(u) on an nx by ny grid, scaled
-    by h^2: unsymmetric and nonsingular."""
-    def one_dim(n, w):
-        h = 1.0 / (n + 1)
-        return scipy.sparse.diags_array([-1.0 - h * w, 2.0 + h * w, -1.0], offsets=[-1, 0, 1],
-                                        shape=(n, n))
-    return scipy.sparse.csr_array(scipy.sparse.kronsum(one_dim(nx, wind[0]),
-                                                       one_dim(ny, wind[1])))
 
 
 def test_preconditioned_solves_match_natural_order_factors():

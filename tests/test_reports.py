@@ -30,7 +30,7 @@ M, N, K_MAX = 3000, 2000, 40
 # entries of its iterate; per iteration, 8 bytes of each of at most two
 # histories and a list slot plus a 56-byte 2-tuple of breakdown flags
 # (80 bytes), rounded up to 128; and a fixed 4 KiB for the report, its
-# dicts, its array headers and its storage counts.
+# dicts and its array headers.
 PER_ITERATION_BYTES = 128
 PER_REPORT_BYTES = 4096
 
@@ -93,14 +93,13 @@ def test_block_gmres_report_kept_alone_retains_one_iterate():
 
 def test_diagnostics_are_plain_data():
     system = sparse_system()
-    keys = {"gpmr": {"breakdowns", "storage"}, "gmres": set(),
+    keys = {"gpmr": {"breakdowns"}, "gmres": set(),
             "block_gmres": {"summed_history"}}
     reports = {name: solve() for name, solve in solvers(system).items()}
     for name, reps in reports.items():
         for report in reps:
             assert set(report.diagnostics) == keys[name]
     diagnostics = reports["gpmr"][0].diagnostics
-    assert all(type(v) in (int, bool) for v in diagnostics["storage"].values())
     assert len(diagnostics["breakdowns"]) == K_MAX
     assert all(type(v) is bool for pair in diagnostics["breakdowns"] for v in pair)
     summed = reports["block_gmres"][0].diagnostics["summed_history"]

@@ -412,12 +412,12 @@ def test_every_solver_rejects_a_budget_that_is_not_an_integer(k_max):
     ("3", "must be an integer, got '3'"), (0, "must be at least 1"),
 ])
 def test_both_processes_reject_storage_that_is_not_a_positive_integer(budget, message):
-    from gpmr import block_arnoldi_init, hessenberg_init
+    from gpmr import HessenbergState, block_arnoldi_init
 
     rng = np.random.default_rng(141)
     system, _, _ = random_block_system(rng, 4, 4)
     with pytest.raises(ValueError, match=re.escape(f"capacity {message}")):
-        hessenberg_init(system.A, system.B, system.b, system.c, capacity=budget)
+        HessenbergState(system.A, system.B, system.b, system.c, capacity=budget)
     with pytest.raises(ValueError, match=re.escape(f"k_max {message}")):
         block_arnoldi_init(starting_block(system), budget)
 
@@ -459,24 +459,6 @@ def test_operators_count_a_and_b_applies_per_iteration(method, per_iteration):
     assert report.converged and report.iterations > 1
     applies = per_iteration * report.iterations
     assert (system.A.applies, system.B.applies) == (applies, applies)
-
-
-def test_storage_report_formulas():
-    rng = np.random.default_rng(149)
-    m, n = 9, 7
-    for k_budget in (1, 2, 3, 5):
-        system, _, _ = random_block_system(rng, m, n, coupling=0.9)
-        report = gpmr_solve(system, 1e-300, 1e-300, k_max=k_budget)
-        k = report.iterations
-        assert k == k_budget
-        report_dict = report.diagnostics["storage"]
-        assert report_dict["basis"] == k * (m + n)
-        assert report_dict["qp"] == m + n
-        assert report_dict["t"] == 2 * k
-        assert report_dict["z"] == 2 * k
-        assert report_dict["t_z_shared"] is True
-        assert report_dict["givens"] == 8 * k
-        assert report_dict["r"] == k * (2 * k + 1)
 
 
 def test_zero_rhs_rejected():

@@ -110,6 +110,19 @@ def test_parse_malformed_header():
         parse_matrix_market("")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("%%MatrixMarket vector coordinate real general\n2 2 0\n", "unsupported object 'vector'"),
+    ("%%MatrixMarket matrix coordinate foo general\n2 2 0\n", "unknown field 'foo'"),
+    ("%%MatrixMarket matrix coordinate real weird\n2 2 0\n", "unknown symmetry 'weird'"),
+    (BANNER + "% only a comment\n\n", "missing size line"),
+    ("%%MatrixMarket matrix coordinate real symmetric\n2 3 0\n",
+     "symmetric matrix must be square"),
+], ids=["object", "field", "symmetry", "size-line", "symmetric-shape"])
+def test_parse_header_errors_name_what_is_wrong(text, message):
+    with pytest.raises(MalformedHeaderError, match=message):
+        parse_matrix_market(text)
+
+
 @pytest.mark.parametrize("size", ["1_0 1_0 1", "10 1_0 1", "2 2 0_1", "3 3 1.0", "+2 2 -1"])
 def test_parse_size_line_takes_plain_decimal_integers(size):
     # Python's int reads "1_0" as 10; the size line takes what entry
