@@ -3,9 +3,13 @@
 The default protocol mirrors the solver benchmarks this package is built
 for: permute an unstructured square matrix into 2x2 block form, build a
 right block-Jacobi preconditioner from the diagonal blocks, generate the
-right-hand side so the exact solution is the vector of ones, then run
-the selected solvers with an absolute/relative residual stopping rule
-and report iteration counts, true residuals and timings.
+right-hand side so the exact solution of the shifted system is the
+vector of ones, then run the selected solvers with an absolute/relative
+residual stopping rule and report iteration counts, true residuals and
+timings. An ``--rhs`` file replaces the generated right-hand side: it is
+read in one pass, ``#`` starts a comment, and every value is a plain
+ASCII number, as the numeric options are. ``main`` prints the table and
+then writes the ``--history`` CSV and the ``--json`` report.
 
 Exit codes: 0 all selected methods converged, 1 unreadable or unusable
 input, invalid settings (among them an infinite tolerance and a NaN or
@@ -22,7 +26,6 @@ import argparse
 import json
 import sys
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,7 +43,7 @@ from .operators import (
     recover_solution,
 )
 from .solver import STATUS_NONFINITE, check_stopping_rule, gpmr_solve
-from .sparse import _LOADTXT_NOTES, MatrixMarketError, load_matrix_market, spmv
+from .sparse import MatrixMarketError, load_matrix_market, spmv
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -65,7 +68,6 @@ class ExperimentConfig:
     atol: float = 1e-12
     rtol: float = 1e-10
     k_max: int = 500
-    history_out: str | None = None
     reorth: bool = False
     rhs_path: str | None = None
 
@@ -86,7 +88,8 @@ class ExperimentConfig:
 
 def generate_rhs(M, A, B, N):
     """Right-hand side pair making the all-ones vector the exact solution
-    of the block system with CSR blocks ``M``, ``A``, ``B`` and ``N``."""
+    of the block system with CSR blocks ``M``, ``A``, ``B`` and ``N``;
+    for shifts lam and mu, pass ``lam * M`` and ``mu * N``."""
     ones_m = np.ones(M.shape[1])
     ones_n = np.ones(N.shape[1])
     b = spmv(M, ones_m) + spmv(A, ones_n)
@@ -94,24 +97,15 @@ def generate_rhs(M, A, B, N):
     return b, c
 
 
-def write_history_csv(histories, target) -> None:
-    """Write per-iteration residual norms as CSV.
-
-    ``histories`` maps method name to its residual-norm sequence; rows
-    are ordered by method (input order) then iteration, values carry 17
-    significant digits so a read-back is bit exact.
-    """
-    if not histories or all(len(h) == 0 for h in histories.values()):
-        raise ValueError("no residual histories to write")
+def history_csv(report: dict) -> str:
+    """The per-iteration residual norms of a report's methods as CSV
+    text: rows ordered by method (run order) then iteration, values with
+    17 significant digits so a read-back is bit exact."""
     lines = ["iteration,method,residual_norm"]
-    for method, history in histories.items():
-        for it, value in enumerate(history):
+    for method, res in report["methods"].items():
+        for it, value in enumerate(res["history"]):
             lines.append(f"{it},{method},{value:.16e}")
-    text = "\n".join(lines) + "\n"
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(text)
-    else:
-        target.write(text)
+    return "\n".join(lines) + "\n"
 
 
 def _load_inputs(cfg: ExperimentConfig):
@@ -142,40 +136,40 @@ def _load_inputs(cfg: ExperimentConfig):
     return C, split
 
 
-def _rhs_fault(path) -> str | None:
-    """``line N: ...`` for the first line of the rhs file at ``path`` that
-    ``np.loadtxt`` rejects, counted from 1 with blank and comment lines;
-    None if no single line is at fault."""
-    width = first = None
-    with open(path, errors="replace") as fh, warnings.catch_warnings():
-        warnings.filterwarnings("ignore", _LOADTXT_NOTES, UserWarning)
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                size = np.loadtxt([line]).size
-            except ValueError:
-                return f"line {lineno}: {line.strip()!r} is not a row of numbers"
-            if size and width is None:
-                width, first = size, lineno
-            elif size and size != width:
-                return f"line {lineno}: {size} values, but line {first} has {width}"
-    return None
+def _read_rhs(path) -> np.ndarray:
+    """The values of an rhs file, rows of equal length read in order. A
+    fault names its line, counted from 1 with blank and comment lines."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ExperimentInputError(f"cannot read rhs file: {exc}") from exc
+    values, width, first = [], None, None
+    # bytes: a comment is never decoded, and a field that is not UTF-8
+    # fails as a UnicodeDecodeError, which is a ValueError
+    for lineno, line in enumerate(data.splitlines(), start=1):
+        try:
+            row = [_float(field.decode()) for field in line.split(b"#", 1)[0].split()]
+        except ValueError as exc:
+            text = line.decode(errors="replace").strip()
+            raise ExperimentInputError(
+                f"bad rhs file: line {lineno}: {text!r} is not a row of numbers") from exc
+        if row and width is None:
+            width, first = len(row), lineno
+        elif row and len(row) != width:
+            raise ExperimentInputError(
+                f"bad rhs file: line {lineno}: {len(row)} values, but line {first} "
+                f"has {width}")
+        values += row
+    return np.array(values, dtype=np.float64)
 
 
 def _load_rhs(cfg, m, n, blocks):
     if cfg.rhs_path is None:
-        b, c = generate_rhs(*blocks)
+        M, A, B, N = blocks
+        b, c = generate_rhs(cfg.lam * M, A, B, cfg.mu * N)
         source, why = "generated right-hand side", ": its rows of the matrix sum to zero"
     else:
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", _LOADTXT_NOTES, UserWarning)
-                values = np.loadtxt(cfg.rhs_path, dtype=np.float64).ravel()
-        except OSError as exc:
-            raise ExperimentInputError(f"cannot read rhs file: {exc}") from exc
-        except ValueError as exc:
-            # only a failing file is read again, line by line
-            raise ExperimentInputError(
-                f"bad rhs file: {_rhs_fault(cfg.rhs_path) or exc}") from exc
+        values = _read_rhs(cfg.rhs_path)
         if values.size != m + n:
             raise ExperimentInputError(
                 f"rhs file has {values.size} values, system order is {m + n}")
@@ -196,27 +190,27 @@ def _run_method(method, system, prec, blocks, b_star, c_star, cfg):
     applies_before = system.A.applies + system.B.applies
     start = time.perf_counter()
     if method == "gpmr":
-        report = gpmr_solve(system, cfg.atol, cfg.rtol, k_max=cfg.k_max,
-                            reorth=cfg.reorth)
-        history = report.residual_history
-        x, y = report.x, report.y
+        reports = [gpmr_solve(system, cfg.atol, cfg.rtol, k_max=cfg.k_max,
+                              reorth=cfg.reorth)]
     elif method == "gmres":
-        report = gmres_solve(system.full_operator(), system.rhs_full(),
-                             cfg.atol, cfg.rtol, cfg.k_max,
-                             reorth=cfg.reorth, split=(m, n))
-        history = report.residual_history
-        x, y = report.x, report.y
+        reports = [gmres_solve(system.full_operator(), system.rhs_full(),
+                               cfg.atol, cfg.rtol, cfg.k_max,
+                               reorth=cfg.reorth, split=(m, n))]
     else:
         D = np.zeros((m + n, 2))
         D[:m, 0] = system.b
         D[m:, 1] = system.c
-        rep_b, rep_c = block_gmres_solve(system.full_operator(), D,
-                                         cfg.atol, cfg.rtol, cfg.k_max,
-                                         reorth=cfg.reorth, split=(m, n))
-        report = rep_b
-        history = rep_b.diagnostics["summed_history"]
-        x, y = rep_b.x + rep_c.x, rep_b.y + rep_c.y
+        reports = block_gmres_solve(system.full_operator(), D,
+                                    cfg.atol, cfg.rtol, cfg.k_max,
+                                    reorth=cfg.reorth, split=(m, n))
     elapsed = time.perf_counter() - start
+    # Block-GMRES solves for b and c apart: the iterate is the sum of its
+    # two reports', the residual history their summed one
+    report = reports[0]
+    history = report.diagnostics.get("summed_history", report.residual_history)
+    x, y = report.x, report.y
+    for other in reports[1:]:
+        x, y = x + other.x, y + other.y
 
     x_star, y_star = recover_solution(prec, x, y)
     # the right preconditioner leaves the residual unchanged, so the raw
@@ -255,11 +249,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     C, split = _load_inputs(cfg)
     blocks = extract_blocks(C, split)
     M, A, B, N = blocks
-    for name, X in (("A", A), ("B", B)):
-        if not np.any(X.data):
-            raise ExperimentInputError(
-                f"off-diagonal block {name} is zero: the partition leaves its "
-                f"two parts uncoupled")
     b_star, c_star = _load_rhs(cfg, split.m, split.n, blocks)
     system, prec = build_preconditioned_system(M, A, B, N, b_star, c_star,
                                                lam=cfg.lam, mu=cfg.mu)
@@ -284,10 +273,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "methods": {r["method"]: r for r in results},
     }
     report["all_converged"] = all(r["converged"] for r in results)
-
-    if cfg.history_out is not None:
-        histories = {r["method"]: r["history"] for r in results}
-        write_history_csv(histories, cfg.history_out)
     return report
 
 
@@ -310,7 +295,9 @@ def format_table(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _json_safe(report: dict) -> dict:
+def _json_text(report: dict) -> str:
+    """The report as JSON text, each method's history and iterate
+    replaced by the history's length."""
     out = dict(report)
     out["methods"] = {}
     for name, res in report["methods"].items():
@@ -318,19 +305,19 @@ def _json_safe(report: dict) -> dict:
                    if k not in ("history", "x_star", "y_star")}
         cleaned["history_length"] = int(len(res["history"]))
         out["methods"][name] = cleaned
-    return out
+    return json.dumps(out, indent=2) + "\n"
 
 
 def _method_list(text: str) -> tuple:
     return tuple(m.strip() for m in text.split(",") if m.strip())
 
 
-def _without_separators(convert):
-    """``convert`` for an option value, rejecting the digit separators
-    Python's ``int`` and ``float`` accept (``1_0`` is 10 to both), so
-    ``1_0`` is the same usage error as ``abc``."""
+def _plain_number(convert):
+    """``convert`` for plain ASCII numbers only: Python's ``int`` and
+    ``float`` also read digit separators and non-ASCII digits (``1_0``
+    and ``١٠`` are 10 to both), which are refused here like ``abc``."""
     def parse(text: str):
-        if "_" in text:
+        if "_" in text or not text.isascii():
             raise ValueError(text)
         return convert(text)
     # argparse names the type in its message: "invalid int value"
@@ -338,14 +325,14 @@ def _without_separators(convert):
     return parse
 
 
-_int = _without_separators(int)
-_float = _without_separators(float)
+_int = _plain_number(int)
+_float = _plain_number(float)
 
 
 def build_parser() -> argparse.ArgumentParser:
     """Command-line parser. Options left out are absent from the parsed
     namespace, so :class:`ExperimentConfig` supplies every default; the
-    dests are its field names, plus ``json``."""
+    dests are its field names, plus ``history`` and ``json``."""
     parser = argparse.ArgumentParser(
         prog="gpmr", argument_default=argparse.SUPPRESS,
         description="Solve a partitioned sparse system with GPMR and baselines.")
@@ -360,8 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--atol", type=_float)
     parser.add_argument("--rtol", type=_float)
     parser.add_argument("--maxiter", dest="k_max", metavar="MAXITER", type=_int)
-    parser.add_argument("--history", dest="history_out", metavar="HISTORY",
-                        help="write residual CSV here")
+    parser.add_argument("--history", help="write residual CSV here")
     parser.add_argument("--reorth", action="store_true",
                         help="reorthogonalize the Krylov bases")
     parser.add_argument("--rhs", dest="rhs_path", metavar="RHS",
@@ -372,7 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     options = vars(build_parser().parse_args(argv))
-    json_path = options.pop("json", None)
+    outputs = [(option, path, text) for option, path, text in (
+        ("--history", options.pop("history", None), history_csv),
+        ("--json", options.pop("json", None), _json_text)) if path is not None]
     try:
         cfg = ExperimentConfig(**options)
     except ValueError as exc:
@@ -380,9 +368,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
     # outputs are written after every solve, so a path that cannot be a
     # file is reported before the first
-    for option, path in (("--history", cfg.history_out), ("--json", json_path)):
-        if path is None:
-            continue
+    for option, path, _ in outputs:
         if Path(path).is_dir() or not Path(path).parent.is_dir():
             why = ("it is a directory" if Path(path).is_dir()
                    else f"no directory {Path(path).parent}")
@@ -397,18 +383,13 @@ def main(argv=None) -> int:
     except PreconditionerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR_BLOCK
-    except OSError as exc:
-        # the reads raise ExperimentInputError, so the history write failed
-        print(f"error: cannot write --history file {cfg.history_out}: {exc}",
-              file=sys.stderr)
-        return EXIT_INPUT_ERROR
 
     print(format_table(report))
-    if json_path is not None:
+    for option, path, text in outputs:
         try:
-            Path(json_path).write_text(json.dumps(_json_safe(report), indent=2) + "\n")
+            Path(path).write_text(text(report))
         except OSError as exc:
-            print(f"error: cannot write --json file {json_path}: {exc}", file=sys.stderr)
+            print(f"error: cannot write {option} file {path}: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
     if any(r["status"] == STATUS_NONFINITE for r in report["methods"].values()):
         return EXIT_NONFINITE

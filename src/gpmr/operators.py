@@ -303,11 +303,12 @@ def read_permutation(source) -> BlockSplit:
 
     Blank lines are skipped. Every number is a plain decimal integer, as
     in :func:`~gpmr.sparse.parse_matrix_market`: digit separators
-    (``1_0``) are rejected. An error names its line, counted from 1 with
+    (``1_0``) are rejected, and so is a line with an undecodable byte,
+    which is read as U+FFFD. An error names its line, counted from 1 with
     blank lines included.
     """
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text()
+        text = Path(source).read_text(encoding="utf-8", errors="replace")
     else:
         text = source.read()
     lines = [(lineno, ln.split()) for lineno, ln in enumerate(text.splitlines(), start=1)

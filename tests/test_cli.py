@@ -1,5 +1,7 @@
-import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -14,9 +16,9 @@ from gpmr.cli import (
     EXIT_SINGULAR_BLOCK,
     ExperimentConfig,
     generate_rhs,
+    history_csv,
     main,
     run_experiment,
-    write_history_csv,
 )
 from conftest import csr, write_general_mtx
 
@@ -82,6 +84,11 @@ def test_two_dim_toy_system(tmp_path):
     assert np.allclose(sols["gpmr"], sols["gmres"], rtol=0, atol=1e-12)
 
 
+def tridiagonal_file(tmp_path) -> str:
+    """A 4x4 tridiagonal system the auto bisection splits 2 + 2."""
+    return write_mtx(tmp_path, 4.0 * np.eye(4) - np.eye(4, k=1) - np.eye(4, k=-1))
+
+
 def test_ones_solution_recovery_end_to_end(matrix_file):
     cfg = ExperimentConfig(matrix_path=str(matrix_file), methods=("gpmr",),
                            k_max=40)
@@ -92,24 +99,34 @@ def test_ones_solution_recovery_end_to_end(matrix_file):
     assert np.max(np.abs(recovered - 1.0)) <= 1e-6
 
 
+def test_generated_rhs_keeps_the_ones_solution_under_shifts(tmp_path):
+    # the generated right-hand side is that of the shifted system, so
+    # lambda and mu leave the exact solution at all ones
+    cfg = ExperimentConfig(matrix_path=tridiagonal_file(tmp_path), lam=2.0, mu=0.5,
+                           methods=("gpmr", "gmres", "block-gmres"))
+    for result in run_experiment(cfg)["methods"].values():
+        assert result["converged"]
+        recovered = np.concatenate([result["x_star"], result["y_star"]])
+        assert np.max(np.abs(recovered - 1.0)) <= 1e-8
+
+
 # ---------------------------------------------------------------------------
 # history CSV
 # ---------------------------------------------------------------------------
 
+def histories_report(histories) -> dict:
+    """The part of a run's report that :func:`history_csv` reads."""
+    return {"methods": {name: {"history": h} for name, h in histories.items()}}
+
+
 def test_history_csv_single_method():
-    buf = io.StringIO()
-    write_history_csv({"gpmr": [1.0, 0.5]}, buf)
-    lines = buf.getvalue().splitlines()
+    lines = history_csv(histories_report({"gpmr": [1.0, 0.5]})).splitlines()
     assert len(lines) == 3
     assert lines[0] == "iteration,method,residual_norm"
 
 
-def read_history_csv(source):
-    """Inverse of :func:`write_history_csv`, for round-trip checks."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text()
-    else:
-        text = source.read()
+def read_history_csv(text):
+    """Inverse of :func:`history_csv`, for round-trip checks."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "iteration,method,residual_norm":
         raise ValueError("unrecognized history file")
@@ -121,9 +138,8 @@ def read_history_csv(source):
 
 
 def test_history_csv_two_methods_row_count_and_order():
-    buf = io.StringIO()
-    write_history_csv({"gpmr": [1.0, 0.5, 0.25], "gmres": [1.0, 0.75]}, buf)
-    lines = buf.getvalue().splitlines()
+    text = history_csv(histories_report({"gpmr": [1.0, 0.5, 0.25], "gmres": [1.0, 0.75]}))
+    lines = text.splitlines()
     assert len(lines) == 1 + 3 + 2
     methods = [ln.split(",")[1] for ln in lines[1:]]
     assert methods == ["gpmr"] * 3 + ["gmres"] * 2
@@ -132,25 +148,16 @@ def test_history_csv_two_methods_row_count_and_order():
 def test_history_csv_round_trip_bit_exact():
     rng = np.random.default_rng(223)
     histories = {"gpmr": rng.random(5), "gmres": rng.random(7)}
-    buf = io.StringIO()
-    write_history_csv(histories, buf)
-    back = read_history_csv(io.StringIO(buf.getvalue()))
+    back = read_history_csv(history_csv(histories_report(histories)))
     for name, values in histories.items():
         assert np.array_equal(back[name], np.asarray(values))
 
 
-def test_history_csv_rejects_empty():
-    with pytest.raises(ValueError):
-        write_history_csv({}, io.StringIO())
-
-
-def test_experiment_history_row_counts(matrix_file, tmp_path):
-    history_path = tmp_path / "hist.csv"
+def test_experiment_history_row_counts(matrix_file):
     cfg = ExperimentConfig(matrix_path=str(matrix_file),
-                           methods=("gpmr", "gmres"), k_max=40,
-                           history_out=str(history_path))
+                           methods=("gpmr", "gmres"), k_max=40)
     report = run_experiment(cfg)
-    back = read_history_csv(history_path)
+    back = read_history_csv(history_csv(report))
     norm_d = None
     for name, result in report["methods"].items():
         assert len(back[name]) == result["iterations"] + 1
@@ -159,15 +166,10 @@ def test_experiment_history_row_counts(matrix_file, tmp_path):
         assert back[name][0] == norm_d  # every method starts from |(b, c)|
 
 
-def test_experiment_is_deterministic(matrix_file, tmp_path):
-    outputs = []
-    for run in range(2):
-        history_path = tmp_path / f"hist{run}.csv"
-        cfg = ExperimentConfig(matrix_path=str(matrix_file),
-                               methods=("gpmr", "gmres", "block-gmres"),
-                               k_max=40, history_out=str(history_path))
-        run_experiment(cfg)
-        outputs.append(history_path.read_bytes())
+def test_experiment_is_deterministic(matrix_file):
+    cfg = ExperimentConfig(matrix_path=str(matrix_file),
+                           methods=("gpmr", "gmres", "block-gmres"), k_max=40)
+    outputs = [history_csv(run_experiment(cfg)) for _ in range(2)]
     assert outputs[0] == outputs[1]
 
 
@@ -296,15 +298,16 @@ def test_json_report_carries_lu_fill(matrix_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("option", ["--lambda", "--mu", "--atol", "--rtol", "--maxiter"])
 def test_digit_separator_in_a_number_is_a_usage_error(matrix_file, capsys, option):
-    # Python's int and float read "1_0" as 10; the options take it as
-    # they take "abc", with the same message
+    # Python's int and float read "1_0" and the Arabic-Indic "١٠" as 10,
+    # and float reads "١e-12" as 1e-12; the options take them as they
+    # take "abc", with the same message
     errors = []
-    for value in ("1_0", "abc"):
+    for value in ("1_0", "١٠", "١e-12", "abc"):
         with pytest.raises(SystemExit) as info:
             main(["--matrix", str(matrix_file), option, value])
         assert info.value.code == 2
         errors.append(capsys.readouterr().err.replace(repr(value), "VALUE"))
-    assert errors[0] == errors[1]
+    assert errors[:-1] == errors[1:]
     assert f"argument {option}: invalid" in errors[0]
 
 
@@ -363,6 +366,23 @@ def test_rhs_file_error_names_its_line(matrix_file, tmp_path, capsys, text, line
     assert f"bad rhs file: {line}" in single_error(capsys)
 
 
+def test_rhs_file_comment_is_never_decoded(tmp_path, capsys):
+    # an undecodable byte or a non-ASCII digit is refused in a value,
+    # but a comment may hold anything, as in a Matrix Market file
+    matrix = tridiagonal_file(tmp_path)
+    rhs_path = tmp_path / "rhs.txt"
+    rhs_path.write_bytes(b"1\n2\n3 # \xff\n4\n")
+    assert main(["--matrix", matrix, "--rhs", str(rhs_path)]) == EXIT_OK
+    capsys.readouterr()
+    for text, shown in ((b"1\n2\n3\xff\n4\n", "3\ufffd"),
+                        ("1\n2\n\u0663\n4\n".encode(), "\u0663")):
+        rhs_path.write_bytes(text)
+        code = main(["--matrix", matrix, "--rhs", str(rhs_path)])
+        assert code == EXIT_INPUT_ERROR
+        assert single_error(capsys) == (
+            f"error: bad rhs file: line 3: {shown!r} is not a row of numbers")
+
+
 def test_custom_regularization_reports_solved_system_residual(matrix_file):
     cfg = ExperimentConfig(matrix_path=str(matrix_file), methods=("gpmr",),
                            lam=1.5, mu=0.5, k_max=40)
@@ -397,12 +417,13 @@ def test_invalid_permutation_is_input_error(matrix_file, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("text,line", [("1_0 1\n0\n", "line 1: expected 'm n'"),
-                                       ("\n6 6\n0\n1\n2_0\n", "line 5: expected one index")])
+@pytest.mark.parametrize("text,line", [(b"1_0 1\n0\n", "line 1: expected 'm n'"),
+                                       (b"\n6 6\n0\n1\n2_0\n", "line 5: expected one index"),
+                                       (b"2 2\n0\n1\xff\n2\n3\n", "line 3: expected one index")])
 def test_permutation_file_with_bad_line_is_input_error(matrix_file, tmp_path, capsys,
                                                        text, line):
     perm = tmp_path / "bad.perm"
-    perm.write_text(text)
+    perm.write_bytes(text)
     code = main(["--matrix", str(matrix_file), "--partition", str(perm)])
     assert code == EXIT_INPUT_ERROR
     assert line in capsys.readouterr().err
@@ -463,10 +484,19 @@ def test_one_by_one_matrix_is_input_error(tmp_path, capsys):
     assert "cannot partition matrix: need at least two vertices" in single_error(capsys)
 
 
-def test_split_without_coupling_is_input_error(tmp_path, capsys):
-    code = main(["--matrix", write_mtx(tmp_path, 2.0 * np.eye(4))])
-    assert code == EXIT_INPUT_ERROR
-    assert "off-diagonal block A is zero" in single_error(capsys)
+def test_split_without_coupling_solves(tmp_path, capsys):
+    # a zero off-diagonal block is a system like any other: both zero
+    # (the auto split of a diagonal matrix), and A zero under an
+    # identity split of a block lower-triangular matrix
+    lower = [[2.0, 0.0, 0.0, 0.0], [1.0, 3.0, 0.0, 0.0],
+             [1.0, 1.0, 2.0, 0.0], [0.0, 1.0, 1.0, 3.0]]
+    perm = tmp_path / "identity.perm"
+    perm.write_text("2 2\n0\n1\n2\n3\n")
+    methods = ["--method", "gpmr,gmres,block-gmres"]
+    for options in (["--matrix", write_mtx(tmp_path, 2.0 * np.eye(4))],
+                    ["--matrix", write_mtx(tmp_path, lower), "--partition", str(perm)]):
+        assert main(options + methods) == EXIT_OK
+    capsys.readouterr()
 
 
 def test_zero_generated_rhs_is_input_error(tmp_path, capsys):
@@ -524,3 +554,22 @@ def test_an_output_write_that_fails_after_the_solves_is_one_error_line(
     assert err.count("\n") == 1
     assert err.startswith(f"error: cannot write {option} file {target}: ")
     assert "Permission denied" in err
+
+
+def test_console_entry_runs_as_a_process(tmp_path):
+    # the command as a user runs it: its own interpreter, real streams
+    import gpmr
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(gpmr.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+    command = [sys.executable, "-m", "gpmr.cli", "--matrix", tridiagonal_file(tmp_path)]
+    done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "gpmr" in done.stdout and "converged" in done.stdout
+    rhs_path = tmp_path / "rhs.txt"
+    rhs_path.write_text("1\nx\n")
+    done = subprocess.run(command + ["--rhs", str(rhs_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_INPUT_ERROR
+    assert done.stdout == ""
+    assert done.stderr == "error: bad rhs file: line 2: 'x' is not a row of numbers\n"
