@@ -1,17 +1,20 @@
 """Minimum-residual solvers for 2x2 block partitioned linear systems.
 
 The package implements GPMR, the orthogonal Hessenberg reduction it is
-built on, GMRES and Block-GMRES baselines, block-Jacobi preconditioning,
+built on, GMRES and Block-GMRES baselines (``solve_partitioned`` runs
+any of the three on a partitioned system), block-Jacobi preconditioning,
 a Matrix Market reader and a command-line harness for convergence
 experiments. Matrices are ``scipy.sparse.csr_array`` throughout;
 ``csr_from_coo``, ``csr_identity`` and ``spmv`` build and apply them.
 """
 
 from .baselines import (
+    METHODS,
     block_arnoldi_init,
     block_arnoldi_step,
     block_gmres_solve,
     gmres_solve,
+    solve_partitioned,
 )
 from .hessenberg import (
     HessenbergState,
@@ -59,6 +62,7 @@ __all__ = [
     "HessenbergState",
     "IndexOutOfRangeError",
     "LinearOperator",
+    "METHODS",
     "MalformedEntryError",
     "MalformedHeaderError",
     "MatrixMarketError",
@@ -85,6 +89,7 @@ __all__ = [
     "parse_matrix_market",
     "read_permutation",
     "recover_solution",
+    "solve_partitioned",
     "sparse_lu",
     "spmv",
 ]

@@ -14,6 +14,9 @@ into the storage of the next pair, where LAPACK ``dgeqrf`` and
 same results bit for bit) factor it in place; the starting block is
 factored the same way in the first pair.
 GMRES's triangle goes through GPMR's BLAS ``dtpsv`` back-substitution.
+:func:`solve_partitioned` runs GPMR or either baseline on one
+partitioned system and returns one report, Block-GMRES's two iterates
+summed.
 Block-GMRES updates a QR factorization of the block-Hessenberg matrix
 one column pair per iteration with 4x4 orthogonal factors, each from one
 ``dgeqrf`` and one ``dorgqr`` call and kept as its transpose, reads its
@@ -40,13 +43,14 @@ from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dgeqrf, dorgqr
 
 from .hessenberg import BREAKDOWN_RTOL, arnoldi_step, check_step_budget
-from .operators import LinearOperator
+from .operators import LinearOperator, PartitionedSystem
 from .solver import (
     SolveReport,
     backward_substitution,
     check_stopping_rule,
     end_solve,
     quiet_nonfinite,
+    gpmr_solve,
     reflection_coefficients,
 )
 
@@ -409,3 +413,46 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
     return end_solve(ends, k, nonfinite=nonfinite,
                      converged=res_sum <= threshold, exhausted=2 * k >= dim,
                      diagnostics={"summed_history": np.asarray(hist_sum)})
+
+
+# ---------------------------------------------------------------------------
+# One entry for the three methods on a partitioned system
+# ---------------------------------------------------------------------------
+
+METHODS = ("gpmr", "gmres", "block-gmres")
+
+
+def solve_partitioned(method: str, system: PartitionedSystem, atol: float,
+                      rtol: float, k_max: int, *, reorth: bool = False) -> SolveReport:
+    """Solve ``system`` with one of :data:`METHODS` and the stopping rule
+    |r_k| <= atol + rtol * |(b, c)|.
+
+    ``gpmr`` is :func:`~gpmr.solver.gpmr_solve`. ``gmres`` solves the
+    full operator for (b, c). ``block-gmres`` is the paper's baseline:
+    Block-GMRES on the two right-hand sides (b, 0) and (0, c), whose two
+    solutions are summed. Its report's x and y are the summed iterate,
+    its history the summed one, its status and iterations those both
+    columns end with, and ``diagnostics["column_histories"]`` the b and
+    the c column's histories, in that order. An unknown method is a
+    ValueError before any apply.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}, expected one of {', '.join(METHODS)}")
+    if method == "gpmr":
+        return gpmr_solve(system, atol, rtol, k_max, reorth=reorth)
+    m, n = system.m, system.n
+    K = system.full_operator()
+    if method == "gmres":
+        return gmres_solve(K, system.rhs_full(), atol, rtol, k_max,
+                           reorth=reorth, split=(m, n))
+    D = np.zeros((m + n, 2))
+    D[:m, 0] = system.b
+    D[m:, 1] = system.c
+    rep_b, rep_c = block_gmres_solve(K, D, atol, rtol, k_max, reorth=reorth,
+                                     split=(m, n))
+    return SolveReport(
+        x=rep_b.x + rep_c.x, y=rep_b.y + rep_c.y, status=rep_b.status,
+        residual_history=rep_b.diagnostics["summed_history"],
+        iterations=rep_b.iterations,
+        diagnostics={"column_histories": [rep_b.residual_history,
+                                          rep_c.residual_history]})

@@ -4,12 +4,15 @@ The default protocol mirrors the solver benchmarks this package is built
 for: permute an unstructured square matrix into 2x2 block form, build a
 right block-Jacobi preconditioner from the diagonal blocks, generate the
 right-hand side so the exact solution of the shifted system is the
-vector of ones, then run the selected solvers with an absolute/relative
-residual stopping rule and report iteration counts, true residuals and
-timings. An ``--rhs`` file replaces the generated right-hand side: it is
-read in one pass, ``#`` starts a comment, and every value is a plain
-ASCII number, as the numeric options are. ``main`` prints the table and
-then writes the ``--history`` CSV and the ``--json`` report.
+vector of ones, then run the selected methods (``gpmr``, ``gmres`` and
+``block-gmres``, each through :func:`gpmr.solve_partitioned`, so that
+Block-GMRES reports the sum of its two columns' solutions) with an
+absolute/relative residual stopping rule and report iteration counts,
+true residuals and timings. An ``--rhs`` file replaces the generated
+right-hand side: it is read in one pass, ``#`` starts a comment, and
+every value is a plain ASCII number, as the numeric options are.
+``main`` prints the table and then writes the ``--history`` CSV and the
+``--json`` report.
 
 Exit codes: 0 all selected methods converged, 1 unreadable or unusable
 input, invalid settings (among them an infinite tolerance and a NaN or
@@ -26,12 +29,12 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .baselines import block_gmres_solve, gmres_solve
+from .baselines import METHODS, solve_partitioned
 from .operators import (
     GraphPartitionError,
     PreconditionerError,
@@ -42,7 +45,7 @@ from .operators import (
     read_permutation,
     recover_solution,
 )
-from .solver import STATUS_NONFINITE, check_stopping_rule, gpmr_solve
+from .solver import STATUS_NONFINITE, check_stopping_rule
 from .sparse import MatrixMarketError, load_matrix_market, spmv
 
 EXIT_OK = 0
@@ -50,8 +53,6 @@ EXIT_INPUT_ERROR = 1
 EXIT_SINGULAR_BLOCK = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_NONFINITE = 4
-
-KNOWN_METHODS = ("gpmr", "gmres", "block-gmres")
 
 
 class ExperimentInputError(Exception):
@@ -75,7 +76,7 @@ class ExperimentConfig:
         self.methods = tuple(self.methods)
         if not self.methods:
             raise ValueError("at least one method must be selected")
-        unknown = [m for m in self.methods if m not in KNOWN_METHODS]
+        unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods: {unknown}")
         # results are keyed by method name, so a repeat would show once
@@ -186,33 +187,12 @@ def _load_rhs(cfg, m, n, blocks):
 
 def _run_method(method, system, prec, blocks, b_star, c_star, cfg):
     M, A, B, N = blocks
-    m, n = system.m, system.n
     applies_before = system.A.applies + system.B.applies
     start = time.perf_counter()
-    if method == "gpmr":
-        reports = [gpmr_solve(system, cfg.atol, cfg.rtol, k_max=cfg.k_max,
-                              reorth=cfg.reorth)]
-    elif method == "gmres":
-        reports = [gmres_solve(system.full_operator(), system.rhs_full(),
-                               cfg.atol, cfg.rtol, cfg.k_max,
-                               reorth=cfg.reorth, split=(m, n))]
-    else:
-        D = np.zeros((m + n, 2))
-        D[:m, 0] = system.b
-        D[m:, 1] = system.c
-        reports = block_gmres_solve(system.full_operator(), D,
-                                    cfg.atol, cfg.rtol, cfg.k_max,
-                                    reorth=cfg.reorth, split=(m, n))
+    report = solve_partitioned(method, system, cfg.atol, cfg.rtol, cfg.k_max,
+                               reorth=cfg.reorth)
     elapsed = time.perf_counter() - start
-    # Block-GMRES solves for b and c apart: the iterate is the sum of its
-    # two reports', the residual history their summed one
-    report = reports[0]
-    history = report.diagnostics.get("summed_history", report.residual_history)
-    x, y = report.x, report.y
-    for other in reports[1:]:
-        x, y = x + other.x, y + other.y
-
-    x_star, y_star = recover_solution(prec, x, y)
+    x_star, y_star = recover_solution(prec, report.x, report.y)
     # the right preconditioner leaves the residual unchanged, so the raw
     # blocks give it on an arithmetic path independent of the solve
     residual = np.concatenate([
@@ -228,7 +208,7 @@ def _run_method(method, system, prec, blocks, b_star, c_star, cfg):
         "true_residual": true_residual,
         "matvec_count": system.A.applies + system.B.applies - applies_before,
         "wall_time": elapsed,
-        "history": np.asarray(history),
+        "history": report.residual_history,
         "x_star": x_star,
         "y_star": y_star,
     }

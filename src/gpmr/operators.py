@@ -23,7 +23,7 @@ import scipy.sparse
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import SuperLU
 
-from .sparse import _DECIMAL_INTEGER, SingularMatrixError, sparse_lu, spmv
+from .sparse import _DECIMAL_INTEGER, SingularMatrixError, _text_lines, sparse_lu, spmv
 
 
 class GraphPartitionError(ValueError):
@@ -301,6 +301,8 @@ def recover_solution(prec: BlockJacobiPreconditioner, x, y):
 def read_permutation(source) -> BlockSplit:
     """Read a split from text: first line ``m n``, then one index per line.
 
+    ``source`` is a path (``str`` or ``Path``) or a text or binary
+    stream; the bytes of a file or a binary stream are decoded as UTF-8.
     Blank lines are skipped. Every number is a plain decimal integer, as
     in :func:`~gpmr.sparse.parse_matrix_market`: digit separators
     (``1_0``) are rejected, and so is a line with an undecodable byte,
@@ -308,10 +310,8 @@ def read_permutation(source) -> BlockSplit:
     blank lines included.
     """
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8", errors="replace")
-    else:
-        text = source.read()
-    lines = [(lineno, ln.split()) for lineno, ln in enumerate(text.splitlines(), start=1)
+        source = Path(source).read_bytes()
+    lines = [(lineno, ln.split()) for lineno, ln in enumerate(_text_lines(source), start=1)
              if ln.strip()]
     if not lines:
         raise ValueError("empty permutation file")

@@ -16,10 +16,10 @@ from gpmr import (
     HessenbergState,
     block_arnoldi_init,
     block_arnoldi_step,
-    block_gmres_solve,
     gmres_solve,
     gpmr_solve,
     hessenberg_step,
+    solve_partitioned,
 )
 from gpmr.cli import ExperimentConfig, run_experiment
 from gpmr.solver import givens, ref
@@ -29,6 +29,7 @@ from conftest import (
     pad_columns,
     random_block_system,
     residual_norm,
+    starting_block,
 )
 
 from test_reports import K_MAX, M, N, peak_bytes, solvers, sparse_system
@@ -129,10 +130,7 @@ def test_criterion_4_block_arnoldi_equivalence():
         for _ in range(k):
             hessenberg_step(hess)
 
-        D = np.zeros((m + n, 2))
-        D[:m, 0] = system.b
-        D[m:, 1] = system.c
-        state = block_arnoldi_init(D, k)
+        state = block_arnoldi_init(starting_block(system), k)
         for _ in range(k):
             block_arnoldi_step(state, dense_operator(K))
         S = pad_columns(state.columns, (2 * k + 2, 2 * k))
@@ -224,21 +222,15 @@ def test_criterion_8_block_gmres_sum_equivalence():
     for _ in range(6):
         m = int(rng.integers(12, 31))
         n = int(rng.integers(12, 30))
-        system, A, B = random_block_system(rng, m, n)
-        K = dense_full_matrix(system, A, B)
-        D = np.zeros((m + n, 2))
-        D[:m, 0] = system.b
-        D[m:, 1] = system.c
-        rep_g = gpmr_solve(system, 1e-12, 1e-10, k_max=m + n)
-        rep_b, _ = block_gmres_solve(dense_operator(K), D, 1e-12, 1e-10,
-                                     m + n, split=(m, n))
+        system, _, _ = random_block_system(rng, m, n)
+        rep_g, rep_b = (solve_partitioned(method, system, 1e-12, 1e-10, m + n)
+                        for method in ("gpmr", "block-gmres"))
         shared = min(rep_g.iterations, rep_b.iterations, 10)
         for k in range(1, shared + 1):
-            rep_gk = gpmr_solve(system, 1e-12, 1e-10, k_max=k)
-            rep_bk, rep_ck = block_gmres_solve(dense_operator(K), D, 1e-12, 1e-10,
-                                               k, split=(m, n))
+            rep_gk, rep_bk = (solve_partitioned(method, system, 1e-12, 1e-10, k)
+                              for method in ("gpmr", "block-gmres"))
             gpmr_vec = np.concatenate([rep_gk.x, rep_gk.y])
-            summed = np.concatenate([rep_bk.x + rep_ck.x, rep_bk.y + rep_ck.y])
+            summed = np.concatenate([rep_bk.x, rep_bk.y])
             gap = np.linalg.norm(summed - gpmr_vec) / max(np.linalg.norm(gpmr_vec),
                                                           1e-30)
             worst = max(worst, gap)

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gpmr import (
+    METHODS,
     HessenbergState,
     LinearOperator,
+    PartitionedSystem,
     block_arnoldi_init,
     block_arnoldi_step,
     block_gmres_solve,
     gmres_solve,
     gpmr_solve,
     hessenberg_step,
+    solve_partitioned,
 )
 from conftest import (
     dense_full_matrix,
@@ -293,19 +298,16 @@ def test_block_gmres_identity_converges_immediately():
 
 def test_block_gmres_summed_matches_gpmr():
     rng = np.random.default_rng(191)
-    system, A, B = random_block_system(rng, 16, 14)
-    K = dense_full_matrix(system, A, B)
+    system, _, _ = random_block_system(rng, 16, 14)
     atol, rtol = 1e-12, 1e-10
-    rep_g = gpmr_solve(system, atol, rtol, k_max=30)
-    rep_b, _ = block_gmres_solve(dense_operator(K), starting_block(system),
-                                 atol, rtol, 30, split=(16, 14))
+    rep_g, rep_b = (solve_partitioned(method, system, atol, rtol, 30)
+                    for method in ("gpmr", "block-gmres"))
     shared = min(rep_g.iterations, rep_b.iterations, 10)
     for k in range(1, shared + 1):
-        rep_gk = gpmr_solve(system, atol, rtol, k_max=k)
-        rep_bk, rep_ck = block_gmres_solve(dense_operator(K), starting_block(system),
-                                           atol, rtol, k, split=(16, 14))
+        rep_gk, rep_bk = (solve_partitioned(method, system, atol, rtol, k)
+                          for method in ("gpmr", "block-gmres"))
         gpmr_vec = np.concatenate([rep_gk.x, rep_gk.y])
-        summed = np.concatenate([rep_bk.x + rep_ck.x, rep_bk.y + rep_ck.y])
+        summed = np.concatenate([rep_bk.x, rep_bk.y])
         norm = max(np.linalg.norm(gpmr_vec), 1e-30)
         assert np.linalg.norm(summed - gpmr_vec) <= 1e-6 * norm
 
@@ -342,14 +344,11 @@ def test_block_gmres_survives_full_dimension():
     # exercising the rank-deficient remainder handling
     rng = np.random.default_rng(197)
     system, A, B = random_block_system(rng, 5, 4, coupling=0.8)
-    K = dense_full_matrix(system, A, B)
-    rep_b, rep_c = block_gmres_solve(dense_operator(K), starting_block(system),
-                                     1e-300, 1e-300, 9, split=(5, 4))
-    sol = np.concatenate([rep_b.x + rep_c.x, rep_b.y + rep_c.y])
-    direct = np.linalg.solve(K, system.rhs_full())
+    report = solve_partitioned("block-gmres", system, 1e-300, 1e-300, 9)
+    sol = np.concatenate([report.x, report.y])
+    direct = np.linalg.solve(dense_full_matrix(system, A, B), system.rhs_full())
     assert np.linalg.norm(sol - direct) <= 1e-8 * np.linalg.norm(direct)
-    assert np.isfinite(rep_b.residual_history).all()
-    assert np.isfinite(rep_c.residual_history).all()
+    assert np.isfinite(report.diagnostics["column_histories"]).all()
 
 
 def test_block_gmres_recurrence_residual_describes_the_iterate_at_full_dimension():
@@ -360,10 +359,9 @@ def test_block_gmres_recurrence_residual_describes_the_iterate_at_full_dimension
     for seed in range(200):
         rng = np.random.default_rng(seed)
         system, _, _ = random_block_system(rng, 4, 12)
-        rep_b, rep_c = block_gmres_solve(system.full_operator(), starting_block(system),
-                                         1e-300, 1e-300, 16, split=(4, 12))
-        true = residual_norm(system, rep_b.x + rep_c.x, rep_b.y + rep_c.y)
-        recurrence = rep_b.diagnostics["summed_history"][-1]
+        report = solve_partitioned("block-gmres", system, 1e-300, 1e-300, 16)
+        true = residual_norm(system, report.x, report.y)
+        recurrence = report.residual_history[-1]
         assert true - recurrence <= 1e-13 * np.linalg.norm(system.rhs_full())
 
 
@@ -409,3 +407,83 @@ def test_block_arnoldi_rejects_a_single_row():
     with pytest.raises(ValueError, match="at least two rows"):
         block_gmres_solve(identity_operator(1), np.array([[1.0, 2.0]]),
                           1e-12, 1e-10, 1)
+
+
+# ---------------------------------------------------------------------------
+# one entry for the three methods
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("reorth", [False, True])
+def test_solve_partitioned_runs_each_solver_on_the_system(reorth):
+    system, _, _ = random_block_system(np.random.default_rng(199), 9, 6)
+    K, split = system.full_operator(), (9, 6)
+    gpmr = gpmr_solve(system, 1e-12, 1e-10, 15, reorth=reorth)
+    gmres = gmres_solve(K, system.rhs_full(), 1e-12, 1e-10, 15, reorth=reorth, split=split)
+    rep_b, rep_c = block_gmres_solve(K, starting_block(system), 1e-12, 1e-10, 15,
+                                     reorth=reorth, split=split)
+    assert (rep_b.status, rep_b.iterations) == (rep_c.status, rep_c.iterations)
+    # Block-GMRES: the two columns' iterates summed, the summed history
+    # and the columns' own histories
+    want = {"gpmr": (gpmr.x, gpmr.y, gpmr.residual_history, gpmr),
+            "gmres": (gmres.x, gmres.y, gmres.residual_history, gmres),
+            "block-gmres": (rep_b.x + rep_c.x, rep_b.y + rep_c.y,
+                            rep_b.diagnostics["summed_history"], rep_b)}
+    for method in METHODS:
+        report = solve_partitioned(method, system, 1e-12, 1e-10, 15, reorth=reorth)
+        x, y, history, solve = want[method]
+        assert np.array_equal(report.x, x) and np.array_equal(report.y, y)
+        assert np.array_equal(report.residual_history, history)
+        assert (report.status, report.iterations) == (solve.status, solve.iterations)
+        assert report.converged
+    assert set(report.diagnostics) == {"column_histories"}
+    got_b, got_c = report.diagnostics["column_histories"]
+    assert np.array_equal(got_b, rep_b.residual_history)
+    assert np.array_equal(got_c, rep_c.residual_history)
+
+
+def test_solve_partitioned_rejects_an_unknown_method_before_any_apply():
+    system, _, _ = random_block_system(np.random.default_rng(199), 4, 3)
+    with pytest.raises(ValueError, match="unknown method 'block_gmres'"):
+        solve_partitioned("block_gmres", system, 1e-12, 1e-10, 5)
+    assert (system.A.applies, system.B.applies) == (0, 0)
+
+
+def generated_pair(rng, m, n, structure):
+    """A (m x n) and B (n x m) of one of the structures the dominance
+    property is drawn over: both full rank, A of rank min(m, n) // 2,
+    A or B zero, or B = A^T."""
+    A = rng.standard_normal((m, n))
+    B = rng.standard_normal((n, m))
+    if structure == "rank-deficient":
+        rank = min(m, n) // 2
+        A = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    elif structure == "A zero":
+        A = np.zeros((m, n))
+    elif structure == "B zero":
+        B = np.zeros((n, m))
+    elif structure == "B = A^T":
+        B = A.T.copy()
+    return A, B
+
+
+SHIFTS = st.sampled_from([0.0, -1.0, 1e-3, 1.0, 1e3])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 15), st.integers(1, 15), SHIFTS, SHIFTS,
+       st.sampled_from(["full rank", "rank-deficient", "A zero", "B zero", "B = A^T"]),
+       st.integers(0, 2**32 - 1))
+def test_gpmr_residual_never_exceeds_gmres_residual(m, n, lam, mu, structure, seed):
+    # GPMR's k-th subspace contains GMRES's k-th Krylov space, so its
+    # minimal residual is no larger, up to rounding relative to |(b, c)|,
+    # at every iteration both solves reach
+    assume(m != n)
+    rng = np.random.default_rng(seed)
+    A, B = generated_pair(rng, m, n, structure)
+    system = PartitionedSystem(lam, mu, dense_operator(A), dense_operator(B),
+                               rng.standard_normal(m), rng.standard_normal(n))
+    gpmr, gmres = (solve_partitioned(method, system, 0.0, 1e-10, m + n)
+                   for method in ("gpmr", "gmres"))
+    shared = min(len(gpmr.residual_history), len(gmres.residual_history))
+    excess = gpmr.residual_history[:shared] - gmres.residual_history[:shared]
+    assert np.all(excess <= 1e-10 * np.linalg.norm(system.rhs_full()))

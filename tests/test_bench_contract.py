@@ -7,7 +7,9 @@ and its ``--trace 1`` run times ``sparse.spmv_us`` by patching
 ``gpmr.solver.backward_substitution`` and
 ``gpmr.baselines.block_arnoldi_step``. It builds the ``reservoir``
 system from a Matrix Market file through the ``gpmr`` command's set-up.
-These tests run those paths on a small pair and a small grid.
+Its ``run_pass`` builds each method's solve by hand, where the ``gpmr``
+command calls ``solve_partitioned``. These tests run those paths on a
+small pair and a small grid, and check that both measure the same solves.
 """
 
 import sys
@@ -21,7 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gpmr.operators  # noqa: E402
 import measure  # noqa: E402
 from conftest import small_reservoir  # noqa: E402
-from gpmr import gpmr_solve, recover_solution  # noqa: E402
+from gpmr import METHODS, gpmr_solve, recover_solution, solve_partitioned  # noqa: E402
 from spans import NullTracer, Tracer  # noqa: E402
 from workloads import WORKLOADS, write_mtx  # noqa: E402
 
@@ -90,6 +92,22 @@ def test_traced_solves_record_the_solver_spans():
     pairs = tr.durations("baselines.block_arnoldi_step", under="baselines.block_gmres_solve")
     assert len(pairs) == res["block_gmres"]["iterations"] > 0
     assert tr.total("baselines.gmres_solve") > 0
+
+
+def test_the_benchmark_solves_as_the_library_entry_does():
+    arrays, _, _ = small_pair()
+    cfg = {"atol": 1e-12, "rtol": 1e-10, "k_max": 50, "setup_repeats": 1}
+    passed = measure.run_pass(cfg, lambda t: measure.setup_krylov(arrays, t), NullTracer())
+    system, _, _ = measure.setup_krylov(arrays, NullTracer())
+    for method in METHODS:
+        applies_before = system.A.applies + system.B.applies
+        report = solve_partitioned(method, system, cfg["atol"], cfg["rtol"], cfg["k_max"])
+        want = passed["results"][method.replace("-", "_")]
+        # krylov has neither preconditioner nor permutation: z is (x, y)
+        assert np.array_equal(np.concatenate([report.x, report.y]), want["z"])
+        assert np.array_equal(report.residual_history, want["history"])
+        assert (report.status, report.iterations) == (want["status"], want["iterations"])
+        assert system.A.applies + system.B.applies - applies_before == want["applies"]
 
 
 def test_reservoir_setup_solves_to_the_ones_vector(tmp_path):

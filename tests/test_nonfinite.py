@@ -3,45 +3,18 @@
 import numpy as np
 import pytest
 
-from gpmr import (
-    LinearOperator,
-    PartitionedSystem,
-    block_gmres_solve,
-    gmres_solve,
-    gpmr_solve,
-)
+from gpmr import METHODS, LinearOperator, solve_partitioned
 from gpmr.cli import EXIT_NONFINITE, main
 from gpmr.solver import STATUS_NONFINITE
 from conftest import (
     csr,
     dense_full_matrix,
-    dense_operator,
     random_block_system,
     write_general_mtx,
 )
 
-METHODS = ("gpmr", "gmres", "block-gmres")
-
 # the solvers report NaN and Inf as a status, never as a numpy warning
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
-
-def solve(method, system, k_max=30):
-    """One solver on the system: (report, history, x, y)."""
-    m, n = system.m, system.n
-    K = system.full_operator()
-    if method == "gpmr":
-        rep = gpmr_solve(system, 1e-12, 1e-10, k_max=k_max)
-        return rep, rep.residual_history, rep.x, rep.y
-    if method == "gmres":
-        rep = gmres_solve(K, system.rhs_full(), 1e-12, 1e-10, k_max, split=(m, n))
-        return rep, rep.residual_history, rep.x, rep.y
-    D = np.zeros((m + n, 2))
-    D[:m, 0] = system.b
-    D[m:, 1] = system.c
-    rep_b, rep_c = block_gmres_solve(K, D, 1e-12, 1e-10, k_max, split=(m, n))
-    return (rep_b, rep_b.diagnostics["summed_history"],
-            rep_b.x + rep_c.x, rep_b.y + rep_c.y)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -49,11 +22,12 @@ def test_nan_in_b_ends_nonfinite_with_zero_iterate(method):
     rng = np.random.default_rng(401)
     system, _, _ = random_block_system(rng, 9, 7)
     system.b[4] = np.nan
-    report, history, x, y = solve(method, system)
+    report = solve_partitioned(method, system, 1e-12, 1e-10, 30)
     assert report.status == STATUS_NONFINITE
     assert report.iterations == 0
+    history = report.residual_history
     assert len(history) == 1 and np.isnan(history[0])
-    assert np.array_equal(x, np.zeros(9)) and np.array_equal(y, np.zeros(7))
+    assert np.array_equal(report.x, np.zeros(9)) and np.array_equal(report.y, np.zeros(7))
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -81,14 +55,16 @@ def test_operator_turning_infinite_keeps_last_finite_iterate(method, first_bad_a
 
     system.A = overflowing(A)
     system.B = overflowing(B)
-    report, history, x, y = solve(method, system)
+    report = solve_partitioned(method, system, 1e-12, 1e-10, 30)
     assert report.status == STATUS_NONFINITE
     assert report.iterations > 0
+    history = report.residual_history
     assert len(history) == report.iterations + 1
     assert np.isfinite(history).all()
-    assert np.isfinite(x).all() and np.isfinite(y).all()
+    xy = np.concatenate([report.x, report.y])
+    assert np.isfinite(xy).all()
     # the kept iterate is the one the last finite norm describes
-    true_res = np.linalg.norm(d - K @ np.concatenate([x, y]))
+    true_res = np.linalg.norm(d - K @ xy)
     assert abs(true_res - history[-1]) <= 1e-10 * np.linalg.norm(d)
 
 

@@ -6,6 +6,7 @@ import pytest
 from scipy.sparse.linalg import splu
 
 from gpmr import (
+    METHODS,
     spmv,
     BlockSplit,
     GraphPartitionError,
@@ -22,6 +23,7 @@ from gpmr import (
     gpmr_solve,
     read_permutation,
     recover_solution,
+    solve_partitioned,
 )
 from conftest import (
     convection_diffusion,
@@ -30,7 +32,6 @@ from conftest import (
     identity_operator,
     residual_norm,
     small_reservoir,
-    starting_block,
 )
 
 
@@ -342,28 +343,30 @@ def test_preconditioned_solves_match_natural_order_factors():
         1.0, 1.0, LinearOperator(system.m, system.n, lambda x: spmv(A, Nlu.solve(x))),
         LinearOperator(system.n, system.m, lambda y: spmv(B, Mlu.solve(y))), b, c)
 
-    def solve_all(sys_):
-        K, split = sys_.full_operator(), (sys_.m, sys_.n)
-        return [gpmr_solve(sys_, 0.0, 1e-10, k_max=200),
-                gmres_solve(K, sys_.rhs_full(), 0.0, 1e-10, 200, split=split),
-                *block_gmres_solve(K, starting_block(sys_), 0.0, 1e-10, 200, split=split)]
-
-    reports = solve_all(system)
-    for got, want in zip(reports, solve_all(natural)):
-        assert got.status == want.status == "converged"
-        assert got.iterations == want.iterations
-        scale = want.residual_history[0]
-        assert np.all(np.abs(got.residual_history - want.residual_history) <= 1e-10 * scale)
+    reports = solve_all_methods(system)
+    assert_same_solves(reports, solve_all_methods(natural))
     # the paper's claim on this case: GPMR needs fewer iterations than GMRES
     assert reports[0].iterations < reports[1].iterations
 
 
 def solve_all_methods(system):
-    """GPMR, GMRES and both Block-GMRES reports of one system."""
-    K, split = system.full_operator(), (system.m, system.n)
-    return [gpmr_solve(system, 0.0, 1e-10, k_max=200),
-            gmres_solve(K, system.rhs_full(), 0.0, 1e-10, 200, split=split),
-            *block_gmres_solve(K, starting_block(system), 0.0, 1e-10, 200, split=split)]
+    """One report per method of :data:`gpmr.METHODS` on the system."""
+    return [solve_partitioned(method, system, 0.0, 1e-10, 200) for method in METHODS]
+
+
+def assert_same_solves(got_reports, want_reports):
+    """Both lists of solves converge, each pair in the same iterations
+    along the same histories (Block-GMRES's column histories included)
+    up to 1e-10 of where each history starts."""
+    for got, want in zip(got_reports, want_reports, strict=True):
+        assert got.status == want.status == "converged"
+        assert got.iterations == want.iterations
+        pairs = zip([got.residual_history, *got.diagnostics.get("column_histories", [])],
+                    [want.residual_history, *want.diagnostics.get("column_histories", [])],
+                    strict=True)
+        for got_history, want_history in pairs:
+            scale = want_history[0]
+            assert np.all(np.abs(got_history - want_history) <= 1e-10 * scale)
 
 
 @pytest.mark.parametrize("make", [lambda: convection_diffusion(24, 20), small_reservoir],
@@ -386,11 +389,7 @@ def test_preconditioned_solves_match_default_supernode_factors(make):
         1.0, 1.0, LinearOperator(system.m, system.n, lambda x: spmv(A, Nlu.solve(x))),
         LinearOperator(system.n, system.m, lambda y: spmv(B, Mlu.solve(y))), b, c)
 
-    for got, want in zip(solve_all_methods(system), solve_all_methods(default)):
-        assert got.status == want.status == "converged"
-        assert got.iterations == want.iterations
-        scale = want.residual_history[0]
-        assert np.all(np.abs(got.residual_history - want.residual_history) <= 1e-10 * scale)
+    assert_same_solves(solve_all_methods(system), solve_all_methods(default))
 
 
 def test_partitioned_system_rejects_zero_inputs():
@@ -418,15 +417,10 @@ def test_zero_coupling_is_a_valid_system_every_solver_solves(zero, lam, mu):
                                    rng.standard_normal(m), rng.standard_normal(n))
         assert (system.A.applies, system.B.applies) == (0, 0)
         threshold = atol + rtol * np.linalg.norm(system.rhs_full())
-        gpmr = gpmr_solve(system, atol, rtol, k_max=m + n)
-        gmres = gmres_solve(system.full_operator(), system.rhs_full(), atol, rtol,
-                            m + n, split=(m, n))
-        rep_b, rep_c = block_gmres_solve(system.full_operator(), starting_block(system),
-                                         atol, rtol, m + n, split=(m, n))
-        for report, x, y in ((gpmr, gpmr.x, gpmr.y), (gmres, gmres.x, gmres.y),
-                             (rep_b, rep_b.x + rep_c.x, rep_b.y + rep_c.y)):
+        for method in METHODS:
+            report = solve_partitioned(method, system, atol, rtol, m + n)
             assert report.status == "converged"
-            assert residual_norm(system, x, y) <= threshold
+            assert residual_norm(system, report.x, report.y) <= threshold
 
 
 def test_partitioned_system_accepts_an_operator_a_random_probe_misses():
@@ -507,6 +501,14 @@ def test_permutation_file_errors_name_the_line(text, message):
     # numbers count the blank lines too
     with pytest.raises(ValueError, match=message):
         read_permutation(io.StringIO(text))
+
+
+def test_permutation_binary_stream_is_decoded_like_a_file():
+    split = read_permutation(io.BytesIO(b"1 1\n0\n1\n"))
+    assert (split.m, split.n) == (1, 1) and np.array_equal(split.perm, [0, 1])
+    # a byte that is not UTF-8 is read as U+FFFD and named by its line
+    with pytest.raises(ValueError, match="line 3: expected one index, got '\ufffd1'"):
+        read_permutation(io.BytesIO(b"1 1\n0\n\xff1\n"))
 
 
 def test_permutation_file_with_blank_lines_and_signs():

@@ -23,12 +23,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gpmr import (
+    METHODS,
     LinearOperator,
     PartitionedSystem,
     backward_substitution,
-    block_gmres_solve,
     gmres_solve,
     gpmr_solve,
+    solve_partitioned,
 )
 from gpmr.solver import givens, reflection_coefficients
 from conftest import (
@@ -38,7 +39,6 @@ from conftest import (
     record_orthogonalize,
     replay_gpmr,
     replay_iterate,
-    starting_block,
 )
 
 
@@ -270,17 +270,12 @@ def poison_empty(monkeypatch):
 
 
 def all_solves(case):
-    """GPMR's report, GMRES's and Block-GMRES's two on the case, each
+    """One report per method of :data:`gpmr.METHODS` on the case, each
     solve on a fresh copy of it (the nonfinite case counts its applies)."""
-    system, atol, rtol, k_max = case()
-    reports = [gpmr_solve(system, atol, rtol, k_max=k_max)]
-    system, atol, rtol, k_max = case()
-    split = (system.m, system.n)
-    reports.append(gmres_solve(system.full_operator(), system.rhs_full(),
-                               atol, rtol, k_max, split=split))
-    system, atol, rtol, k_max = case()
-    reports += block_gmres_solve(system.full_operator(), starting_block(system),
-                                 atol, rtol, k_max, split=split)
+    reports = []
+    for method in METHODS:
+        system, atol, rtol, k_max = case()
+        reports.append(solve_partitioned(method, system, atol, rtol, k_max))
     return reports
 
 
@@ -302,3 +297,6 @@ def test_uninitialized_storage_is_written_before_it_is_read(monkeypatch, case, s
         assert np.array_equal(poisoned.residual_history, want.residual_history)
         assert np.array_equal(poisoned.x, want.x)
         assert np.array_equal(poisoned.y, want.y)
+        for got, expected in zip(poisoned.diagnostics.get("column_histories", []),
+                                 want.diagnostics.get("column_histories", []), strict=True):
+            assert np.array_equal(got, expected)
