@@ -303,11 +303,13 @@ def read_permutation(source) -> BlockSplit:
 
     ``source`` is a path (``str`` or ``Path``) or a text or binary
     stream; the bytes of a file or a binary stream are decoded as UTF-8.
-    Blank lines are skipped. Every number is a plain decimal integer, as
-    in :func:`~gpmr.sparse.parse_matrix_market`: digit separators
-    (``1_0``) are rejected, and so is a line with an undecodable byte,
-    which is read as U+FFFD. An error names its line, counted from 1 with
-    blank lines included.
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, as in
+    :func:`~gpmr.sparse.parse_matrix_market`: a form feed, vertical tab
+    or Unicode line separator is whitespace within its line. Blank lines
+    are skipped. Every number is a plain decimal integer: digit
+    separators (``1_0``) are rejected, and so is a line with an
+    undecodable byte, which is read as U+FFFD. An error names its line,
+    counted from 1 with blank lines included.
     """
     if isinstance(source, (str, Path)):
         source = Path(source).read_bytes()

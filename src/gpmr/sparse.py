@@ -3,7 +3,10 @@
 Every matrix in this package is a ``scipy.sparse.csr_array`` of float64
 values with sorted column indices and explicitly stored zeros kept.
 ``csr_from_coo``, ``csr_identity`` and ``spmv`` build and apply them.
-The Matrix Market reader names the failing line of a bad file. The LU
+The Matrix Market reader streams the entry lines of a file into one
+``np.loadtxt`` pass, with no per-line string kept, and reads a file
+again only when it fails, to name the failing line. Its lines end at
+``\\n``, ``\\r\\n`` or ``\\r``, as :func:`open` breaks them. The LU
 factorization with partial pivoting, ``P M Q = L U``, used to apply
 block-Jacobi preconditioners, is SuperLU's in a minimum-degree column
 order with this package's relative zero-pivot test on top. A block that
@@ -15,6 +18,8 @@ builds a dense copy of a block that factors, and hands back scipy's
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import re
 import warnings
@@ -79,15 +84,37 @@ _SUPPORTED_FIELDS = {"real", "integer", "pattern"}
 _SUPPORTED_SYMMETRIES = {"general", "symmetric"}
 
 
-def _text_lines(source):
-    if isinstance(source, bytes):
-        return source.decode("utf-8", errors="replace").splitlines()
+@contextlib.contextmanager
+def _text_stream(source):
+    """``source`` (str, bytes, or a text or binary stream) as a seekable
+    text stream with universal newlines: lines end at ``\\n``, ``\\r\\n``
+    or ``\\r`` and read back ending in ``\\n``. Bytes are decoded as UTF-8,
+    an undecodable byte read as U+FFFD. A seekable binary stream is read
+    from where it stands and detached afterwards, never closed; a text
+    stream or any other binary stream is read into memory first."""
     if isinstance(source, str):
-        return source.splitlines()
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8", errors="replace")
-    return data.splitlines()
+        yield io.StringIO(source, newline=None)
+        return
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
+    elif isinstance(source.read(0), str):
+        yield io.StringIO(source.read(), newline=None)
+        return
+    elif not (isinstance(source, io.IOBase) and source.seekable()):
+        source = io.BytesIO(source.read())
+    text = io.TextIOWrapper(source, encoding="utf-8", errors="replace", newline=None)
+    try:
+        yield text
+    finally:
+        # a collected wrapper would close the stream it was given
+        text.detach()
+
+
+def _text_lines(source) -> list[str]:
+    """The lines of ``source`` as :func:`_text_stream` breaks them, each
+    ending in ``\\n`` but perhaps the last."""
+    with _text_stream(source) as text:
+        return text.readlines()
 
 
 _ENTRY_DTYPES = {
@@ -104,10 +131,11 @@ _SCAN_BLOCK = 1024
 
 
 def _load_entries(lines, fields, max_rows=None) -> np.ndarray:
-    """The first ``fields`` columns of coordinate entry lines, in one C
-    pass: a structured array of int64 ``row`` and ``col`` and, for three
-    fields, float64 ``val``. Blank lines are skipped and ``%`` starts a
-    comment. A line that does not convert raises ``ValueError``."""
+    """The first ``fields`` columns of coordinate entry lines, a list of
+    them or a text stream, in one C pass: a structured array of int64
+    ``row`` and ``col`` and, for three fields, float64 ``val``. Blank
+    lines are skipped and ``%`` starts a comment. A line that does not
+    convert raises ``ValueError``."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", _LOADTXT_NOTES, UserWarning)
         return np.loadtxt(lines, dtype=_ENTRY_DTYPES[fields], comments="%",
@@ -197,23 +225,37 @@ def parse_matrix_market(source) -> scipy.sparse.csr_array:
     and indices become 0-based. A ``nan`` or ``inf`` value is a
     :class:`MalformedEntryError` naming its line.
 
-    The entry lines are converted in one ``np.loadtxt`` pass and checked
-    as whole arrays; fields past the value are ignored and ``%`` starts a
-    comment. Sizes and indices are plain decimal integers and values plain
-    decimal floats: digit separators (``1_0``) are a malformed size line
-    or entry. Only a file that fails is read again, block by block and
-    then line by line, to name the line that fails.
-    """
-    lines = _text_lines(source)
-    it = iter(enumerate(lines, start=1))
+    Bytes and binary streams are decoded as UTF-8, an undecodable byte
+    read as U+FFFD. Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` and nowhere
+    else: a form feed, vertical tab or Unicode line separator is a
+    character within its line, where it separates fields like a space. A
+    stream is read from where it stands, and line numbers count from
+    there; it is left open. A seekable binary stream is streamed, any
+    other stream read into memory first.
 
-    banner = None
-    for _, raw in it:
-        if raw.strip():
-            banner = raw.strip()
-            break
-    if banner is None:
-        raise MalformedHeaderError("empty input")
+    The entry lines go from the stream into one ``np.loadtxt`` pass and
+    are checked as whole arrays; fields past the value are ignored and
+    ``%`` starts a comment. Sizes and indices are plain decimal integers
+    and values plain decimal floats: digit separators (``1_0``) are a
+    malformed size line or entry. Only a file that fails is read again
+    from just after its size line, block by block and then line by line,
+    to name the line that fails.
+    """
+    with _text_stream(source) as text:
+        return _read_matrix_market(text)
+
+
+def _read_matrix_market(text) -> scipy.sparse.csr_array:
+    """:func:`parse_matrix_market` on a seekable text stream with
+    universal newlines. The header is read with ``readline``, so that the
+    position after the size line can be told and sought back to."""
+    lineno, banner = 0, ""
+    while not banner:
+        raw = text.readline()
+        if not raw:
+            raise MalformedHeaderError("empty input")
+        lineno += 1
+        banner = raw.strip()
     tokens = banner.split()
     if len(tokens) != 5 or not tokens[0].lower().startswith("%%matrixmarket"):
         raise MalformedHeaderError(f"bad banner line: {banner!r}")
@@ -231,20 +273,18 @@ def parse_matrix_market(source) -> scipy.sparse.csr_array:
     if symmetry not in _SUPPORTED_SYMMETRIES:
         raise MalformedHeaderError(f"unknown symmetry {symmetry!r}")
 
-    size_line = None
-    for lineno, raw in it:
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        size_line = (lineno, stripped)
-        break
-    if size_line is None:
-        raise MalformedHeaderError("missing size line")
-    parts = size_line[1].split()
+    size_line = ""
+    while not size_line or size_line.startswith("%"):
+        raw = text.readline()
+        if not raw:
+            raise MalformedHeaderError("missing size line")
+        lineno += 1
+        size_line = raw.strip()
+    parts = size_line.split()
     if len(parts) != 3:
-        raise MalformedHeaderError(f"size line must have three fields: {size_line[1]!r}")
+        raise MalformedHeaderError(f"size line must have three fields: {size_line!r}")
     if not all(_DECIMAL_INTEGER.fullmatch(p) for p in parts):
-        raise MalformedHeaderError(f"non-integer size line: {size_line[1]!r}")
+        raise MalformedHeaderError(f"non-integer size line: {size_line!r}")
     nrows, ncols, nnz = (int(p) for p in parts)
     if nrows < 0 or ncols < 0 or nnz < 0:
         raise MalformedHeaderError("negative dimension in size line")
@@ -252,13 +292,14 @@ def parse_matrix_market(source) -> scipy.sparse.csr_array:
         raise MalformedHeaderError("symmetric matrix must be square")
 
     fields = 2 if field == "pattern" else 3
-    kept = lines[size_line[0]:]
+    body = text.tell()
     try:
-        entries = _load_entries(kept, fields, max_rows=nnz + 1)
+        entries = _load_entries(text, fields, max_rows=nnz + 1)
     except ValueError:
         entries = None
     if entries is None or entries.size != nnz or not _entries_fit(entries, nrows, ncols):
-        _raise_first_bad_entry(kept, size_line[0] + 1, nrows, ncols, nnz, fields)
+        text.seek(body)
+        _raise_first_bad_entry(text.readlines(), lineno + 1, nrows, ncols, nnz, fields)
     rows = entries["row"] - 1
     cols = entries["col"] - 1
     vals = np.ones(nnz) if fields == 2 else entries["val"]
@@ -274,8 +315,10 @@ def parse_matrix_market(source) -> scipy.sparse.csr_array:
 
 
 def load_matrix_market(path) -> scipy.sparse.csr_array:
-    with open(path, "rb") as fh:
-        return parse_matrix_market(fh)
+    """:func:`parse_matrix_market` on the file at ``path``, streamed from
+    the open file."""
+    with open(path, encoding="utf-8", errors="replace", newline=None) as text:
+        return _read_matrix_market(text)
 
 
 # ---------------------------------------------------------------------------

@@ -511,6 +511,29 @@ def test_permutation_binary_stream_is_decoded_like_a_file():
         read_permutation(io.BytesIO(b"1 1\n0\n\xff1\n"))
 
 
+@pytest.mark.parametrize("char", ["\f", "\v", "\u2028"], ids=["ff", "vt", "ls"])
+def test_permutation_lines_break_only_at_line_ends(char):
+    # str.splitlines would also break at these characters; the reader
+    # reads them as whitespace within their line, so the lines after
+    # them keep their numbers, from text and from bytes alike
+    for wrap in (io.StringIO, lambda text: io.BytesIO(text.encode())):
+        split = read_permutation(wrap(f"2{char}2\n0{char}\n{char}1\n2\n3\n"))
+        assert (split.m, split.n) == (2, 2) and np.array_equal(split.perm, [0, 1, 2, 3])
+        with pytest.raises(ValueError, match=r"^line 3: expected one index, got '1 2'$"):
+            read_permutation(wrap(f"2 2\n0\n1{char}2\n3\n"))
+        with pytest.raises(ValueError, match=r"^line 5: index 9 outside 0\.\.3$"):
+            read_permutation(wrap(f"2 2\n0{char}\n1\n\n9\n"))
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_permutation_crlf_and_cr_files_read_as_the_lf_file(end):
+    text = "2 2\n0\n\n1\n2\n3\n"
+    split = read_permutation(io.BytesIO(text.replace("\n", end).encode()))
+    assert np.array_equal(split.perm, [0, 1, 2, 3])
+    with pytest.raises(ValueError, match=r"^line 5: index 9 outside 0\.\.3$"):
+        read_permutation(io.StringIO(text.replace("2\n3", "9\n3").replace("\n", end)))
+
+
 def test_permutation_file_with_blank_lines_and_signs():
     split = read_permutation(io.StringIO("\n2 +2\n\n3\n-0\n  2 \n1\n\n"))
     assert (split.m, split.n) == (2, 2)

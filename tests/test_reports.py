@@ -7,6 +7,8 @@ report plus O(k) per report for the histories and the per-step flags.
 It also measures the peak a solve allocates while it runs: only the
 Krylov bases are sized by the iteration budget, so a short solve at a
 large budget peaks at its bases plus a small, budget-free remainder.
+The Matrix Market reader likewise peaks at the arrays it must hold,
+with no Python string kept per line of the file.
 """
 
 import gc
@@ -21,6 +23,7 @@ from gpmr import (
     block_gmres_solve,
     gmres_solve,
     gpmr_solve,
+    load_matrix_market,
 )
 from conftest import starting_block
 
@@ -146,3 +149,31 @@ def test_only_the_krylov_bases_are_sized_by_the_budget():
         peak, report = peak_bytes(solve)
         assert report.converged and report.iterations < 50, name
         assert peak <= bases + 2**20, (name, peak, bases)
+
+
+# The Matrix Market reader's allowance per entry, from the arrays it must
+# hold at once: loadtxt's structured result of int64 row and column and
+# a float64 value (24 bytes; it is sized for the declared count plus one
+# and grows by reallocation, never by a second copy), the 0-based int64
+# row and column copies (16; the values stay a view), and the COO-to-CSR
+# conversion's int32 copies of both index arrays (8), contiguous copy of
+# the strided values (8) and the CSR's int32 indices and float64 values
+# (12). The fixed allowance covers read buffers, the header lines and the
+# CSR's row pointer.
+READER_BYTES_PER_ENTRY = 24 + 16 + 8 + 8 + 12
+READER_FIXED_BYTES = 2**20
+
+
+def test_the_matrix_market_reader_holds_no_string_per_line(tmp_path):
+    n, per_row = 10_000, 10
+    rows = np.repeat(np.arange(1, n + 1), per_row)
+    cols = (rows + np.tile(97 * np.arange(per_row), n)) % n + 1  # distinct per row
+    vals = np.random.default_rng(5).standard_normal(rows.size)
+    path = tmp_path / "generated.mtx"
+    with open(path, "w") as fh:
+        fh.write(f"%%MatrixMarket matrix coordinate real general\n{n} {n} {rows.size}\n")
+        np.savetxt(fh, np.column_stack([rows, cols, vals]), fmt=["%d", "%d", "%.17g"])
+    peak, C = peak_bytes(lambda: (load_matrix_market(path),))
+    assert C.nnz == rows.size
+    bound = READER_BYTES_PER_ENTRY * rows.size + READER_FIXED_BYTES
+    assert peak <= bound, (peak, bound)

@@ -1,6 +1,10 @@
+import gc
 import io
+import os
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from gpmr import (
     IndexOutOfRangeError,
     MalformedEntryError,
     MalformedHeaderError,
+    MatrixMarketError,
     PreconditionerError,
     SingularMatrixError,
     UnsupportedFormatError,
@@ -23,10 +28,12 @@ from gpmr import (
     csr_from_coo,
     csr_identity,
     extract_blocks,
+    load_matrix_market,
     parse_matrix_market,
     sparse_lu,
     spmv,
 )
+import gpmr.sparse
 from gpmr.sparse import _dense_singular_column, _weak_pivots
 from conftest import csr, small_reservoir, stored_entries, write_general_mtx
 
@@ -392,6 +399,172 @@ def test_parse_matches_scipy_mmread_on_symmetric_and_pattern_files(tmp_path):
         parsed = parse_matrix_market(text)
         assert same_csr(parsed, oracle_csr(path)), name
         assert parsed.data.dtype == np.float64
+
+
+# ---------------------------------------------------------------------------
+# sources, line ends and file handling
+# ---------------------------------------------------------------------------
+
+def outcome(read, source):
+    """What ``read(source)`` gives: the shape and the bytes of ``indptr``,
+    ``indices`` and ``data``, or the class and message of its error."""
+    try:
+        M = read(source)
+    except MatrixMarketError as exc:
+        return type(exc), str(exc)
+    return M.shape, M.indptr.tobytes(), M.indices.tobytes(), M.data.tobytes()
+
+
+def file_outcomes(text, path):
+    """:func:`outcome` of ``text`` parsed as a str and loaded from
+    ``path`` as its UTF-8 bytes; the two must agree."""
+    path.write_bytes(text.encode())
+    parsed = outcome(parse_matrix_market, text)
+    assert outcome(load_matrix_market, path) == parsed
+    return parsed
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_files_read_as_the_lf_file(end, tmp_path):
+    path = tmp_path / "m.mtx"
+    texts = [entry_file("2 2 2.0"), entry_file("2 x 1.0"), entry_file("2 2 2.0", nnz=1),
+             long_entry_file("51 1 1.0")[0], long_entry_file("% no entry", extra=-1)[0]]
+    for text in texts:
+        assert file_outcomes(text.replace("\n", end), path) == file_outcomes(text, path)
+    assert file_outcomes(texts[1].replace("\n", end), path) == (
+        MalformedEntryError, "line 8: unparsable entry '2 x 1.0'")
+
+
+@pytest.mark.parametrize("char", ["\f", "\v", "\u2028"], ids=["ff", "vt", "ls"])
+@pytest.mark.parametrize("line, message", [
+    ("2 2{}2.0", None),
+    ("{}2 2 2.0{}", None),
+    ("2 2 2.0{}% note", None),
+    ("2{}2", "line 8: expected 3 fields, got 2"),
+    ("2 2 nan{}", "line 8: non-finite value 'nan'"),
+    ("2 2{}4.0{}9", None),
+])
+def test_only_line_ends_break_an_entry_line(char, line, message, tmp_path):
+    # str.splitlines would also break at these characters; the reader
+    # does not, so the line that holds one is judged whole by the
+    # streamed pass and by the scan of a failing file alike, and the
+    # lines after it keep their numbers
+    path = tmp_path / "m.mtx"
+    good = entry_file(line.replace("{}", char))
+    later_bad = good.replace("3 3 1.0\n", "3 x 1.0\n")
+    if message is None:
+        shape, *_ = file_outcomes(good, path)
+        assert shape == (3, 3)
+        message = "line 9: unparsable entry '3 x 1.0'"
+    else:
+        assert file_outcomes(good, path) == (MalformedEntryError, message)
+    assert file_outcomes(later_bad, path) == (MalformedEntryError, message)
+
+
+@st.composite
+def matrix_market_files(draw):
+    """A valid coordinate file: any supported field and symmetry,
+    duplicates, comment and blank lines between entries, and one kind of
+    line end throughout."""
+    field = draw(st.sampled_from(["real", "integer", "pattern"]))
+    symmetry = draw(st.sampled_from(["general", "symmetric"]))
+    m = draw(st.integers(1, 6))
+    n = m if symmetry == "symmetric" else draw(st.integers(1, 6))
+    value = {"real": st.floats(allow_nan=False, allow_infinity=False).map(repr),
+             "integer": st.integers(-1000, 1000).map(str),
+             "pattern": st.just("")}[field]
+    entries = draw(st.lists(st.tuples(st.integers(1, m), st.integers(1, n), value),
+                            max_size=20))
+    filler = st.lists(st.sampled_from(["", "   ", "% note"]), max_size=1)
+    lines = [f"%%MatrixMarket matrix coordinate {field} {symmetry}", "% comment",
+             f"{m} {n} {len(entries)}"]
+    for i, j, v in entries:
+        lines += [f"{i} {j} {v}"] + draw(filler)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + end
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_market_files())
+def test_every_source_of_a_valid_file_gives_the_same_csr(text):
+    data = text.encode()
+    expected = parse_matrix_market(text)
+    parsed = [parse_matrix_market(data), parse_matrix_market(io.StringIO(text)),
+              parse_matrix_market(io.BytesIO(data))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.mtx"
+        path.write_bytes(data)
+        parsed.append(load_matrix_market(path))
+    read_end, write_end = os.pipe()
+    pipe = os.fdopen(read_end, "rb")
+    try:
+        # a few hundred bytes: the pipe holds them all before they are read
+        with os.fdopen(write_end, "wb") as writer:
+            writer.write(data)
+        assert not pipe.seekable()
+        parsed.append(parse_matrix_market(pipe))
+    finally:
+        pipe.close()
+    assert all(same_csr(M, expected) for M in parsed)
+
+
+def test_parse_leaves_a_stream_it_was_given_open(tmp_path):
+    for text in (entry_file("2 2 2.0"), entry_file("2 x 1.0")):
+        data = text.encode()
+        path = tmp_path / "m.mtx"
+        path.write_bytes(data)
+        with open(path, "rb") as fh:
+            for stream in (io.BytesIO(data), fh):
+                try:
+                    parse_matrix_market(stream)
+                except MalformedEntryError:
+                    pass
+                gc.collect()
+                assert not stream.closed
+                stream.seek(0)
+                assert stream.read() == data
+
+
+def test_parse_reads_a_stream_from_where_it_stands(tmp_path):
+    # the lines before the stream's position are not part of the file,
+    # and line numbers count from that position
+    prefix = "not a matrix\n% nor this\n"
+    path = tmp_path / "m.mtx"
+    for bad in ("2 2 2.0", "2 x 1.0"):
+        expected = outcome(parse_matrix_market, entry_file(bad))
+        path.write_text(prefix + entry_file(bad))
+        with open(path, "rb") as fh:
+            for stream in (io.StringIO(path.read_text()), io.BytesIO(path.read_bytes()), fh):
+                stream.read(len(prefix))
+                assert outcome(parse_matrix_market, stream) == expected
+    assert expected == (MalformedEntryError, "line 8: unparsable entry '2 x 1.0'")
+
+
+def test_load_closes_its_file_whatever_the_outcome(tmp_path, monkeypatch):
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(gpmr.sparse, "open", recording_open, raising=False)
+    bad_deep, lineno = long_entry_file("51 1 1.0")
+    path = tmp_path / "m.mtx"
+    for text, expected in [
+        (entry_file("2 2 2.0"), None),
+        ("%%MatrixMarket vector coordinate real general\n2 2 0\n",
+         (MalformedHeaderError, "unsupported object 'vector'")),
+        (entry_file("2 x 1.0"), (MalformedEntryError, "line 8: unparsable entry '2 x 1.0'")),
+        # the scan of a failing file re-reads it through the same handle
+        (bad_deep, (IndexOutOfRangeError, f"line {lineno}: entry (51, 1) outside 50 x 50")),
+    ]:
+        path.write_text(text)
+        got = outcome(load_matrix_market, path)
+        if expected is None:
+            assert got[0] == (3, 3)
+        else:
+            assert got == expected
+        assert len(opened) == 1 and opened.pop().closed
 
 
 # ---------------------------------------------------------------------------
