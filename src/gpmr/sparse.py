@@ -18,7 +18,6 @@ builds a dense copy of a block that factors, and hands back scipy's
 
 from __future__ import annotations
 
-import contextlib
 import io
 import math
 import re
@@ -84,37 +83,21 @@ _SUPPORTED_FIELDS = {"real", "integer", "pattern"}
 _SUPPORTED_SYMMETRIES = {"general", "symmetric"}
 
 
-@contextlib.contextmanager
-def _text_stream(source):
-    """``source`` (str, bytes, or a text or binary stream) as a seekable
-    text stream with universal newlines: lines end at ``\\n``, ``\\r\\n``
-    or ``\\r`` and read back ending in ``\\n``. Bytes are decoded as UTF-8,
-    an undecodable byte read as U+FFFD. A seekable binary stream is read
-    from where it stands and detached afterwards, never closed; a text
-    stream or any other binary stream is read into memory first."""
-    if isinstance(source, str):
-        yield io.StringIO(source, newline=None)
-        return
-    if isinstance(source, bytes):
-        source = io.BytesIO(source)
-    elif isinstance(source.read(0), str):
-        yield io.StringIO(source.read(), newline=None)
-        return
-    elif not (isinstance(source, io.IOBase) and source.seekable()):
-        source = io.BytesIO(source.read())
-    text = io.TextIOWrapper(source, encoding="utf-8", errors="replace", newline=None)
-    try:
-        yield text
-    finally:
-        # a collected wrapper would close the stream it was given
-        text.detach()
+def _text_stream(source) -> io.StringIO:
+    """``source`` (str, bytes, or a text or binary stream read from where
+    it stands) in memory as a text stream with universal newlines: lines
+    end at ``\\n``, ``\\r\\n`` or ``\\r`` and read back ending in ``\\n``.
+    Bytes are decoded as UTF-8, an undecodable byte read as U+FFFD."""
+    data = source if isinstance(source, (str, bytes)) else source.read()
+    if isinstance(data, bytes):
+        data = data.decode("utf-8", errors="replace")
+    return io.StringIO(data, newline=None)
 
 
 def _text_lines(source) -> list[str]:
     """The lines of ``source`` as :func:`_text_stream` breaks them, each
     ending in ``\\n`` but perhaps the last."""
-    with _text_stream(source) as text:
-        return text.readlines()
+    return _text_stream(source).readlines()
 
 
 _ENTRY_DTYPES = {
@@ -230,8 +213,8 @@ def parse_matrix_market(source) -> scipy.sparse.csr_array:
     else: a form feed, vertical tab or Unicode line separator is a
     character within its line, where it separates fields like a space. A
     stream is read from where it stands, and line numbers count from
-    there; it is left open. A seekable binary stream is streamed, any
-    other stream read into memory first.
+    there; it is left open. The source is read into memory whole;
+    :func:`load_matrix_market` streams its file instead.
 
     The entry lines go from the stream into one ``np.loadtxt`` pass and
     are checked as whole arrays; fields past the value are ignored and
@@ -241,8 +224,7 @@ def parse_matrix_market(source) -> scipy.sparse.csr_array:
     from just after its size line, block by block and then line by line,
     to name the line that fails.
     """
-    with _text_stream(source) as text:
-        return _read_matrix_market(text)
+    return _read_matrix_market(_text_stream(source))
 
 
 def _read_matrix_market(text) -> scipy.sparse.csr_array:
