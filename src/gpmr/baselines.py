@@ -12,18 +12,17 @@ calls per stored pair. Each remainder is copied once, columns reversed,
 into the storage of the next pair, where LAPACK ``dgeqrf`` and
 ``dorgqr`` (the Householder routines behind ``np.linalg.qr``, with the
 same results bit for bit) factor it in place; the starting block is
-factored the same way in the first pair.
-GMRES's triangle goes through GPMR's BLAS ``dtpsv`` back-substitution.
-:func:`solve_partitioned` runs GPMR or either baseline on one
-partitioned system and returns one report, Block-GMRES's two iterates
-summed.
+factored the same way in the first pair. :func:`solve_partitioned` runs
+GPMR or either baseline on one partitioned system and returns one
+report, Block-GMRES's two iterates summed.
 Block-GMRES updates a QR factorization of the block-Hessenberg matrix
 one column pair per iteration with 4x4 orthogonal factors, each from one
-``dgeqrf`` and one ``dorgqr`` call and kept as its transpose, reads its
-residual norms off the transformed right-hand side and solves for its
-iterates once, at the end. Both columns' targets come from the whole
-2x2 factor Gamma of the starting block, D = w_1 Gamma, off-diagonal
-entry included, so D's columns need not be orthogonal.
+``dgeqrf`` and one ``dorgqr`` call and kept as its transpose, and reads
+its residual norms off the transformed right-hand side. Both columns'
+targets come from the whole 2x2 factor Gamma of the starting block, D =
+w_1 Gamma, off-diagonal entry included, so D's columns need not be
+orthogonal. GMRES's triangle and Block-GMRES's go through GPMR's BLAS
+``dtpsv`` back-substitution, once at the end of a solve.
 
 The Krylov bases (GMRES's vectors, block-Arnoldi's pairs) are the only
 arrays sized by the iteration budget. Everything else a solve keeps
@@ -309,24 +308,18 @@ def _step_factor(stack: np.ndarray):
 
 
 def _block_iterates(W: np.ndarray, cols: list, g):
-    """Both columns' minimum-norm iterates, as rows of a (2, dim) array.
+    """Both columns' iterates, as rows of a (2, dim) array.
 
-    ``cols[j]`` is the reduced (2j+4) x 2 column pair of step j+1, whose
-    rows 0..2j+1 are column pair j of the triangle (its last two rows
-    are zeros), and ``g`` the transformed right-hand side, one two-entry
-    row each. The
-    solutions of the triangle R Z = g[:2k] in the least-squares sense are
-    those of the block-Hessenberg problem, so one ``lstsq`` on the
-    triangle keeps the minimum-norm rule on a rank-deficient one. The
-    iterates are one product of Z's transpose with the first k pairs read
-    as 2k contiguous rows.
+    ``cols[j]`` is the reduced (2j+4) x 2 column pair of step j+1 and
+    ``g`` the transformed right-hand side, one two-entry row each. Column
+    2j+i of the triangle R is the view ``cols[j][:2j+1+i, i]``, so GPMR's
+    packed back-substitution solves R Z = g[:2k] a column of g at a time.
+    The iterates are Z times the first k pairs read as 2k contiguous rows.
     """
     k = len(cols)
-    R = np.zeros((2 * k, 2 * k))
-    for j, col in enumerate(cols):
-        R[: 2 * j + 2, 2 * j:2 * j + 2] = col[: 2 * j + 2]
-    Z, *_ = np.linalg.lstsq(R, g[:2 * k], rcond=None)
-    return Z.T @ W[:k].transpose(0, 2, 1).reshape(2 * k, -1)
+    packed = [col[:2 * j + 1 + i, i] for j, col in enumerate(cols) for i in range(2)]
+    Z = np.array([backward_substitution(packed, t) for t in np.array(g[:2 * k]).T])
+    return Z @ W[:k].transpose(0, 2, 1).reshape(2 * k, -1)
 
 
 @quiet_nonfinite
@@ -344,18 +337,17 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
     residual norm (per column, and of the summed solution, which drives
     the stopping rule of :func:`gpmr_solve` so both columns stop
     together) is the norm of g's last two rows, because the
-    least-squares solution is linear in the right-hand side; on a
-    rank-deficient block-Hessenberg matrix it leaves out what the
-    singular triangle cannot fit, a rounding-level amount. The iterates
-    come from one least-squares solve on the triangle at the end. Each
-    block-Arnoldi column pair is reduced in place, as GMRES rotates its
-    Arnoldi column, so the pairs are kept once. A non-finite starting
-    block or block-Hessenberg column ends the solve with ``nonfinite``
-    and the last iterates computed from finite data (zeros if the
-    starting block is not finite). Returns one report per
-    column; each report's diagnostics hold only ``summed_history``, the
-    summed residual history. The block-Arnoldi pairs and the QR factors
-    are dropped when the solve returns.
+    least-squares solution is linear in the right-hand side. Each
+    column's iterate comes from one packed back-substitution at the end.
+    A column times a basis vector :func:`_qr_in_place` zeroed is an exact
+    zero column with a zero row and entry of g: a unit pivot gives it the
+    coefficient 0. Any other zero diagonal (a singular K) ends the solve
+    ``exhausted`` with the last well-posed iterates, as in GMRES and
+    GPMR. Each block-Arnoldi column pair is reduced in place, so the
+    pairs are kept once. A non-finite starting block or block-Hessenberg
+    column ends the solve with ``nonfinite`` and the last iterates from
+    finite data (zeros if the starting block is not finite). Returns one
+    report per column, whose diagnostics hold only ``summed_history``.
     """
     check_stopping_rule(atol, rtol, k_max)
     D = np.asarray(D, dtype=np.float64)
@@ -380,6 +372,7 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
 
     res_sum = norm_d
     k = 0
+    saturated = False
     nonfinite = not math.isfinite(norm_d)
     while not nonfinite and res_sum > threshold and k < cap:
         block_arnoldi_step(state, K, reorth=reorth)
@@ -391,6 +384,12 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
         for i, Qt in enumerate(factors):
             col[2 * i:2 * i + 4] = Qt @ col[2 * i:2 * i + 4]
         Qt, top = _step_factor(col[2 * k:2 * k + 4])
+        for i in range(2):
+            if top[i, i] == 0.0 and not np.any(state.W[k][:, i]):
+                top[i, i] = 1.0  # a zero column times a zeroed basis vector
+        if top[0, 0] == 0.0 or top[1, 1] == 0.0:
+            saturated = True  # a singular triangle
+            break
         col[2 * k:2 * k + 4] = top
         factors.append(Qt)
         # the two new rows of g start at zero
@@ -405,13 +404,14 @@ def block_gmres_solve(K: LinearOperator, D, atol: float, rtol: float,
     if k == 0:
         sol = np.zeros((2, dim))
     else:
-        # after a non-finite step the state holds one pair more than k
+        # after a non-finite step or a stop the state holds pair k + 1
         sol = _block_iterates(state.W, state.columns[:k], g)
     # a copy per column, so that one report kept alone holds one iterate
     ends = [(row[:cut], row[cut:], history)
             for row, history in zip(map(np.copy, sol), (hist_b, hist_c))]
     return end_solve(ends, k, nonfinite=nonfinite,
-                     converged=res_sum <= threshold, exhausted=2 * k >= dim,
+                     converged=res_sum <= threshold,
+                     exhausted=saturated or 2 * k >= dim,
                      diagnostics={"summed_history": np.asarray(hist_sum)})
 
 

@@ -275,8 +275,16 @@ def _read_matrix_market(text) -> scipy.sparse.csr_array:
 
     fields = 2 if field == "pattern" else 3
     body = text.tell()
+    # loadtxt sizes its result by max_rows before it reads an entry. An
+    # entry line takes at least 2 * fields characters with its line end,
+    # and the end position (bytes of a file, characters of a string) is
+    # no less than the characters read, so max_rows stays within what
+    # the input can hold
+    end = text.seek(0, io.SEEK_END)
+    text.seek(body)
+    max_rows = min(nnz, (end + 1) // (2 * fields)) + 1
     try:
-        entries = _load_entries(text, fields, max_rows=nnz + 1)
+        entries = _load_entries(text, fields, max_rows=max_rows)
     except ValueError:
         entries = None
     if entries is None or entries.size != nnz or not _entries_fit(entries, nrows, ncols):

@@ -401,6 +401,20 @@ def test_block_gmres_solves_a_starting_block_with_parallel_columns():
     check_block_gmres_against_solve(K, D)
 
 
+def test_block_gmres_stops_on_a_zero_diagonal_as_gpmr_does():
+    # with lam = 0 and A = B = 0, K maps (x, y) to (0, y): K w_1's first
+    # column is zero while w_1's is not, so the triangle's first diagonal
+    # entry is zero and no iterate can fit b
+    rng = np.random.default_rng(0)
+    system = PartitionedSystem(0.0, 1.0, dense_operator(np.zeros((4, 3))),
+                               dense_operator(np.zeros((3, 4))),
+                               rng.standard_normal(4), rng.standard_normal(3))
+    for method in ("gpmr", "block-gmres"):
+        report = solve_partitioned(method, system, 1e-12, 1e-10, 7)
+        assert (report.status, report.iterations) == ("exhausted", 0)
+        assert not np.any(report.x) and not np.any(report.y)
+
+
 def test_block_arnoldi_rejects_a_single_row():
     with pytest.raises(ValueError, match="at least two rows"):
         block_arnoldi_init(np.array([[1.0, 2.0]]), 1)

@@ -446,6 +446,7 @@ def write_mtx(tmp_path, dense) -> str:
 
 UNUSABLE_INPUTS = {
     "unparsable-entry": "cannot parse matrix file: line 3: unparsable entry '1 1 x'",
+    "declared-count": "cannot parse matrix file: declared 100000000000 entries but found 1",
     "non-square": "experiment needs a square matrix",
     "permutation-order": "permutation covers 3 vertices, matrix has 18",
     "permutation-directory": "cannot read permutation file",
@@ -458,6 +459,12 @@ def _bad_input_options(case, tmp_path, matrix_file):
         path = tmp_path / "bad.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real general\n"
                         "2 2 2\n1 1 x\n2 2 1.0\n")
+        return ["--matrix", str(path)]
+    if case == "declared-count":
+        # a count no file this short can hold is not sized before reading
+        path = tmp_path / "short.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "2 2 100000000000\n1 1 1.0\n")
         return ["--matrix", str(path)]
     if case == "non-square":
         return ["--matrix", write_mtx(tmp_path, np.ones((2, 3)))]

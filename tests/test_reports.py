@@ -8,22 +8,26 @@ It also measures the peak a solve allocates while it runs: only the
 Krylov bases are sized by the iteration budget, so a short solve at a
 large budget peaks at its bases plus a small, budget-free remainder.
 The Matrix Market reader likewise peaks at the arrays it must hold,
-with no Python string kept per line of the file.
+with no Python string kept per line of the file and nothing sized by an
+entry count the file cannot hold.
 """
 
 import gc
 import tracemalloc
 
 import numpy as np
+import pytest
 import scipy.sparse
 
 from gpmr import (
     LinearOperator,
+    MalformedEntryError,
     PartitionedSystem,
     block_gmres_solve,
     gmres_solve,
     gpmr_solve,
     load_matrix_market,
+    parse_matrix_market,
 )
 from conftest import starting_block
 
@@ -151,15 +155,34 @@ def test_only_the_krylov_bases_are_sized_by_the_budget():
         assert peak <= bases + 2**20, (name, peak, bases)
 
 
+def test_block_gmres_ends_on_one_packed_triangle():
+    # a long solve: Block-GMRES peaks at its block-Arnoldi pairs, 2 (cap
+    # + 1) vectors of m + n; its k reduced column pairs, (2j + 4) x 2 for
+    # j < k, 16 (k^2 + 3k) bytes; and the one packed triangle of 2k
+    # columns that each back-substitution holds, k (2k + 1) entries. The
+    # 1 MiB covers the 4x4 factors, the array headers and the histories.
+    # A dense 2k x 2k triangle, 8 (2k)^2 bytes more, does not fit.
+    m = n = 500
+    k_max = 1000
+    system = sparse_system(m, n)
+    K, D = system.full_operator(), starting_block(system)
+    peak, report = peak_bytes(lambda: block_gmres_solve(K, D, 0.0, 1e-10, k_max))
+    k, cap = report.iterations, min(k_max, m + n)
+    assert report.converged and k > 300
+    bound = (16 * (cap + 1) * (m + n) + 16 * (k * k + 3 * k)
+             + 8 * k * (2 * k + 1) + 2**20)
+    assert peak <= bound, (peak, bound)
+
+
 # The Matrix Market reader's allowance per entry, from the arrays it must
 # hold at once: loadtxt's structured result of int64 row and column and
-# a float64 value (24 bytes; it is sized for the declared count plus one
-# and grows by reallocation, never by a second copy), the 0-based int64
-# row and column copies (16; the values stay a view), and the COO-to-CSR
-# conversion's int32 copies of both index arrays (8), contiguous copy of
-# the strided values (8) and the CSR's int32 indices and float64 values
-# (12). The fixed allowance covers read buffers, the header lines and the
-# CSR's row pointer.
+# a float64 value (24 bytes; it is sized for at most the declared count
+# plus one and grows by reallocation, never by a second copy), the
+# 0-based int64 row and column copies (16; the values stay a view), and
+# the COO-to-CSR conversion's int32 copies of both index arrays (8),
+# contiguous copy of the strided values (8) and the CSR's int32 indices
+# and float64 values (12). The fixed allowance covers read buffers, the
+# header lines and the CSR's row pointer.
 READER_BYTES_PER_ENTRY = 24 + 16 + 8 + 8 + 12
 READER_FIXED_BYTES = 2**20
 
@@ -177,3 +200,18 @@ def test_the_matrix_market_reader_holds_no_string_per_line(tmp_path):
     assert C.nnz == rows.size
     bound = READER_BYTES_PER_ENTRY * rows.size + READER_FIXED_BYTES
     assert peak <= bound, (peak, bound)
+
+
+def test_the_matrix_market_reader_sizes_nothing_by_a_declared_count():
+    # three lines cannot hold a million entries: the reader must find
+    # that without allocating for them
+    text = "%%MatrixMarket matrix coordinate real general\n2 2 1000000\n1 1 1.0\n"
+
+    def parse():
+        with pytest.raises(MalformedEntryError) as info:
+            parse_matrix_market(text)
+        return (str(info.value),)
+
+    peak, message = peak_bytes(parse)
+    assert message == "declared 1000000 entries but found 1"
+    assert peak <= READER_FIXED_BYTES, peak
