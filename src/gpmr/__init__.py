@@ -50,7 +50,6 @@ from .sparse import (
     csr_from_coo,
     csr_identity,
     load_matrix_market,
-    parse_matrix_market,
     sparse_lu,
     spmv,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "gpmr_solve",
     "hessenberg_step",
     "load_matrix_market",
-    "parse_matrix_market",
     "read_permutation",
     "recover_solution",
     "solve_partitioned",

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -45,7 +46,7 @@ from .operators import (
     read_permutation,
     recover_solution,
 )
-from .solver import STATUS_NONFINITE, check_stopping_rule
+from .solver import STATUS_NONFINITE, check_stopping_rule, quiet_nonfinite
 from .sparse import MatrixMarketError, load_matrix_market, spmv
 
 EXIT_OK = 0
@@ -138,8 +139,9 @@ def _load_inputs(cfg: ExperimentConfig):
 
 
 def _read_rhs(path) -> np.ndarray:
-    """The values of an rhs file, rows of equal length read in order. A
-    fault names its line, counted from 1 with blank and comment lines."""
+    """The finite values of an rhs file, rows of equal length read in
+    order. A fault names its line, counted from 1 with blank and comment
+    lines."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -148,12 +150,17 @@ def _read_rhs(path) -> np.ndarray:
     # bytes: a comment is never decoded, and a field that is not UTF-8
     # fails as a UnicodeDecodeError, which is a ValueError
     for lineno, line in enumerate(data.splitlines(), start=1):
+        fields = line.split(b"#", 1)[0].split()
         try:
-            row = [_float(field.decode()) for field in line.split(b"#", 1)[0].split()]
+            row = [_float(field.decode()) for field in fields]
         except ValueError as exc:
             text = line.decode(errors="replace").strip()
             raise ExperimentInputError(
                 f"bad rhs file: line {lineno}: {text!r} is not a row of numbers") from exc
+        for field, value in zip(fields, row):
+            if not math.isfinite(value):
+                raise ExperimentInputError(
+                    f"bad rhs file: line {lineno}: {field.decode()!r} is not finite")
         if row and width is None:
             width, first = len(row), lineno
         elif row and len(row) != width:
@@ -174,10 +181,6 @@ def _load_rhs(cfg, m, n, blocks):
         if values.size != m + n:
             raise ExperimentInputError(
                 f"rhs file has {values.size} values, system order is {m + n}")
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise ExperimentInputError(
-                f"rhs file value {bad[0]} is not finite: {values[bad[0]]}")
         b, c, source, why = values[:m], values[m:], "rhs file", ""
     for name, half in (("b", b), ("c", c)):
         if not np.any(half):
@@ -185,6 +188,7 @@ def _load_rhs(cfg, m, n, blocks):
     return b, c
 
 
+@quiet_nonfinite
 def _run_method(method, system, prec, blocks, b_star, c_star, cfg):
     M, A, B, N = blocks
     applies_before = system.A.applies + system.B.applies
@@ -276,14 +280,16 @@ def format_table(report: dict) -> str:
 
 
 def _json_text(report: dict) -> str:
-    """The report as JSON text, each method's history and iterate
-    replaced by the history's length."""
+    """The report as standard JSON text: each method's history and iterate
+    replaced by the history's length, a non-finite true residual by null."""
     out = dict(report)
     out["methods"] = {}
     for name, res in report["methods"].items():
         cleaned = {k: v for k, v in res.items()
                    if k not in ("history", "x_star", "y_star")}
         cleaned["history_length"] = int(len(res["history"]))
+        if not math.isfinite(cleaned["true_residual"]):
+            cleaned["true_residual"] = None
         out["methods"][name] = cleaned
     return json.dumps(out, indent=2) + "\n"
 

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import SuperLU
 
-from .sparse import _DECIMAL_INTEGER, SingularMatrixError, _text_lines, sparse_lu, spmv
+from .sparse import _DECIMAL_INTEGER, SingularMatrixError, sparse_lu, spmv
 
 
 class GraphPartitionError(ValueError):
@@ -298,23 +297,19 @@ def recover_solution(prec: BlockJacobiPreconditioner, x, y):
     return prec.apply(x, y)
 
 
-def read_permutation(source) -> BlockSplit:
-    """Read a split from text: first line ``m n``, then one index per line.
+def read_permutation(path) -> BlockSplit:
+    """Read a split from a file: first line ``m n``, then one index per line.
 
-    ``source`` is a path (``str`` or ``Path``) or a text or binary
-    stream; the bytes of a file or a binary stream are decoded as UTF-8.
-    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, as in
-    :func:`~gpmr.sparse.parse_matrix_market`: a form feed, vertical tab
-    or Unicode line separator is whitespace within its line. Blank lines
-    are skipped. Every number is a plain decimal integer: digit
-    separators (``1_0``) are rejected, and so is a line with an
+    The file is decoded as UTF-8. Lines end at ``\\n``, ``\\r\\n`` or
+    ``\\r``, as in :func:`~gpmr.sparse.load_matrix_market`: a form feed,
+    vertical tab or Unicode line separator is whitespace within its line.
+    Blank lines are skipped. Every number is a plain decimal integer:
+    digit separators (``1_0``) are rejected, and so is a line with an
     undecodable byte, which is read as U+FFFD. An error names its line,
     counted from 1 with blank lines included.
     """
-    if isinstance(source, (str, Path)):
-        source = Path(source).read_bytes()
-    lines = [(lineno, ln.split()) for lineno, ln in enumerate(_text_lines(source), start=1)
-             if ln.strip()]
+    with open(path, encoding="utf-8", errors="replace", newline=None) as text:
+        lines = [(lineno, ln.split()) for lineno, ln in enumerate(text, start=1) if ln.strip()]
     if not lines:
         raise ValueError("empty permutation file")
     (head_no, head), *rest = lines

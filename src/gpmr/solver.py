@@ -41,9 +41,9 @@ STATUS_MAX_ITERATIONS = "max_iterations"
 STATUS_EXHAUSTED = "exhausted"
 STATUS_NONFINITE = "nonfinite"
 
-# Decorates the solvers: they report a non-finite residual norm as
-# STATUS_NONFINITE, so numpy's overflow and invalid-value warnings on the
-# way there would only repeat it.
+# Decorates the solvers and the command's run of each method: they report
+# a non-finite residual norm as STATUS_NONFINITE, so numpy's overflow and
+# invalid-value warnings on the way there would only repeat it.
 quiet_nonfinite = np.errstate(over="ignore", invalid="ignore")
 
 

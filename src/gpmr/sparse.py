@@ -19,6 +19,7 @@ builds a dense copy of a block that factors, and hands back scipy's
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import re
 import warnings
@@ -83,23 +84,6 @@ _SUPPORTED_FIELDS = {"real", "integer", "pattern"}
 _SUPPORTED_SYMMETRIES = {"general", "symmetric"}
 
 
-def _text_stream(source) -> io.StringIO:
-    """``source`` (str, bytes, or a text or binary stream read from where
-    it stands) in memory as a text stream with universal newlines: lines
-    end at ``\\n``, ``\\r\\n`` or ``\\r`` and read back ending in ``\\n``.
-    Bytes are decoded as UTF-8, an undecodable byte read as U+FFFD."""
-    data = source if isinstance(source, (str, bytes)) else source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8", errors="replace")
-    return io.StringIO(data, newline=None)
-
-
-def _text_lines(source) -> list[str]:
-    """The lines of ``source`` as :func:`_text_stream` breaks them, each
-    ending in ``\\n`` but perhaps the last."""
-    return _text_stream(source).readlines()
-
-
 _ENTRY_DTYPES = {
     2: np.dtype([("row", np.int64), ("col", np.int64)]),
     3: np.dtype([("row", np.int64), ("col", np.int64), ("val", np.float64)]),
@@ -145,20 +129,23 @@ def _entries_fit(entries, nrows, ncols) -> bool:
                 and ("val" not in entries.dtype.names or np.isfinite(entries["val"]).all()))
 
 
-def _raise_first_bad_entry(kept, first_lineno, nrows, ncols, nnz, fields):
-    """Raise the error of the first line among ``kept`` (numbered from
-    ``first_lineno``) that exceeds ``nnz`` entries, fails to convert, or
-    holds a non-finite value or an index out of range; else the count
-    mismatch.
+def _raise_first_bad_entry(text, first_lineno, nrows, ncols, nnz, fields):
+    """Raise the error of the first line left in the text stream ``text``
+    (numbered from ``first_lineno``) that exceeds ``nnz`` entries, fails
+    to convert, or holds a non-finite value or an index out of range;
+    else the count mismatch.
 
-    Blocks of lines that pass are converted at once; the first block that
-    fails is walked line by line. Each line is converted on its own
-    exactly as the whole section was, so a section that failed as a whole
-    fails here too: this never returns.
+    The stream is read ``_SCAN_BLOCK`` lines at a time. Blocks that pass
+    are converted at once; the first block that fails is walked line by
+    line. Each line is converted on its own exactly as the whole section
+    was, so a section that failed as a whole fails here too: this never
+    returns.
     """
     seen = 0
-    for begin in range(0, len(kept), _SCAN_BLOCK):
-        block = kept[begin:begin + _SCAN_BLOCK]
+    for begin in itertools.count(first_lineno, _SCAN_BLOCK):
+        block = list(itertools.islice(text, _SCAN_BLOCK))
+        if not block:
+            break
         try:
             entries = _load_entries(block, fields)
         except ValueError:
@@ -167,7 +154,7 @@ def _raise_first_bad_entry(kept, first_lineno, nrows, ncols, nnz, fields):
                 and _entries_fit(entries, nrows, ncols)):
             seen += entries.size
             continue
-        for lineno, raw in enumerate(block, start=first_lineno + begin):
+        for lineno, raw in enumerate(block, start=begin):
             try:
                 converted = _load_entries([raw], fields)
             except ValueError:
@@ -199,38 +186,10 @@ def _raise_first_bad_entry(kept, first_lineno, nrows, ncols, nnz, fields):
     raise MalformedEntryError(f"declared {nnz} entries but found {seen}")
 
 
-def parse_matrix_market(source) -> scipy.sparse.csr_array:
-    """Read a coordinate Matrix Market matrix from text, bytes or a stream.
-
-    Supports real, integer and pattern fields with general or symmetric
-    qualifiers. Symmetric input is expanded to full storage, pattern
-    entries are assigned the value 1.0, duplicate coordinates are summed
-    and indices become 0-based. A ``nan`` or ``inf`` value is a
-    :class:`MalformedEntryError` naming its line.
-
-    Bytes and binary streams are decoded as UTF-8, an undecodable byte
-    read as U+FFFD. Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` and nowhere
-    else: a form feed, vertical tab or Unicode line separator is a
-    character within its line, where it separates fields like a space. A
-    stream is read from where it stands, and line numbers count from
-    there; it is left open. The source is read into memory whole;
-    :func:`load_matrix_market` streams its file instead.
-
-    The entry lines go from the stream into one ``np.loadtxt`` pass and
-    are checked as whole arrays; fields past the value are ignored and
-    ``%`` starts a comment. Sizes and indices are plain decimal integers
-    and values plain decimal floats: digit separators (``1_0``) are a
-    malformed size line or entry. Only a file that fails is read again
-    from just after its size line, block by block and then line by line,
-    to name the line that fails.
-    """
-    return _read_matrix_market(_text_stream(source))
-
-
 def _read_matrix_market(text) -> scipy.sparse.csr_array:
-    """:func:`parse_matrix_market` on a seekable text stream with
-    universal newlines. The header is read with ``readline``, so that the
-    position after the size line can be told and sought back to."""
+    """:func:`load_matrix_market` on its open file. The header is read
+    with ``readline``, so that the position after the size line can be
+    told and sought back to."""
     lineno, banner = 0, ""
     while not banner:
         raw = text.readline()
@@ -277,9 +236,8 @@ def _read_matrix_market(text) -> scipy.sparse.csr_array:
     body = text.tell()
     # loadtxt sizes its result by max_rows before it reads an entry. An
     # entry line takes at least 2 * fields characters with its line end,
-    # and the end position (bytes of a file, characters of a string) is
-    # no less than the characters read, so max_rows stays within what
-    # the input can hold
+    # and the end position, in bytes of the file, is no less than the
+    # characters read, so max_rows stays within what the file can hold
     end = text.seek(0, io.SEEK_END)
     text.seek(body)
     max_rows = min(nnz, (end + 1) // (2 * fields)) + 1
@@ -289,7 +247,7 @@ def _read_matrix_market(text) -> scipy.sparse.csr_array:
         entries = None
     if entries is None or entries.size != nnz or not _entries_fit(entries, nrows, ncols):
         text.seek(body)
-        _raise_first_bad_entry(text.readlines(), lineno + 1, nrows, ncols, nnz, fields)
+        _raise_first_bad_entry(text, lineno + 1, nrows, ncols, nnz, fields)
     rows = entries["row"] - 1
     cols = entries["col"] - 1
     vals = np.ones(nnz) if fields == 2 else entries["val"]
@@ -305,8 +263,26 @@ def _read_matrix_market(text) -> scipy.sparse.csr_array:
 
 
 def load_matrix_market(path) -> scipy.sparse.csr_array:
-    """:func:`parse_matrix_market` on the file at ``path``, streamed from
-    the open file."""
+    """Read a coordinate Matrix Market matrix from the file at ``path``.
+
+    Supports real, integer and pattern fields with general or symmetric
+    qualifiers. Symmetric input is expanded to full storage, pattern
+    entries are assigned the value 1.0, duplicate coordinates are summed
+    and indices become 0-based. A ``nan`` or ``inf`` value is a
+    :class:`MalformedEntryError` naming its line.
+
+    The file is decoded as UTF-8, an undecodable byte read as U+FFFD.
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` and nowhere else: a form
+    feed, vertical tab or Unicode line separator is a character within
+    its line, where it separates fields like a space. The entry lines go
+    from the open file into one ``np.loadtxt`` pass and are checked as
+    whole arrays; fields past the value are ignored and ``%`` starts a
+    comment. Sizes and indices are plain decimal integers and values
+    plain decimal floats: digit separators (``1_0``) are a malformed size
+    line or entry. Only a file that fails is read again from just after
+    its size line, block by block and then line by line, to name the
+    line that fails.
+    """
     with open(path, encoding="utf-8", errors="replace", newline=None) as text:
         return _read_matrix_market(text)
 

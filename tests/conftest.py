@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,6 +17,8 @@ from gpmr import (
     PartitionedSystem,
     backward_substitution,
     hessenberg_step,
+    load_matrix_market,
+    read_permutation,
 )
 from gpmr.hessenberg import BREAKDOWN_RTOL
 from gpmr.solver import _qr_update, ref
@@ -30,6 +33,27 @@ def write_general_mtx(target, M):
     """Write ``M`` to a path or binary stream as a coordinate ``real
     general`` Matrix Market file, every stored entry as it is stored."""
     scipy.io.mmwrite(target, M, symmetry="general")
+
+
+def _read_file(read, content):
+    """``read`` on a file that holds ``content``: a str written as UTF-8,
+    bytes as given. The file lives in a directory of its own, so
+    hypothesis tests can call this where ``tmp_path`` is shared."""
+    data = content.encode() if isinstance(content, str) else content
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_bytes(data)
+        return read(path)
+
+
+def read_mm(content):
+    """:func:`gpmr.load_matrix_market` on a file that holds ``content``."""
+    return _read_file(load_matrix_market, content)
+
+
+def read_perm(content):
+    """:func:`gpmr.read_permutation` on a file that holds ``content``."""
+    return _read_file(read_permutation, content)
 
 
 def stored_entries(M):

@@ -10,8 +10,12 @@ system from a Matrix Market file through the ``gpmr`` command's set-up.
 Its ``run_pass`` builds each method's solve by hand, where the ``gpmr``
 command calls ``solve_partitioned``. These tests run those paths on a
 small pair and a small grid, and check that both measure the same solves.
+
+Every name the package exports is also called by the package itself or
+by the benchmark: a name only tests call does not ship.
 """
 
+import ast
 import sys
 from pathlib import Path
 
@@ -20,6 +24,7 @@ import scipy.sparse
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+import gpmr  # noqa: E402
 import gpmr.operators  # noqa: E402
 import measure  # noqa: E402
 from conftest import small_reservoir  # noqa: E402
@@ -123,3 +128,17 @@ def test_reservoir_setup_solves_to_the_ones_vector(tmp_path):
     z = np.empty(378)
     z[perm] = np.concatenate(recover_solution(prec, report.x, report.y))
     assert np.max(np.abs(z - 1.0)) <= cfg["ones_bound"]
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    root = Path(__file__).resolve().parents[1]
+    sources = [p for p in (root / "src" / "gpmr").glob("*.py") if p.name != "__init__.py"]
+    sources += [p for p in (root / "perfbench").glob("*.py") if not p.name.startswith("test_")]
+    loaded = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert sorted(set(gpmr.__all__) - loaded) == []

@@ -356,7 +356,8 @@ def test_rhs_file_with_non_finite_value_is_input_error(matrix_file, tmp_path, ca
     ("1\n2\n\n3\nx1\n", "line 5: 'x1' is not a row of numbers"),
     ("# note\n1 2\n3\n", "line 3: 1 values, but line 2 has 2"),
     ("x 1\n2\n", "line 1: 'x 1' is not a row of numbers"),
-], ids=["bad-value", "ragged-row", "bad-first-line"])
+    ("1\n2\n\n3\nnan\n", "line 5: 'nan' is not finite"),
+], ids=["bad-value", "ragged-row", "bad-first-line", "non-finite-value"])
 def test_rhs_file_error_names_its_line(matrix_file, tmp_path, capsys, text, line):
     # numpy's own message counts data rows only, from 0 for a bad value
     rhs_path = tmp_path / "rhs.txt"

@@ -1,5 +1,8 @@
 """Non-finite values end every solve with the ``nonfinite`` status."""
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 
@@ -80,3 +83,27 @@ def test_cli_exit_code_for_overflow(tmp_path, capsys):
     assert code == EXIT_NONFINITE
     table = capsys.readouterr().out
     assert table.count("nonfinite") == 3
+
+
+def test_cli_json_report_after_an_overflow_is_standard_json(tmp_path, capsys):
+    # the right-hand side and every true residual overflow: the report
+    # writes each residual as null, not as JSON's nonstandard Infinity,
+    # and numpy's overflow warning does not reach stderr
+    dense = np.diag([1e300] * 4)
+    dense[0, 2] = dense[2, 0] = dense[1, 3] = dense[3, 1] = 1e308
+    path = tmp_path / "overflow.mtx"
+    write_general_mtx(path, csr(dense))
+    report = tmp_path / "report.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["--matrix", str(path), "--method", "gpmr,gmres,block-gmres",
+                     "--json", str(report)])
+    assert code == EXIT_NONFINITE
+    assert caught == []
+    assert capsys.readouterr().err == ""
+
+    def refuse(constant):
+        raise ValueError(f"nonstandard JSON constant {constant}")
+
+    payload = json.loads(report.read_text(), parse_constant=refuse)
+    assert [res["true_residual"] for res in payload["methods"].values()] == [None] * 3

@@ -1,10 +1,10 @@
-import io
 import re
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
+import gpmr.operators
 from gpmr import (
     METHODS,
     spmv,
@@ -30,6 +30,7 @@ from conftest import (
     csr,
     dense_operator,
     identity_operator,
+    read_perm,
     residual_norm,
     small_reservoir,
 )
@@ -471,18 +472,18 @@ def test_partitioned_system_accepts_rows_summing_to_zero():
 def test_permutation_file_round_trip():
     split = BlockSplit(np.array([2, 0, 3, 1]), 2, 2)
     text = f"{split.m} {split.n}\n" + "".join(f"{i}\n" for i in split.perm)
-    again = read_permutation(io.StringIO(text))
+    again = read_perm(text)
     assert again.m == split.m and again.n == split.n
     assert np.array_equal(again.perm, split.perm)
 
 
 def test_permutation_file_validation():
     with pytest.raises(ValueError):
-        read_permutation(io.StringIO(""))
+        read_perm("")
     with pytest.raises(ValueError):
-        read_permutation(io.StringIO("2\n0\n1\n"))
+        read_perm("2\n0\n1\n")
     with pytest.raises(ValueError):
-        read_permutation(io.StringIO("1 1\n0\n0\n"))
+        read_perm("1 1\n0\n0\n")
 
 
 @pytest.mark.parametrize("text,message", [
@@ -500,41 +501,60 @@ def test_permutation_file_errors_name_the_line(text, message):
     # digit separators are rejected as in Matrix Market files, and line
     # numbers count the blank lines too
     with pytest.raises(ValueError, match=message):
-        read_permutation(io.StringIO(text))
+        read_perm(text)
 
 
 def test_permutation_binary_stream_is_decoded_like_a_file():
-    split = read_permutation(io.BytesIO(b"1 1\n0\n1\n"))
+    split = read_perm(b"1 1\n0\n1\n")
     assert (split.m, split.n) == (1, 1) and np.array_equal(split.perm, [0, 1])
     # a byte that is not UTF-8 is read as U+FFFD and named by its line
     with pytest.raises(ValueError, match="line 3: expected one index, got '\ufffd1'"):
-        read_permutation(io.BytesIO(b"1 1\n0\n\xff1\n"))
+        read_perm(b"1 1\n0\n\xff1\n")
 
 
 @pytest.mark.parametrize("char", ["\f", "\v", "\u2028"], ids=["ff", "vt", "ls"])
 def test_permutation_lines_break_only_at_line_ends(char):
     # str.splitlines would also break at these characters; the reader
     # reads them as whitespace within their line, so the lines after
-    # them keep their numbers, from text and from bytes alike
-    for wrap in (io.StringIO, lambda text: io.BytesIO(text.encode())):
-        split = read_permutation(wrap(f"2{char}2\n0{char}\n{char}1\n2\n3\n"))
-        assert (split.m, split.n) == (2, 2) and np.array_equal(split.perm, [0, 1, 2, 3])
-        with pytest.raises(ValueError, match=r"^line 3: expected one index, got '1 2'$"):
-            read_permutation(wrap(f"2 2\n0\n1{char}2\n3\n"))
-        with pytest.raises(ValueError, match=r"^line 5: index 9 outside 0\.\.3$"):
-            read_permutation(wrap(f"2 2\n0{char}\n1\n\n9\n"))
+    # them keep their numbers
+    split = read_perm(f"2{char}2\n0{char}\n{char}1\n2\n3\n")
+    assert (split.m, split.n) == (2, 2) and np.array_equal(split.perm, [0, 1, 2, 3])
+    with pytest.raises(ValueError, match=r"^line 3: expected one index, got '1 2'$"):
+        read_perm(f"2 2\n0\n1{char}2\n3\n")
+    with pytest.raises(ValueError, match=r"^line 5: index 9 outside 0\.\.3$"):
+        read_perm(f"2 2\n0{char}\n1\n\n9\n")
 
 
 @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
 def test_permutation_crlf_and_cr_files_read_as_the_lf_file(end):
     text = "2 2\n0\n\n1\n2\n3\n"
-    split = read_permutation(io.BytesIO(text.replace("\n", end).encode()))
+    split = read_perm(text.replace("\n", end))
     assert np.array_equal(split.perm, [0, 1, 2, 3])
     with pytest.raises(ValueError, match=r"^line 5: index 9 outside 0\.\.3$"):
-        read_permutation(io.StringIO(text.replace("2\n3", "9\n3").replace("\n", end)))
+        read_perm(text.replace("2\n3", "9\n3").replace("\n", end))
 
 
 def test_permutation_file_with_blank_lines_and_signs():
-    split = read_permutation(io.StringIO("\n2 +2\n\n3\n-0\n  2 \n1\n\n"))
+    split = read_perm("\n2 +2\n\n3\n-0\n  2 \n1\n\n")
     assert (split.m, split.n) == (2, 2)
     assert np.array_equal(split.perm, [3, 0, 2, 1])
+
+
+def test_read_permutation_closes_its_file_whatever_the_outcome(tmp_path, monkeypatch):
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(gpmr.operators, "open", recording_open, raising=False)
+    path = tmp_path / "split.perm"
+    for text, error in [("1 1\n0\n1\n", None), ("", "^empty permutation file$"),
+                        ("1 1\n0\n2\n", "^line 3: index 2 outside 0..1$")]:
+        path.write_text(text)
+        if error is None:
+            assert np.array_equal(read_permutation(path).perm, [0, 1])
+        else:
+            with pytest.raises(ValueError, match=error):
+                read_permutation(path)
+        assert len(opened) == 1 and opened.pop().closed

@@ -8,8 +8,9 @@ It also measures the peak a solve allocates while it runs: only the
 Krylov bases are sized by the iteration budget, so a short solve at a
 large budget peaks at its bases plus a small, budget-free remainder.
 The Matrix Market reader likewise peaks at the arrays it must hold,
-with no Python string kept per line of the file and nothing sized by an
-entry count the file cannot hold.
+with no Python string kept per line of the file, nothing sized by an
+entry count the file cannot hold, and a file that fails scanned one
+block of lines at a time.
 """
 
 import gc
@@ -27,9 +28,8 @@ from gpmr import (
     gmres_solve,
     gpmr_solve,
     load_matrix_market,
-    parse_matrix_market,
 )
-from conftest import starting_block
+from conftest import read_mm, starting_block
 
 M, N, K_MAX = 3000, 2000, 40
 
@@ -209,9 +209,32 @@ def test_the_matrix_market_reader_sizes_nothing_by_a_declared_count():
 
     def parse():
         with pytest.raises(MalformedEntryError) as info:
-            parse_matrix_market(text)
+            read_mm(text)
         return (str(info.value),)
 
     peak, message = peak_bytes(parse)
     assert message == "declared 1000000 entries but found 1"
     assert peak <= READER_FIXED_BYTES, peak
+
+
+def test_a_failing_matrix_market_file_is_scanned_in_blocks(tmp_path):
+    # the bad line 3 fails the streamed pass at once; the peak is that
+    # pass's loadtxt result, preallocated for the declared count plus one
+    # 24-byte rows, and one block of the scan's lines, which the fixed
+    # allowance covers: the rest of the file is never held
+    n = 100_000
+    path = tmp_path / "bad.mtx"
+    with open(path, "w") as fh:
+        fh.write(f"%%MatrixMarket matrix coordinate real general\n{n} {n} {n}\n1 x 1.0\n")
+        rows = np.arange(2, n + 1)
+        np.savetxt(fh, np.column_stack([rows, rows, np.ones(n - 1)]), fmt=["%d", "%d", "%.1f"])
+
+    def load():
+        with pytest.raises(MalformedEntryError) as info:
+            load_matrix_market(path)
+        return (str(info.value),)
+
+    peak, message = peak_bytes(load)
+    assert message == "line 3: unparsable entry '1 x 1.0'"
+    bound = 24 * (n + 1) + READER_FIXED_BYTES
+    assert peak <= bound, (peak, bound)
